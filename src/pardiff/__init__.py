@@ -27,7 +27,6 @@ from pardiff.engine import (
 )
 from pardiff.graphs import (
     Configuration,
-    EdgeSense,
     PathGraph,
     PathOrientation,
     SimpleGraph,

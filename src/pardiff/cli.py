@@ -110,8 +110,8 @@ def _cmd_count(args) -> int:
         "count": count,
         "provenance": {
             "artifact_version": pardiff.__version__,
-            "enum_ceiling": orientations.DEFAULT_ENUM_CEILING,
-            "oracle_candidate_ceiling": oracle.DEFAULT_CANDIDATE_CEILING,
+            "enum_ceiling": orientations._enum_ceiling(None),
+            "oracle_candidate_ceiling": oracle._candidate_ceiling(None),
             "summation_upper_limit_corrected": True,
         },
         "ledger": None,
@@ -143,10 +143,7 @@ def _cmd_verify(args) -> int:
         workers=args.workers,
     )
     suites = args.suites.split(",") if args.suites else None
-    try:
-        results = verify.run_suites(config, suites)
-    except ValueError as exc:
-        raise DomainError(str(exc)) from exc
+    results = verify.run_suites(config, suites)
     for r in results:
         print(f"{'PASS' if r.passed else 'FAIL'} {r.suite}.{r.name}" + (f": {r.detail}" if r.detail else ""))
     failed = [r for r in results if not r.passed]
@@ -258,6 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)  # T_n passes 4300 digits near n = 7700
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)

@@ -12,62 +12,58 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from pardiff.errors import (
+    CeilingError,
+    DomainError,
     IllegalLocalPatternError,
     IllegalOrientationError,
     InternalInconsistencyError,
     NotAnAgreeingPairError,
     VertexIndexError,
 )
-from pardiff.graphs import EdgeSense, PathOrientation
-from pardiff.orientations import check_p2_orientation, enumerate_p2_orientations
-
-_R = EdgeSense.RIGHT
-_L = EdgeSense.LEFT
-_F = EdgeSense.FLAT
+from pardiff.graphs import SENSE_FLIP, PathOrientation
+from pardiff.orientations import _enum_ceiling, check_p2_orientation, enumerate_p2_orientations
 
 # Multiplier of v_k from the senses of (e_{k-2}, e_{k-1}, e_k), for interior
 # vertices where both v_k and v_{k-1} have two neighbours. All 27 triples are
 # listed; direction-flipped patterns share values, and None marks a triple no
 # legal orientation contains.
-MULTIPLIER_TABLE: dict[tuple[EdgeSense, EdgeSense, EdgeSense], int | None] = {
+MULTIPLIER_TABLE: dict[str, int | None] = {
     # middle edge disagrees with both neighbours (fully alternating)
-    (_L, _R, _L): 3,
-    (_R, _L, _R): 3,
+    "LRL": 3,
+    "RLR": 3,
     # disagreeing directed pair next to one flat edge
-    (_F, _R, _L): 2,
-    (_F, _L, _R): 2,
-    (_L, _R, _F): 2,
-    (_R, _L, _F): 2,
+    "FRL": 2,
+    "FLR": 2,
+    "LRF": 2,
+    "RLF": 2,
     # agreeing pair touching v_k or v_{k-1}
-    (_R, _R, _L): 1,
-    (_L, _L, _R): 1,
-    (_R, _L, _L): 1,
-    (_L, _R, _R): 1,
+    "RRL": 1,
+    "LLR": 1,
+    "RLL": 1,
+    "LRR": 1,
     # directed edge between two flats
-    (_F, _R, _F): 1,
-    (_F, _L, _F): 1,
+    "FRF": 1,
+    "FLF": 1,
     # flat between disagreeing directed edges
-    (_R, _F, _L): 1,
-    (_L, _F, _R): 1,
+    "RFL": 1,
+    "LFR": 1,
     # adjacent flats
-    (_F, _F, _F): None,
-    (_F, _F, _R): None,
-    (_F, _F, _L): None,
-    (_R, _F, _F): None,
-    (_L, _F, _F): None,
+    "FFF": None,
+    "FFR": None,
+    "FFL": None,
+    "RFF": None,
+    "LFF": None,
     # flat straddled by agreeing directed edges
-    (_R, _F, _R): None,
-    (_L, _F, _L): None,
+    "RFR": None,
+    "LFL": None,
     # agreeing pair against a flat or a third agreeing edge
-    (_R, _R, _F): None,
-    (_L, _L, _F): None,
-    (_F, _R, _R): None,
-    (_F, _L, _L): None,
-    (_R, _R, _R): None,
-    (_L, _L, _L): None,
+    "RRF": None,
+    "LLF": None,
+    "FRR": None,
+    "FLL": None,
+    "RRR": None,
+    "LLL": None,
 }
 
 
@@ -121,15 +117,13 @@ def vertex_multiplier(orient: PathOrientation, k: int) -> int:
         # pinned, so the single leaf neighbour contributes no freedom.
         return 1
     if k == 2:
-        return 1 if orient.senses[1] is _F else 2
+        return 1 if orient.senses[1] == "F" else 2
     if k == n:
-        return 1 if orient.senses[n - 3] is _F else 2
-    triple = (orient.senses[k - 3], orient.senses[k - 2], orient.senses[k - 1])
+        return 1 if orient.senses[n - 3] == "F" else 2
+    triple = orient.senses[k - 3 : k]
     value = MULTIPLIER_TABLE[triple]
     if value is None:
-        raise IllegalLocalPatternError(
-            f"senses {''.join(s.value for s in triple)} around v_{k} occur in no legal orientation"
-        )
+        raise IllegalLocalPatternError(f"senses {triple} around v_{k} occur in no legal orientation")
     return value
 
 
@@ -150,7 +144,7 @@ def count_configs_on_orientation(orient: PathOrientation) -> int:
 def alternating_count(n: int) -> int:
     """Configurations on the two fully alternating orientations: 8 * 3^(n-3)."""
     if n < 1:
-        raise ValueError("n must be positive")
+        raise DomainError("n must be positive")
     if n == 1:
         return 0
     if n == 2:
@@ -162,24 +156,19 @@ def alternating_orientations(n: int) -> list[PathOrientation]:
     """The two flat-free orientations in which every adjacent edge pair disagrees."""
     if n < 2:
         return []
-    out = []
-    for first in (_R, _L):
-        senses = [first]
-        for _ in range(n - 2):
-            senses.append(senses[-1].flipped())
-        out.append(PathOrientation(tuple(senses)))
-    return out
+    return [PathOrientation((pair * n)[: n - 1]) for pair in ("RL", "LR")]
 
 
 def count_T_recurrence(n: int) -> int:
     """T_n from T_n = 3 T_{n-1} + 2 T_{n-2} + T_{n-3} - T_{n-4}, seeded 0, 2, 8, 26."""
     if n < 1:
-        raise ValueError("n must be positive")
-    vals = [0, 0, 2, 8, 26]  # vals[i] = T_i, dummy at index 0
-    while len(vals) <= n:
-        m = len(vals)
-        vals.append(3 * vals[m - 1] + 2 * vals[m - 2] + vals[m - 3] - vals[m - 4])
-    return vals[n]
+        raise DomainError("n must be positive")
+    a, b, c, d = 0, 2, 8, 26  # T_1..T_4, then a rolling window T_{m-3}..T_m
+    if n <= 4:
+        return (a, b, c, d)[n - 1]
+    for _ in range(n - 4):
+        a, b, c, d = b, c, d, 3 * d + 2 * c + b - a
+    return d
 
 
 def count_T_direct(n: int) -> int:
@@ -187,6 +176,25 @@ def count_T_direct(n: int) -> int:
     if n == 1:
         return 0
     return sum(count_configs_on_orientation(o) for o in enumerate_p2_orientations(n))
+
+
+def _first_hit_buckets(m: int) -> list[int]:
+    """Configuration totals on the m-path, bucketed by where the orientation
+    first shows a flat edge or an agreeing pair.
+
+    Bucket j (0-based edge index) collects the orientations whose first flat
+    edge is e_{j+1}, or whose first agreeing pair is (e_j, e_{j+1}), whichever
+    comes first. The alternating orientations show neither and fill the last
+    bucket, j = m - 1, one past the last edge.
+    """
+    buckets = [0] * m
+    for o in enumerate_p2_orientations(m):
+        s = o.senses
+        j = 0
+        while j < len(s) and s[j] != "F" and (j == 0 or s[j] != s[j - 1]):
+            j += 1
+        buckets[j] += count_configs_on_orientation(o)
+    return buckets
 
 
 def stage(n: int, k: int) -> int:
@@ -197,26 +205,10 @@ def stage(n: int, k: int) -> int:
     every orientation counts, which makes stage(n, k) = T_n for k >= n-1.
     """
     if n < 2:
-        raise ValueError("stage needs n >= 2")
+        raise DomainError("stage needs n >= 2")
     if k < 0:
-        raise ValueError("stage needs k >= 0")
-    orients = enumerate_p2_orientations(n)
-    if k >= n - 1:
-        return sum(count_configs_on_orientation(o) for o in orients)
-    total = 0
-    for o in orients:
-        s = o.senses
-        hit = False
-        for j in range(k + 1):  # senses[j] is e_{j+1}
-            if s[j] is _F:
-                hit = True
-                break
-            if j >= 1 and s[j] is s[j - 1]:
-                hit = True
-                break
-        if hit:
-            total += count_configs_on_orientation(o)
-    return total
+        raise DomainError("stage needs k >= 0")
+    return sum(_first_hit_buckets(n)[: k + 1])
 
 
 def _half_alternating(k: int) -> int:
@@ -229,19 +221,34 @@ def _half_alternating(k: int) -> int:
 def count_T_summation(n: int, use_printed_limit: bool = False) -> int:
     """T_n as alternating + flat-first + agreeing-first contributions.
 
-    The agreeing-first sum runs k = 3..n-2. The printed form of that upper
-    limit is n-3, which undercounts (88 instead of 96 at n = 5); it is kept
-    behind ``use_printed_limit`` purely as a regression reference.
+    T_2..T_n are built bottom-up, each from the earlier ones, so the route
+    never consults the recurrence. The agreeing-first term of T_m adds
+    T_{m-2} - stage(m-2, k-2) for k = 3..m-2, read as suffix sums of the
+    first-hit buckets of the (m-2)-path. The printed form of that upper limit
+    is m-3, which undercounts (88 instead of 96 at n = 5); it is kept behind
+    ``use_printed_limit``, applied to T_n alone, purely as a regression
+    reference.
     """
     if n < 2:
-        raise ValueError("summation route needs n >= 2")
-    total = alternating_count(n)
-    for k in range(2, n - 1):
-        total += _half_alternating(k) * count_T_recurrence(n - k)
-    agree_upper = (n - 3) if use_printed_limit else (n - 2)
-    for k in range(3, agree_upper + 1):
-        total += count_T_recurrence(n - 2) - stage(n - 2, k - 2)
-    return total
+        raise DomainError("summation route needs n >= 2")
+    limit = _enum_ceiling(None)
+    if n - 2 > limit:
+        raise CeilingError(
+            f"summation route at n = {n} enumerates orientations at n - 2 = {n - 2},"
+            f" capped at n = {limit}"
+        )
+    t = [0, 0]  # t[m] = T_m; t[0] and t[1] are never read
+    for m in range(2, n + 1):
+        total = alternating_count(m)
+        for k in range(2, m - 1):
+            total += _half_alternating(k) * t[m - k]
+        if m >= 5:
+            buckets = _first_hit_buckets(m - 2)
+            agree_upper = m - 3 if use_printed_limit and m == n else m - 2
+            for k in range(3, agree_upper + 1):
+                total += sum(buckets[k - 1 :])
+        t.append(total)
+    return t[n]
 
 
 def build_count_ledger(n: int) -> CountLedger:
@@ -270,16 +277,7 @@ def sever_at_flats(orient: PathOrientation) -> list[PathOrientation]:
         raise IllegalOrientationError(
             f"orientation {orient.to_string()!r} violates {report.violations[0][0]}"
         )
-    parts = []
-    segment: list[EdgeSense] = []
-    for s in orient.senses:
-        if s is _F:
-            parts.append(PathOrientation(tuple(segment)))
-            segment = []
-        else:
-            segment.append(s)
-    parts.append(PathOrientation(tuple(segment)))
-    return parts
+    return [PathOrientation(part) for part in orient.senses.split("F")]
 
 
 def contract_agreeing(orient: PathOrientation, i: int) -> PathOrientation:
@@ -296,42 +294,49 @@ def contract_agreeing(orient: PathOrientation, i: int) -> PathOrientation:
     s = orient.senses
     if not 2 <= i <= len(s):
         raise NotAnAgreeingPairError(f"no edge pair (e_{i - 1}, e_{i}) on this path")
-    if s[i - 2] is _F or s[i - 2] is not s[i - 1]:
+    if s[i - 2] == "F" or s[i - 2] != s[i - 1]:
         raise NotAnAgreeingPairError(f"edges e_{i - 1}, e_{i} are not an agreeing directed pair")
-    kept = s[: i - 2]
-    flipped = tuple(x.flipped() for x in s[i:])
-    return PathOrientation(kept + flipped)
+    return PathOrientation(s[: i - 2] + s[i:].translate(SENSE_FLIP))
 
 
 def agreeing_pair_positions(orient: PathOrientation) -> list[int]:
     """Indices i such that (e_{i-1}, e_i) is an agreeing directed pair."""
     s = orient.senses
-    return [i for i in range(2, len(s) + 1) if s[i - 2] is not _F and s[i - 2] is s[i - 1]]
+    return [i for i in range(2, len(s) + 1) if s[i - 2] != "F" and s[i - 2] == s[i - 1]]
 
 
-_CHAR_POLY = (1.0, -3.0, -2.0, -1.0, 1.0)  # x^4 - 3x^3 - 2x^2 - x + 1
+_CHAR_POLY = (1, -3, -2, -1, 1)  # x^4 - 3x^3 - 2x^2 - x + 1, leading coefficient first
 
 
-def _polish_root(z: complex, iterations: int = 60) -> complex:
-    c = _CHAR_POLY
-    for _ in range(iterations):
-        p = ((c[0] * z + c[1]) * z + c[2]) * z * z + c[3] * z + c[4]
-        dp = ((4 * c[0] * z + 3 * c[1]) * z + 2 * c[2]) * z + c[3]
-        step = p / dp
-        z = z - step
-        if abs(step) < 1e-16:
-            break
-    return z
+def _char_poly(z: complex) -> complex:
+    value = 0j
+    for c in _CHAR_POLY:
+        value = value * z + c
+    return value
 
 
 def characteristic_roots(fit_range: tuple[int, int] = (20, 30)) -> AsymptoticModel:
-    """Newton-polished roots of the T-recurrence polynomial plus a fitted c_1.
+    """Roots of the T-recurrence polynomial by Durand-Kerner, plus a fitted c_1.
 
-    The leading coefficient is a one-parameter least-squares fit of T_n
-    against alpha_1^n over the given inclusive n range.
+    Durand-Kerner refines all four roots at once: each moves by p(z_i) over
+    the product of its distances to the others, from the standard distinct
+    seeds (0.4 + 0.9i)^i. The leading coefficient is a one-parameter
+    least-squares fit of T_n against alpha_1^n over the given inclusive n range.
     """
-    raw = np.roots(_CHAR_POLY)
-    roots = tuple(sorted((_polish_root(complex(z)) for z in raw), key=lambda z: -abs(z)))
+    zs = [(0.4 + 0.9j) ** i for i in range(4)]
+    for _ in range(500):
+        moved = 0.0
+        for i, z in enumerate(zs):
+            denom = 1 + 0j
+            for j, w in enumerate(zs):
+                if j != i:
+                    denom *= z - w
+            step = _char_poly(z) / denom
+            zs[i] = z - step
+            moved = max(moved, abs(step))
+        if moved < 1e-15:
+            break
+    roots = tuple(sorted(zs, key=lambda z: -abs(z)))
     real_roots = sorted((z.real for z in roots if abs(z.imag) < 1e-9), reverse=True)
     dominant = real_roots[0]
     lo, hi = fit_range
@@ -343,7 +348,7 @@ def characteristic_roots(fit_range: tuple[int, int] = (20, 30)) -> AsymptoticMod
 def conjecture_recurrence_check(counts: list[int]) -> list[int]:
     """Residual of each count against the order-4 recurrence, for indices >= 4."""
     if len(counts) < 5:
-        raise ValueError("need at least five consecutive counts")
+        raise DomainError("need at least five consecutive counts")
     return [
         counts[k] - (3 * counts[k - 1] + 2 * counts[k - 2] + counts[k - 3] - counts[k - 4])
         for k in range(4, len(counts))

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from pardiff.errors import (
     ConfigMismatchError,
+    DomainError,
     InternalInconsistencyError,
     PeriodNotFoundError,
     StackLimitError,
@@ -20,7 +21,6 @@ from pardiff.errors import (
 from pardiff.graphs import (
     I64_MAX,
     Configuration,
-    EdgeSense,
     Graph,
     PathGraph,
     PathOrientation,
@@ -90,7 +90,7 @@ def fire_step(graph: Graph, config: Configuration) -> Configuration:
 def run_sequence(graph: Graph, config: Configuration, max_steps: int) -> SequenceTrace:
     """Trace of max_steps firings, so max_steps + 1 configurations."""
     if max_steps < 1:
-        raise ValueError("max_steps must be >= 1")
+        raise DomainError("max_steps must be >= 1")
     steps = [config]
     for _ in range(max_steps):
         steps.append(fire_step(graph, steps[-1]))
@@ -115,7 +115,7 @@ def detect_period(graph: Graph, config: Configuration, max_steps: int) -> Period
     so it raises InternalInconsistencyError instead of being reported.
     """
     if max_steps < 2:
-        raise ValueError("max_steps must be >= 2")
+        raise DomainError("max_steps must be >= 2")
     if len(config.stacks) != graph.vertex_count:
         raise ConfigMismatchError(
             f"{len(config.stacks)} stacks for {graph.vertex_count} vertices"
@@ -157,15 +157,9 @@ def induced_orientation(graph: PathGraph, config: Configuration) -> PathOrientat
 
 
 def orientation_of_stacks(stacks: tuple[int, ...]) -> PathOrientation:
-    senses = []
-    for i in range(len(stacks) - 1):
-        if stacks[i + 1] > stacks[i]:
-            senses.append(EdgeSense.RIGHT)
-        elif stacks[i + 1] < stacks[i]:
-            senses.append(EdgeSense.LEFT)
-        else:
-            senses.append(EdgeSense.FLAT)
-    return PathOrientation(tuple(senses))
+    return PathOrientation(
+        "".join("R" if b > a else "L" if b < a else "F" for a, b in zip(stacks, stacks[1:]))
+    )
 
 
 def is_inside_period(graph: Graph, config: Configuration) -> bool:

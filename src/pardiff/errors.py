@@ -9,8 +9,11 @@ class PardiffError(Exception):
     slug = "error"
 
 
-class DomainError(PardiffError):
-    """Invalid input or an operation applied outside its precondition."""
+class DomainError(PardiffError, ValueError):
+    """Invalid input or an operation applied outside its precondition.
+
+    Also a ValueError, so callers catching the builtin still see it.
+    """
 
     slug = "domain-error"
 

@@ -9,7 +9,8 @@ Conventions used throughout the package:
   the drawing and has sense Right; head toward the higher index is Left;
   equal stacks give Flat.
 * Configuration strings are comma-separated stack sizes ordered v_1..v_n.
-* Orientation strings are letters over {R, L, F}, e_1 first.
+* Orientation strings are letters over {R, L, F}, e_1 first; PathOrientation
+  holds exactly that string.
 
 Stack sizes are plain Python integers at the interfaces; the firing engine
 promises signed 64-bit behaviour and rejects values outside that range.
@@ -19,7 +20,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from enum import Enum
 from typing import Union
 
 from pardiff.errors import (
@@ -34,31 +34,11 @@ I64_MAX = 2**63 - 1
 
 _PATH_FORM = re.compile(r"^path:(\d+)$")
 
+# Edge-sense letters in the enumerator's lexicographic rank: Right < Left < Flat.
+SENSE_ORDER = "RLF"
 
-class EdgeSense(Enum):
-    """Per-edge sense on a path: direction of chip flow, or Flat for equal stacks."""
-
-    RIGHT = "R"
-    LEFT = "L"
-    FLAT = "F"
-
-    def flipped(self) -> "EdgeSense":
-        """Swap Right and Left; Flat stays Flat."""
-        if self is EdgeSense.RIGHT:
-            return EdgeSense.LEFT
-        if self is EdgeSense.LEFT:
-            return EdgeSense.RIGHT
-        return EdgeSense.FLAT
-
-    @property
-    def is_directed(self) -> bool:
-        return self is not EdgeSense.FLAT
-
-
-# Lexicographic rank used by the orientation enumerator: Right < Left < Flat.
-SENSE_ORDER = (EdgeSense.RIGHT, EdgeSense.LEFT, EdgeSense.FLAT)
-
-_SENSE_BY_LETTER = {s.value: s for s in EdgeSense}
+# str.translate table swapping Right and Left; Flat stays Flat.
+SENSE_FLIP = str.maketrans("RL", "LR")
 
 
 @dataclass(frozen=True)
@@ -174,38 +154,39 @@ class Configuration:
 
 @dataclass(frozen=True)
 class PathOrientation:
-    """Edge senses of a path, entry i (0-based) describing e_{i+1}."""
+    """Edge senses of a path as letters over "RLF", entry i (0-based) describing e_{i+1}."""
 
-    senses: tuple[EdgeSense, ...]
+    senses: str
 
     @property
     def n(self) -> int:
         """Vertex count of the underlying path."""
         return len(self.senses) + 1
 
-    def sense(self, edge_index: int) -> EdgeSense:
-        """Sense of 1-based edge e_i."""
+    def sense(self, edge_index: int) -> str:
+        """Sense letter of 1-based edge e_i."""
         if not 1 <= edge_index <= len(self.senses):
             raise VertexIndexError(f"edge {edge_index} outside [1, {len(self.senses)}]")
         return self.senses[edge_index - 1]
 
     def to_string(self) -> str:
-        return "".join(s.value for s in self.senses)
+        return self.senses
 
     @classmethod
     def from_string(cls, text: str) -> "PathOrientation":
-        try:
-            return cls(tuple(_SENSE_BY_LETTER[ch] for ch in text.strip()))
-        except KeyError as exc:
-            raise GraphFormatError(f"unknown sense letter {exc.args[0]!r}") from exc
+        senses = text.strip()
+        for ch in senses:
+            if ch not in SENSE_ORDER:
+                raise GraphFormatError(f"unknown sense letter {ch!r}")
+        return cls(senses)
 
     def flipped(self) -> "PathOrientation":
         """Swap Right and Left on every edge (the orbit partner's orientation)."""
-        return PathOrientation(tuple(s.flipped() for s in self.senses))
+        return PathOrientation(self.senses.translate(SENSE_FLIP))
 
     def mirrored(self) -> "PathOrientation":
         """Relabel the path from the other end: reverse edge order and swap R/L."""
-        return PathOrientation(tuple(s.flipped() for s in reversed(self.senses)))
+        return PathOrientation(self.senses[::-1].translate(SENSE_FLIP))
 
 
 def parse_graph(text: str) -> Graph:

@@ -26,6 +26,7 @@ from pardiff.graphs import (
     PathGraph,
     PathOrientation,
     SimpleGraph,
+    adjacency,
     is_connected,
 )
 from pardiff.engine import orientation_of_stacks
@@ -50,13 +51,6 @@ class OracleResult:
         if include_configurations:
             out["configurations"] = [list(c.stacks) for c in self.configurations]
         return out
-
-    @staticmethod
-    def csv_header() -> str:
-        return "n,count,diff_bound,wall_time_seconds"
-
-    def to_csv_row(self, wall_time_seconds: float) -> str:
-        return f"{self.n},{self.count},{self.diff_bound},{wall_time_seconds}"
 
 
 def _bfs_plan(adj0: list[list[int]], root: int):
@@ -95,21 +89,15 @@ def _bfs_plan(adj0: list[list[int]], root: int):
     return order, parent_pos, fires_at, checks_at
 
 
-def _window_search(vertex_count, edges, root0, window, collect, prefix=()):
+def _window_search(graph, root0, window, collect, prefix=()):
     """Count (and optionally collect) 2-periodic configurations with the root
     pinned at zero and every tree-edge stack difference in [-window, window].
 
     ``prefix`` fixes the differences of the first BFS positions, which is how
     the search space is split across worker processes.
     """
-    adj0 = [[] for _ in range(vertex_count)]
-    for u, v in edges:
-        adj0[u - 1].append(v - 1)
-        adj0[v - 1].append(u - 1)
-    for row in adj0:
-        row.sort()
-    order, parent_pos, fires_at, checks_at = _bfs_plan(adj0, root0)
-    V = vertex_count
+    order, parent_pos, fires_at, checks_at = _bfs_plan(adjacency(graph), root0)
+    V = graph.vertex_count
     if V == 1:
         return 0, []
     stacks = [0] * V
@@ -186,13 +174,12 @@ def _search_task(args):
 
 
 def _run_search(graph: Graph, root0: int, window: int, collect: bool, workers: int):
-    edges = tuple(sorted(graph.edges))
     V = graph.vertex_count
     branches = 2 * window + 1
     if workers <= 1 or V < 3 or branches ** (V - 1) < 10**5:
-        return _window_search(V, edges, root0, window, collect)
+        return _window_search(graph, root0, window, collect)
     tasks = [
-        (V, edges, root0, window, collect, (d,)) for d in range(-window, window + 1)
+        (graph, root0, window, collect, (d,)) for d in range(-window, window + 1)
     ]
     count = 0
     configs: list[tuple[int, ...]] = []
@@ -220,9 +207,9 @@ def enumerate_p2_configurations(
     stack differences within diff_bound, ordered by difference vector.
     """
     if n < 2:
-        raise ValueError("the oracle needs n >= 2")
+        raise DomainError("the oracle needs n >= 2")
     if diff_bound < 1:
-        raise ValueError("diff_bound must be positive")
+        raise DomainError("diff_bound must be positive")
     ceiling = _candidate_ceiling(candidate_ceiling)
     candidates = (2 * diff_bound + 1) ** (n - 1)
     if candidates > ceiling:
@@ -259,7 +246,7 @@ def build_bridge_graph(g0: Graph, base_vertex: int, k: int) -> SimpleGraph:
     if not 1 <= base_vertex <= m:
         raise DomainError(f"base vertex {base_vertex} outside [1, {m}]")
     if k < 1:
-        raise ValueError("path length k must be >= 1")
+        raise DomainError("path length k must be >= 1")
     edges = set(g0.edges)
     edges.add((base_vertex, m + 1))
     for i in range(1, k):

@@ -18,14 +18,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from pardiff.errors import CeilingError, IllegalOrientationError
-from pardiff.graphs import (
-    Configuration,
-    EdgeSense,
-    PathGraph,
-    PathOrientation,
-    SENSE_ORDER,
-)
+from pardiff.errors import CeilingError, DomainError, IllegalOrientationError
+from pardiff.graphs import Configuration, PathGraph, PathOrientation, SENSE_ORDER
 
 RULE_ADJACENT_FLATS = "AdjacentFlats"
 RULE_FLAT_AT_LEAF = "FlatAtLeaf"
@@ -34,6 +28,8 @@ RULE_PAIR_NOT_BOOKENDED = "AgreeingPairNotBookended"
 
 DEFAULT_ENUM_CEILING = 20
 _ENUM_CEILING_ENV = "PARDIFF_ENUM_CEILING"
+
+_STEP = {"R": 1, "L": -1, "F": 0}  # witness stack change across each sense
 
 
 @dataclass(frozen=True)
@@ -49,24 +45,23 @@ def check_p2_orientation(orient: PathOrientation) -> ForbiddenPatternReport:
     s = orient.senses
     e = len(s)
     if e < 1:
-        raise ValueError("orientation checking needs a path with at least one edge")
-    F = EdgeSense.FLAT
+        raise DomainError("orientation checking needs a path with at least one edge")
     violations = []
-    if s[0] is F:
+    if s[0] == "F":
         violations.append((RULE_FLAT_AT_LEAF, (1, 1)))
-    if e > 1 and s[e - 1] is F:
+    if e > 1 and s[e - 1] == "F":
         violations.append((RULE_FLAT_AT_LEAF, (e, e)))
     for i in range(e - 1):
-        if s[i] is F and s[i + 1] is F:
+        if s[i] == "F" and s[i + 1] == "F":
             violations.append((RULE_ADJACENT_FLATS, (i + 1, i + 2)))
     for i in range(1, e - 1):
-        if s[i] is F and s[i - 1] is not F and s[i + 1] is not F and s[i - 1] is s[i + 1]:
+        if s[i] == "F" and s[i - 1] != "F" and s[i - 1] == s[i + 1]:
             violations.append((RULE_FLAT_NOT_BOOKENDED, (i, i + 2)))
     for i in range(e - 1):
-        if s[i] is F or s[i] is not s[i + 1]:
+        if s[i] == "F" or s[i] != s[i + 1]:
             continue
-        left_ok = i >= 1 and s[i - 1] is not F and s[i - 1] is not s[i]
-        right_ok = i + 2 < e and s[i + 2] is not F and s[i + 2] is not s[i]
+        left_ok = i >= 1 and s[i - 1] != "F" and s[i - 1] != s[i]
+        right_ok = i + 2 < e and s[i + 2] != "F" and s[i + 2] != s[i]
         if not (left_ok and right_ok):
             violations.append((RULE_PAIR_NOT_BOOKENDED, (i + 1, i + 2)))
     return ForbiddenPatternReport(legal=not violations, violations=tuple(violations))
@@ -86,7 +81,7 @@ def enumerate_p2_orientations(n: int, ceiling: int | None = None) -> list[PathOr
     output count instead of 3^(n-1).
     """
     if n < 1:
-        raise ValueError("n must be positive")
+        raise DomainError("n must be positive")
     limit = _enum_ceiling(ceiling)
     if n > limit:
         raise CeilingError(f"orientation enumeration capped at n = {limit} (asked for {n})")
@@ -96,33 +91,32 @@ def enumerate_p2_orientations(n: int, ceiling: int | None = None) -> list[PathOr
         return []
     edge_count = n - 1
     out: list[PathOrientation] = []
-    prefix: list[EdgeSense] = []
-    F = EdgeSense.FLAT
+    prefix: list[str] = []
 
     def extend(p: int):
         # p is the 1-based index of the edge being placed.
         for sense in SENSE_ORDER:
-            if sense is F:
+            if sense == "F":
                 if p == 1 or p == edge_count:
                     continue
-                if prefix[-1] is F:
+                if prefix[-1] == "F":
                     continue
-                if p >= 3 and prefix[-2] is prefix[-1]:
+                if p >= 3 and prefix[-2] == prefix[-1]:
                     continue  # directed pair would be right-bookended by a flat
             elif p >= 2:
                 last = prefix[-1]
-                if last is F:
+                if last == "F":
                     # flat can't be at e_1, so prefix[-2] exists and is directed
-                    if prefix[-2] is sense:
+                    if prefix[-2] == sense:
                         continue  # flat straddled by agreeing directed edges
-                elif last is sense:
+                elif last == sense:
                     if p == 2 or p == edge_count:
                         continue  # pair missing a bookend at the boundary
-                    if prefix[-2] is F or prefix[-2] is sense:
+                    if prefix[-2] == "F" or prefix[-2] == sense:
                         continue
             prefix.append(sense)
             if p == edge_count:
-                out.append(PathOrientation(tuple(prefix)))
+                out.append(PathOrientation("".join(prefix)))
             else:
                 extend(p + 1)
             prefix.pop()
@@ -134,7 +128,7 @@ def enumerate_p2_orientations(n: int, ceiling: int | None = None) -> list[PathOr
 def count_p2_orientations_recurrence(n: int) -> int:
     """R_n from R_n = R_{n-1} + 2 R_{n-2} - R_{n-4}, seeded 0, 2, 2, 4."""
     if n < 1:
-        raise ValueError("n must be positive")
+        raise DomainError("n must be positive")
     vals = [0, 0, 2, 2, 4]  # vals[i] = R_i, dummy at index 0
     while len(vals) <= n:
         m = len(vals)
@@ -155,10 +149,5 @@ def witness_configuration(orient: PathOrientation) -> Configuration:
         )
     stacks = [0]
     for sense in orient.senses:
-        if sense is EdgeSense.RIGHT:
-            stacks.append(stacks[-1] + 1)
-        elif sense is EdgeSense.LEFT:
-            stacks.append(stacks[-1] - 1)
-        else:
-            stacks.append(stacks[-1])
+        stacks.append(stacks[-1] + _STEP[sense])
     return Configuration(tuple(stacks), PathGraph(orient.n))

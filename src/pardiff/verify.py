@@ -11,9 +11,9 @@ import random
 from dataclasses import dataclass
 
 from pardiff import counting, engine, oracle, orientations
+from pardiff.errors import DomainError
 from pardiff.graphs import (
     Configuration,
-    EdgeSense,
     PathGraph,
     SimpleGraph,
     canonicalize,
@@ -69,7 +69,7 @@ def run_suites(config: VerifyConfig = VerifyConfig(), suites=None) -> list[Check
     else:
         unknown = [s for s in suites if s not in _REGISTRY]
         if unknown:
-            raise ValueError(f"unknown suites {unknown}; available: {list(_REGISTRY)}")
+            raise DomainError(f"unknown suites {unknown}; available: {list(_REGISTRY)}")
         selected = list(suites)
     results = []
     for suite in selected:
@@ -116,7 +116,8 @@ def _all_sense_vectors(edge_count: int):
 
     from pardiff.graphs import SENSE_ORDER
 
-    yield from product(SENSE_ORDER, repeat=edge_count)
+    for senses in product(SENSE_ORDER, repeat=edge_count):
+        yield "".join(senses)
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +305,7 @@ def _chk_routes(cfg: VerifyConfig):
 def _chk_severing(cfg: VerifyConfig):
     for n in range(2, cfg.max_n_structure + 1):
         for orient in orientations.enumerate_p2_orientations(n):
-            if EdgeSense.FLAT not in orient.senses:
+            if "F" not in orient.senses:
                 continue
             whole = counting.count_configs_on_orientation(orient)
             prod = 1

@@ -165,6 +165,49 @@ def test_verify_unknown_suite_is_domain_error(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--n", "0", "--method", "recurrence"],
+        ["count", "--n", "0", "--method", "summation"],
+        ["count", "--n", "0", "--method", "direct"],
+        ["count", "--n", "1", "--method", "oracle", "--workers", "1"],
+        ["simulate", "--graph", "path:3", "--config", "0,1,0", "--steps", "0"],
+        ["period", "--graph", "path:3", "--config", "0,1,0", "--max-steps", "1"],
+    ],
+)
+def test_out_of_domain_arguments_exit_one(tmp_path, capsys, argv):
+    assert main(argv + ["--out", str(tmp_path / "o.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error [domain-error]: ")
+
+
+def test_summation_ceiling_names_requested_n(tmp_path, capsys):
+    code = main(["count", "--n", "23", "--method", "summation", "--out", str(tmp_path / "c.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error [resource-ceiling]: ")
+    assert "n = 23" in err
+
+
+def test_count_provenance_reports_ceilings_in_force(tmp_path, monkeypatch):
+    monkeypatch.setenv("PARDIFF_ENUM_CEILING", "25")
+    monkeypatch.setenv("PARDIFF_ORACLE_CEILING", "1000")
+    out = tmp_path / "c.json"
+    assert main(["count", "--n", "4", "--method", "recurrence", "--out", str(out)]) == 0
+    provenance = json.loads(out.read_text())["provenance"]
+    assert provenance["enum_ceiling"] == 25
+    assert provenance["oracle_candidate_ceiling"] == 1000
+
+
+def test_count_recurrence_beyond_int_string_limit(tmp_path):
+    out = tmp_path / "c.json"
+    assert main(["count", "--n", "8000", "--method", "recurrence", "--out", str(out)]) == 0
+    count = json.loads(out.read_text())["count"]
+    assert len(str(count)) > 4300
+
+
 def test_conjecture_degenerate_residuals_zero(tmp_path):
     g0 = tmp_path / "g0.txt"
     g0.write_text("path:1\n")

@@ -27,7 +27,7 @@ from pardiff.errors import (
     IllegalOrientationError,
     NotAnAgreeingPairError,
 )
-from pardiff.graphs import EdgeSense, PathOrientation
+from pardiff.graphs import PathOrientation
 from pardiff.orientations import check_p2_orientation, enumerate_p2_orientations
 
 # ten-vertex worked example: senses e_1..e_9 and the resulting multipliers
@@ -114,11 +114,11 @@ def test_direct_count_decomposition_n5():
     by_kind = {"alternating": 0, "flat_e2": 0, "flat_e3": 0, "agreeing": 0}
     for o in enumerate_p2_orientations(5):
         c = count_configs_on_orientation(o)
-        if EdgeSense.FLAT not in o.senses and not agreeing_pair_positions(o):
+        if "F" not in o.senses and not agreeing_pair_positions(o):
             by_kind["alternating"] += c
-        elif o.senses[1] is EdgeSense.FLAT:
+        elif o.senses[1] == "F":
             by_kind["flat_e2"] += c
-        elif o.senses[2] is EdgeSense.FLAT:
+        elif o.senses[2] == "F":
             by_kind["flat_e3"] += c
         else:
             by_kind["agreeing"] += c
@@ -174,7 +174,7 @@ def test_sever_examples():
 def test_sever_multiplicative():
     for n in range(2, 11):
         for o in enumerate_p2_orientations(n):
-            if EdgeSense.FLAT not in o.senses:
+            if "F" not in o.senses:
                 continue
             prod = math.prod(count_configs_on_orientation(p) for p in sever_at_flats(o))
             assert prod == count_configs_on_orientation(o)

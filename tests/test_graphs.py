@@ -13,7 +13,6 @@ from pardiff.errors import (
 )
 from pardiff.graphs import (
     Configuration,
-    EdgeSense,
     PathGraph,
     PathOrientation,
     SimpleGraph,
@@ -98,7 +97,7 @@ def test_orientation_string_round_trip():
     o = PathOrientation.from_string("RLFRL")
     assert o.to_string() == "RLFRL"
     assert o.n == 6
-    assert o.sense(3) is EdgeSense.FLAT
+    assert o.sense(3) == "F"
     with pytest.raises(GraphFormatError):
         PathOrientation.from_string("RLX")
 

@@ -10,7 +10,6 @@ from pardiff.engine import fire_step, orientation_of_stacks
 from pardiff.errors import CeilingError, DomainError, WindowNotStabilizedError
 from pardiff.graphs import Configuration, PathGraph, SimpleGraph, canonicalize
 from pardiff.oracle import (
-    OracleResult,
     bound_stability_check,
     build_bridge_graph,
     enumerate_p2_configurations,
@@ -125,8 +124,6 @@ def test_result_export_shapes(oracle_runs):
     assert len(full["configurations"]) == 8
     slim = result.to_dict(include_configurations=False)
     assert "configurations" not in slim
-    assert result.to_csv_row(0.25) == "3,8,3,0.25"
-    assert OracleResult.csv_header() == "n,count,diff_bound,wall_time_seconds"
 
 
 def test_bridge_graph_shape():

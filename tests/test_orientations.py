@@ -76,9 +76,9 @@ def test_enumerate_smallest():
 def test_enumerate_matches_plain_filter():
     for n in range(2, 9):
         wanted = [
-            PathOrientation(senses)
+            PathOrientation("".join(senses))
             for senses in product(SENSE_ORDER, repeat=n - 1)
-            if check_p2_orientation(PathOrientation(senses)).legal
+            if check_p2_orientation(PathOrientation("".join(senses))).legal
         ]
         assert enumerate_p2_orientations(n) == wanted
 
@@ -141,7 +141,7 @@ def test_witnesses_induce_their_orientation():
 
 
 sense_vectors = st.lists(st.sampled_from(SENSE_ORDER), min_size=1, max_size=12).map(
-    lambda senses: PathOrientation(tuple(senses))
+    lambda senses: PathOrientation("".join(senses))
 )
 
 
