@@ -40,6 +40,7 @@ from pardiff.graphs import (
 from pardiff.oracle import (
     OracleResult,
     bound_stability_check,
+    count_p2_configurations,
     enumerate_p2_configurations,
     enumerate_p2_on_bridge_graph,
     orientations_realized,

@@ -3,7 +3,8 @@
 Every command writes one machine-readable output file plus a manifest
 (<output>.manifest.json) and prints a one-line summary. Output bodies are
 deterministic; timing lives only in the manifest. Exit codes: 0 success,
-1 domain error, 2 resource ceiling, 3 verification failure.
+1 domain error, 2 resource ceiling, 3 verification failure or internal
+inconsistency.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import time
 
 import pardiff
 from pardiff import counting, engine, oracle, orientations, verify
-from pardiff.errors import CeilingError, DomainError
+from pardiff.errors import CeilingError, DomainError, InternalInconsistencyError, PardiffError
 from pardiff.graphs import config_from_string, parse_graph
 
 
@@ -100,10 +101,7 @@ def _cmd_count(args) -> int:
     elif method == "direct":
         count = counting.count_T_direct(n)
     else:
-        result = oracle.enumerate_p2_configurations(
-            n, diff_bound=args.diff_bound, workers=args.workers
-        )
-        count = result.count
+        count = oracle.count_p2_configurations(n, diff_bound=args.diff_bound)
     payload = {
         "n": n,
         "method": method,
@@ -119,6 +117,14 @@ def _cmd_count(args) -> int:
     if method == "oracle":
         payload["provenance"]["diff_bound"] = args.diff_bound
         if args.full_configurations:
+            result = oracle.enumerate_p2_configurations(
+                n, diff_bound=args.diff_bound, workers=args.workers
+            )
+            if len(result.configurations) != count:
+                raise InternalInconsistencyError(
+                    f"the search lists {len(result.configurations)} configurations, "
+                    f"the window DP counts {count}"
+                )
             payload["oracle_configurations"] = [list(c.stacks) for c in result.configurations]
     if args.ledger:
         payload["ledger"] = counting.build_count_ledger(n).to_dict()
@@ -269,6 +275,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error [file]: {exc}", file=sys.stderr)
         return 1
+    except PardiffError as exc:
+        print(f"error [{exc.slug}]: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -1,8 +1,11 @@
 """Exception hierarchy for pardiff.
 
 Every error carries a stable ``slug`` used in CLI diagnostics. The CLI maps
-DomainError to exit code 1 and CeilingError to exit code 2.
+DomainError to exit code 1, CeilingError to exit code 2 and any other
+PardiffError to exit code 3.
 """
+
+import os
 
 
 class PardiffError(Exception):
@@ -57,7 +60,9 @@ class PeriodNotFoundError(DomainError):
 
 
 class InternalInconsistencyError(PardiffError):
-    """A state repeat at an offset other than 1 or 2. Indicates an engine bug."""
+    """A result the theory rules out: a state repeat at an offset other than
+    1 or 2, or an oracle list whose length differs from its count. Indicates
+    a bug."""
 
     slug = "internal-inconsistency"
 
@@ -76,3 +81,14 @@ class NotAnAgreeingPairError(DomainError):
 
 class WindowNotStabilizedError(CeilingError):
     slug = "window-not-stabilized"
+
+
+def env_ceiling(variable: str, default: int) -> int:
+    """Integer value of a ``PARDIFF_*_CEILING`` override, or ``default`` if unset."""
+    raw = os.environ.get(variable)
+    if raw is None:
+        return default
+    try:
+        return int(raw)
+    except ValueError:
+        raise DomainError(f"{variable}={raw!r} is not an integer") from None

@@ -10,16 +10,20 @@ the second-firing value at v is fixed, so a prefix that already breaks
 periodicity at v is abandoned. That check is a direct consequence of the
 firing rule, which only reads a radius-two neighbourhood, so the pruned walk
 visits exactly the survivors of the full (2b+1)^(V-1) iteration.
+
+On paths the same locality makes the count a transfer-matrix sum over a
+sliding window of differences (count_p2_configurations), linear in n. The
+search stays as the producer of configuration lists and as the DP's
+small-n certificate.
 """
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from pardiff.errors import CeilingError, DomainError, WindowNotStabilizedError
+from pardiff.errors import CeilingError, DomainError, WindowNotStabilizedError, env_ceiling
 from pardiff.graphs import (
     Configuration,
     Graph,
@@ -29,7 +33,7 @@ from pardiff.graphs import (
     adjacency,
     is_connected,
 )
-from pardiff.engine import orientation_of_stacks
+from pardiff.engine import fire_step, orientation_of_stacks
 
 DEFAULT_CANDIDATE_CEILING = 7**10
 DEFAULT_BRIDGE_VERTEX_CEILING = 12
@@ -194,7 +198,127 @@ def _run_search(graph: Graph, root0: int, window: int, collect: bool, workers: i
 def _candidate_ceiling(override: int | None) -> int:
     if override is not None:
         return override
-    return int(os.environ.get(_CANDIDATE_CEILING_ENV, DEFAULT_CANDIDATE_CEILING))
+    return env_ceiling(_CANDIDATE_CEILING_ENV, DEFAULT_CANDIDATE_CEILING)
+
+
+class _OneFiring(dict):
+    """Memo from (d_{i-1}, d_i) to the change one firing makes to v_i, where
+    d_{i-1} = s_i - s_{i-1}, d_i = s_{i+1} - s_i and None stands for a
+    missing neighbour. Each entry is read off engine.fire_step on the
+    sub-path v_{i-1}..v_{i+1}, which holds every neighbour of v_i.
+    """
+
+    def __missing__(self, key: tuple) -> int:
+        before, after = key
+        stacks = [0]
+        if before is not None:
+            stacks.insert(0, -before)
+        if after is not None:
+            stacks.append(after)
+        graph = PathGraph(len(stacks))
+        fired = fire_step(graph, Configuration(tuple(stacks), graph))
+        self[key] = change = fired.stacks[before is not None]
+        return change
+
+
+def _window_verdict(window: tuple, one_firing: _OneFiring) -> tuple[bool, bool]:
+    """(two firings restore the centre, one firing moves it) on a path window.
+
+    ``window`` is (d_{i-2}, d_{i-1}, d_i, d_{i+1}) around the centre v_i, with
+    None where the path ends. One firing moves v_{i-1}, v_i and v_{i+1} by
+    the changes their own differences give; the second firing at v_i then
+    reads the differences between those new stacks.
+    """
+    a, b, c, e = window
+    mid = one_firing[b, c]
+    before = None if b is None else b + mid - one_firing[a, b]
+    after = None if c is None else c + one_firing[c, e] - mid
+    return mid + one_firing[before, after] == 0, mid != 0
+
+
+def _path_transfer(diff_bound: int, steps: int):
+    """Transfer table over difference tails for one bound and ``steps``
+    appended differences.
+
+    A tail is the last three differences, None-padded at the front until the
+    path has three edges; tail i is reachable from the first edge within
+    ``steps`` appends, and the first 2b+1 tails are those single edges.
+    ``stay[i]`` and ``move[i]`` list the successor tails whose newly settled
+    vertex passes fire^2 = id, split by whether one firing leaves it in
+    place or moves it; they stay empty for tails first reached at the last
+    step. ``close[i]`` is None if the path cannot end after tail i, else
+    whether settling its last two vertices moves one of them.
+    """
+    diffs = range(-diff_bound, diff_bound + 1)
+    one_firing = _OneFiring()
+    tails = [(None, None, d) for d in diffs]
+    index = {t: i for i, t in enumerate(tails)}
+    depth = [0] * len(tails)
+    stay: list[list[int]] = []
+    move: list[list[int]] = []
+    close: list[bool | None] = []
+    for i, tail in enumerate(tails):  # grows while it is walked, breadth first
+        stay.append([])
+        move.append([])
+        for d in diffs if depth[i] < steps else ():
+            stays, moves = _window_verdict(tail + (d,), one_firing)
+            if stays:
+                nxt = tail[1:] + (d,)
+                if nxt not in index:
+                    index[nxt] = len(tails)
+                    tails.append(nxt)
+                    depth.append(depth[i] + 1)
+                (move if moves else stay)[-1].append(index[nxt])
+        last_stays, last_moves = _window_verdict(tail + (None,), one_firing)
+        end_stays, end_moves = _window_verdict(tail[1:] + (None, None), one_firing)
+        close.append((last_moves or end_moves) if last_stays and end_stays else None)
+    return len(diffs), stay, move, close
+
+
+def count_p2_configurations(
+    n: int, diff_bound: int = 3, candidate_ceiling: int | None = None
+) -> int:
+    """How many configurations enumerate_p2_configurations(n, diff_bound) lists,
+    counted by a transfer DP over difference windows instead of a search.
+
+    Whether v_i lies in a 2-period, and whether one firing moves it, depends
+    only on the four differences d_{i-2}..d_{i+1}, so appending a difference
+    settles the vertex two places back (_path_transfer). Each tail carries
+    two weights: configurations in which no vertex has moved yet, and those
+    in which one has. Only the moved weight is counted, since fire = id is
+    not a 2-period. Work is at most (n-1)(2b+1)^4 window steps, held to the
+    oracle ceiling.
+    """
+    if n < 2:
+        raise DomainError("the oracle needs n >= 2")
+    if diff_bound < 1:
+        raise DomainError("diff_bound must be positive")
+    ceiling = _candidate_ceiling(candidate_ceiling)
+    work = (n - 1) * (2 * diff_bound + 1) ** 4
+    if work > ceiling:
+        raise CeilingError(f"{work} window steps exceed the oracle ceiling {ceiling}")
+    starts, stay, move, close = _path_transfer(diff_bound, n - 2)
+    size = len(close)
+    still = [1] * starts + [0] * (size - starts)
+    moved = [0] * size
+    for _ in range(n - 2):
+        next_still = [0] * size
+        next_moved = [0] * size
+        for i in range(size):
+            s, m = still[i], moved[i]
+            if not (s or m):
+                continue
+            for k in stay[i]:
+                next_still[k] += s
+                next_moved[k] += m
+            for k in move[i]:
+                next_moved[k] += s + m
+        still, moved = next_still, next_moved
+    return sum(
+        moved[i] + (still[i] if moves else 0)
+        for i, moves in enumerate(close)
+        if moves is not None
+    )
 
 
 def enumerate_p2_configurations(
@@ -205,6 +329,9 @@ def enumerate_p2_configurations(
 ) -> OracleResult:
     """All 2-periodic configurations on the n-path with v_1 = 0 and adjacent
     stack differences within diff_bound, ordered by difference vector.
+
+    This search materializes the list and certifies count_p2_configurations
+    at small n; counts alone should come from that DP.
     """
     if n < 2:
         raise DomainError("the oracle needs n >= 2")
@@ -230,10 +357,14 @@ def orientations_realized(result: OracleResult) -> set[PathOrientation]:
 def bound_stability_check(
     n: int, diff_bound: int = 3, workers: int = 1, candidate_ceiling: int | None = None
 ) -> bool:
-    """True iff widening the difference bound by one finds nothing new."""
-    base = enumerate_p2_configurations(n, diff_bound, workers, candidate_ceiling)
-    wider = enumerate_p2_configurations(n, diff_bound + 1, workers, candidate_ceiling)
-    return base.count == wider.count
+    """True iff widening the difference bound by one finds nothing new.
+
+    Both counts come from count_p2_configurations, which runs in-process, so
+    ``workers`` has no effect.
+    """
+    base = count_p2_configurations(n, diff_bound, candidate_ceiling)
+    wider = count_p2_configurations(n, diff_bound + 1, candidate_ceiling)
+    return base == wider
 
 
 def build_bridge_graph(g0: Graph, base_vertex: int, k: int) -> SimpleGraph:
@@ -272,8 +403,8 @@ def enumerate_p2_on_bridge_graph(
     """
     if not is_connected(g0):
         raise DomainError("g0 must be connected")
-    ceiling = vertex_ceiling if vertex_ceiling is not None else int(
-        os.environ.get(_BRIDGE_CEILING_ENV, DEFAULT_BRIDGE_VERTEX_CEILING)
+    ceiling = vertex_ceiling if vertex_ceiling is not None else env_ceiling(
+        _BRIDGE_CEILING_ENV, DEFAULT_BRIDGE_VERTEX_CEILING
     )
     graph = build_bridge_graph(g0, base_vertex, k)
     if graph.vertex_count > ceiling:

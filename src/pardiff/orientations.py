@@ -15,10 +15,9 @@ bookended). Two pairs may share a bookend as long as each pair passes.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
-from pardiff.errors import CeilingError, DomainError, IllegalOrientationError
+from pardiff.errors import CeilingError, DomainError, IllegalOrientationError, env_ceiling
 from pardiff.graphs import Configuration, PathGraph, PathOrientation, SENSE_ORDER
 
 RULE_ADJACENT_FLATS = "AdjacentFlats"
@@ -70,7 +69,7 @@ def check_p2_orientation(orient: PathOrientation) -> ForbiddenPatternReport:
 def _enum_ceiling(ceiling: int | None) -> int:
     if ceiling is not None:
         return ceiling
-    return int(os.environ.get(_ENUM_CEILING_ENV, DEFAULT_ENUM_CEILING))
+    return env_ceiling(_ENUM_CEILING_ENV, DEFAULT_ENUM_CEILING)
 
 
 def enumerate_p2_orientations(n: int, ceiling: int | None = None) -> list[PathOrientation]:

@@ -3,6 +3,8 @@
 Each check exercises one documented invariant at desk scale and reports the
 first counterexample it finds. Checks call through module namespaces so a
 deliberately broken function (for testing the tester) is caught by name.
+Checks that read the path oracle's configuration lists share one search per
+n within a run_suites call.
 """
 
 from __future__ import annotations
@@ -47,12 +49,18 @@ class CheckResult:
         return {"suite": self.suite, "name": self.name, "passed": self.passed, "detail": self.detail}
 
 
-_REGISTRY: dict[str, list[tuple[str, object]]] = {}
+_REGISTRY: dict[str, list[tuple[str, object, bool]]] = {}
+
+# Path lengths at which the count checks run the window DP.
+_DP_REACH = (*range(2, 13), 30, 60)
 
 
-def _check(suite: str, name: str):
+def _check(suite: str, name: str, uses_oracle_lists: bool = False):
+    """Register a check; with ``uses_oracle_lists`` it also receives the
+    OracleResults for n = 2..max_n_oracle."""
+
     def deco(fn):
-        _REGISTRY.setdefault(suite, []).append((name, fn))
+        _REGISTRY.setdefault(suite, []).append((name, fn, uses_oracle_lists))
         return fn
 
     return deco
@@ -72,10 +80,19 @@ def run_suites(config: VerifyConfig = VerifyConfig(), suites=None) -> list[Check
             raise DomainError(f"unknown suites {unknown}; available: {list(_REGISTRY)}")
         selected = list(suites)
     results = []
+    oracle_lists = None
     for suite in selected:
-        for name, fn in _REGISTRY[suite]:
+        for name, fn, uses_oracle_lists in _REGISTRY[suite]:
             try:
-                detail = fn(config)
+                if uses_oracle_lists:
+                    if oracle_lists is None:
+                        oracle_lists = [
+                            oracle.enumerate_p2_configurations(n, workers=config.workers)
+                            for n in range(2, config.max_n_oracle + 1)
+                        ]
+                    detail = fn(config, oracle_lists)
+                else:
+                    detail = fn(config)
             except Exception as exc:  # a crashing check is a failing check
                 detail = f"raised {type(exc).__name__}: {exc}"
             results.append(CheckResult(suite, name, detail is None, detail or ""))
@@ -225,10 +242,10 @@ def _chk_fixed_points(cfg: VerifyConfig):
 # suite: orientation
 
 
-@_check("orientation", "realized-equals-enumerated")
-def _chk_realized(cfg: VerifyConfig):
-    for n in range(2, cfg.max_n_oracle + 1):
-        result = oracle.enumerate_p2_configurations(n, workers=cfg.workers)
+@_check("orientation", "realized-equals-enumerated", uses_oracle_lists=True)
+def _chk_realized(cfg: VerifyConfig, oracle_lists):
+    for result in oracle_lists:
+        n = result.n
         realized = oracle.orientations_realized(result)
         enumerated = set(orientations.enumerate_p2_orientations(n))
         if realized != enumerated:
@@ -404,20 +421,21 @@ def _chk_roots(cfg: VerifyConfig):
 
 @_check("oracle", "count-vs-recurrence")
 def _chk_oracle_counts(cfg: VerifyConfig):
-    for n in range(2, cfg.max_n_oracle + 1):
-        got = oracle.enumerate_p2_configurations(n, workers=cfg.workers).count
+    """Window-DP count at b = 3 against T_n for n = 2..12, 30 and 60."""
+    for n in _DP_REACH:
+        got = oracle.count_p2_configurations(n)
         want = counting.count_T_recurrence(n)
         if got != want:
             return f"n={n}: oracle {got}, recurrence {want}"
     return None
 
 
-@_check("oracle", "per-orientation-refinement")
-def _chk_refinement(cfg: VerifyConfig):
+@_check("oracle", "per-orientation-refinement", uses_oracle_lists=True)
+def _chk_refinement(cfg: VerifyConfig, oracle_lists):
     from collections import Counter
 
-    for n in range(2, cfg.max_n_oracle + 1):
-        result = oracle.enumerate_p2_configurations(n, workers=cfg.workers)
+    for result in oracle_lists:
+        n = result.n
         grouped = Counter(
             engine.orientation_of_stacks(c.stacks).to_string() for c in result.configurations
         )
@@ -429,11 +447,11 @@ def _chk_refinement(cfg: VerifyConfig):
     return None
 
 
-@_check("oracle", "orbit-pairing")
-def _chk_orbit_pairing(cfg: VerifyConfig):
-    for n in range(2, cfg.max_n_oracle + 1):
+@_check("oracle", "orbit-pairing", uses_oracle_lists=True)
+def _chk_orbit_pairing(cfg: VerifyConfig, oracle_lists):
+    for result in oracle_lists:
+        n = result.n
         graph = PathGraph(n)
-        result = oracle.enumerate_p2_configurations(n, workers=cfg.workers)
         members = set(result.configurations)
         for c in result.configurations:
             partner = canonicalize(engine.fire_step(graph, c))
@@ -444,8 +462,9 @@ def _chk_orbit_pairing(cfg: VerifyConfig):
 
 @_check("oracle", "bound-stability")
 def _chk_bound_stability(cfg: VerifyConfig):
-    for n in range(2, 8):
-        if not oracle.bound_stability_check(n, workers=cfg.workers):
+    """Window-DP counts at b = 3 and b = 4 agree for n = 2..12, 30 and 60."""
+    for n in _DP_REACH:
+        if not oracle.bound_stability_check(n):
             return f"n={n}: counts differ between bounds 3 and 4"
     return None
 

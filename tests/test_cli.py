@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 from jsonschema import validate
 
+from pardiff import oracle
 from pardiff.cli import main
+from pardiff.counting import count_T_recurrence
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
 
@@ -110,9 +112,35 @@ def test_count_recurrence_matches_direct_at_eleven(tmp_path):
 
 def test_count_oracle_ceiling_exits_two(tmp_path, capsys):
     out = tmp_path / "c.json"
-    code = main(["count", "--n", "50", "--method", "oracle", "--out", str(out)])
+    code = main(["count", "--n", "50", "--diff-bound", "60", "--method", "oracle", "--out", str(out)])
     assert code == 2
     assert "resource-ceiling" in capsys.readouterr().err
+
+
+def test_count_oracle_reaches_fifty(tmp_path):
+    out = tmp_path / "c.json"
+    assert main(["count", "--n", "50", "--method", "oracle", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["count"] == count_T_recurrence(50)
+
+
+def test_count_oracle_starts_no_pool_without_configurations(tmp_path, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(oracle, "ProcessPoolExecutor", no_pool)
+    out = tmp_path / "c.json"
+    assert main(["count", "--n", "11", "--method", "oracle", "--workers", "2", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["count"] == count_T_recurrence(11)
+
+
+def test_count_oracle_list_mismatch_exits_three(tmp_path, monkeypatch, capsys):
+    real = oracle.count_p2_configurations
+    monkeypatch.setattr(oracle, "count_p2_configurations", lambda *a, **k: real(*a, **k) + 1)
+    argv = ["count", "--n", "3", "--method", "oracle", "--workers", "1", "--full-configurations"]
+    assert main(argv + ["--out", str(tmp_path / "c.json")]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error [internal-inconsistency]: ")
 
 
 def test_count_ledger_payload(tmp_path):
@@ -199,6 +227,27 @@ def test_count_provenance_reports_ceilings_in_force(tmp_path, monkeypatch):
     provenance = json.loads(out.read_text())["provenance"]
     assert provenance["enum_ceiling"] == 25
     assert provenance["oracle_candidate_ceiling"] == 1000
+
+
+@pytest.mark.parametrize(
+    "variable,value,argv",
+    [
+        ("PARDIFF_ENUM_CEILING", "abc", ["count", "--n", "5", "--method", "recurrence"]),
+        ("PARDIFF_ORACLE_CEILING", "1e9", ["count", "--n", "5", "--method", "oracle"]),
+        ("PARDIFF_BRIDGE_CEILING", "twelve", ["conjecture", "--k-min", "1", "--k-max", "1"]),
+    ],
+)
+def test_unparseable_ceiling_variable_exits_one(tmp_path, monkeypatch, capsys, variable, value, argv):
+    g0 = tmp_path / "g0.txt"
+    g0.write_text("1 2\n")
+    if argv[0] == "conjecture":
+        argv = argv + ["--g0-file", str(g0)]
+    monkeypatch.setenv(variable, value)
+    assert main(argv + ["--out", str(tmp_path / "o.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error [domain-error]: ")
+    assert variable in err
 
 
 def test_count_recurrence_beyond_int_string_limit(tmp_path):

@@ -12,6 +12,7 @@ from pardiff.graphs import Configuration, PathGraph, SimpleGraph, canonicalize
 from pardiff.oracle import (
     bound_stability_check,
     build_bridge_graph,
+    count_p2_configurations,
     enumerate_p2_configurations,
     enumerate_p2_on_bridge_graph,
     orientations_realized,
@@ -115,6 +116,37 @@ def test_candidate_ceiling_env_override(monkeypatch):
     with pytest.raises(CeilingError):
         enumerate_p2_configurations(5)
     assert enumerate_p2_configurations(3).count == 8
+
+
+@pytest.mark.parametrize("diff_bound,n_max", [(2, 10), (3, 10), (4, 9)])
+def test_window_dp_equals_search(oracle_runs, diff_bound, n_max):
+    for n in range(2, n_max + 1):
+        assert count_p2_configurations(n, diff_bound) == oracle_runs(n, diff_bound).count
+    if diff_bound == 2:
+        # b = 2 undercounts T_n, so agreement there shows the DP runs the
+        # same search rather than reproducing the recurrence
+        assert count_p2_configurations(n_max, 2) < count_T_recurrence(n_max)
+
+
+@pytest.mark.parametrize("diff_bound", [3, 4])
+def test_window_dp_matches_recurrence_at_200(diff_bound):
+    assert count_p2_configurations(200, diff_bound) == count_T_recurrence(200)
+
+
+def test_window_dp_domain():
+    with pytest.raises(DomainError):
+        count_p2_configurations(1)
+    with pytest.raises(DomainError):
+        count_p2_configurations(5, diff_bound=0)
+
+
+def test_window_dp_ceiling(monkeypatch):
+    assert count_p2_configurations(11) == count_T_recurrence(11)
+    with pytest.raises(CeilingError):
+        count_p2_configurations(5, diff_bound=100)
+    monkeypatch.setenv("PARDIFF_ORACLE_CEILING", "100")
+    with pytest.raises(CeilingError):
+        count_p2_configurations(5)
 
 
 def test_result_export_shapes(oracle_runs):
