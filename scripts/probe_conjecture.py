@@ -8,13 +8,12 @@ is where agreement would show up first if the recurrence transfers.
 
 Usage:
     python scripts/probe_conjecture.py [--g0 triangle|vertex|edge|star4]
-                                       [--k-min 4] [--k-max 8] [--workers N]
+                                       [--k-min 4] [--k-max 8]
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import time
 
 from pardiff.counting import characteristic_roots, conjecture_recurrence_check
@@ -35,7 +34,6 @@ def main() -> None:
     parser.add_argument("--base-vertex", type=int, default=1)
     parser.add_argument("--k-min", type=int, default=4)
     parser.add_argument("--k-max", type=int, default=8)
-    parser.add_argument("--workers", type=int, default=os.cpu_count() or 1)
     args = parser.parse_args()
 
     g0 = BASES[args.g0]
@@ -44,9 +42,7 @@ def main() -> None:
     print(f"G_0 = {args.g0}, k = {args.k_min}..{args.k_max} (exploratory)")
     for k in range(args.k_min, args.k_max + 1):
         t0 = time.perf_counter()
-        count = enumerate_p2_on_bridge_graph(
-            g0, args.base_vertex, k, workers=args.workers
-        )
+        count = enumerate_p2_on_bridge_graph(g0, args.base_vertex, k)
         elapsed = time.perf_counter() - t0
         ratio = f"{count / counts[-1]:.4f}" if counts else "     -"
         counts.append(count)

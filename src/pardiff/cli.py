@@ -78,7 +78,7 @@ def _cmd_period(args) -> int:
     t0 = time.perf_counter()
     graph = _load_graph(args.graph)
     config = config_from_string(args.config, graph)
-    max_steps = args.max_steps or engine.default_max_steps(graph, config)
+    max_steps = engine.default_max_steps(graph, config) if args.max_steps is None else args.max_steps
     report = engine.detect_period(graph, config, max_steps)
     _write_text(args.out, _json_body(report.to_dict()))
     _write_manifest(
@@ -108,8 +108,8 @@ def _cmd_count(args) -> int:
         "count": count,
         "provenance": {
             "artifact_version": pardiff.__version__,
-            "enum_ceiling": orientations._enum_ceiling(None),
-            "oracle_candidate_ceiling": oracle._candidate_ceiling(None),
+            "enum_ceiling": orientations._enum_ceiling(),
+            "oracle_candidate_ceiling": oracle._candidate_ceiling(),
             "summation_upper_limit_corrected": True,
         },
         "ledger": None,
@@ -117,9 +117,7 @@ def _cmd_count(args) -> int:
     if method == "oracle":
         payload["provenance"]["diff_bound"] = args.diff_bound
         if args.full_configurations:
-            result = oracle.enumerate_p2_configurations(
-                n, diff_bound=args.diff_bound, workers=args.workers
-            )
+            result = oracle.enumerate_p2_configurations(n, diff_bound=args.diff_bound)
             if len(result.configurations) != count:
                 raise InternalInconsistencyError(
                     f"the search lists {len(result.configurations)} configurations, "
@@ -132,7 +130,7 @@ def _cmd_count(args) -> int:
     _write_manifest(
         args.out,
         "count",
-        {"n": n, "method": method, "workers": args.workers, "diff_bound": args.diff_bound},
+        {"n": n, "method": method, "diff_bound": args.diff_bound},
         time.perf_counter() - t0,
     )
     print(f"count[{method}]: n={n} -> {count} ({args.out})")
@@ -146,7 +144,6 @@ def _cmd_verify(args) -> int:
         max_n_witness=args.max_n_witness,
         max_n_routes=args.max_n_routes,
         max_n_structure=args.max_n_structure,
-        workers=args.workers,
     )
     suites = args.suites.split(",") if args.suites else None
     results = verify.run_suites(config, suites)
@@ -172,9 +169,7 @@ def _cmd_conjecture(args) -> int:
         raise DomainError("need 1 <= k-min <= k-max")
     ks = list(range(args.k_min, args.k_max + 1))
     counts = [
-        oracle.enumerate_p2_on_bridge_graph(
-            g0, args.base_vertex, k, diff_bound=args.diff_bound, workers=args.workers
-        )
+        oracle.enumerate_p2_on_bridge_graph(g0, args.base_vertex, k, diff_bound=args.diff_bound)
         for k in ks
     ]
     residuals = counting.conjecture_recurrence_check(counts) if len(counts) >= 5 else []
@@ -231,7 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--method", required=True, choices=["recurrence", "summation", "direct", "oracle"])
     p.add_argument("--diff-bound", type=int, default=3)
-    p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
     p.add_argument("--ledger", action="store_true", help="include per-orientation products")
     p.add_argument("--full-configurations", action="store_true", help="embed oracle configurations")
     p.add_argument("--out", default="count.json")
@@ -243,7 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n-witness", type=int, default=verify.VerifyConfig.max_n_witness)
     p.add_argument("--max-n-routes", type=int, default=verify.VerifyConfig.max_n_routes)
     p.add_argument("--max-n-structure", type=int, default=verify.VerifyConfig.max_n_structure)
-    p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
     p.add_argument("--out", default="verify.json")
     p.set_defaults(fn=_cmd_verify)
 
@@ -253,7 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-min", type=int, required=True)
     p.add_argument("--k-max", type=int, required=True)
     p.add_argument("--diff-bound", type=int, default=3)
-    p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
     p.add_argument("--out", default="conjecture.csv")
     p.set_defaults(fn=_cmd_conjecture)
 

@@ -175,7 +175,7 @@ def count_T_direct(n: int) -> int:
     """Sum of per-orientation products over every enumerated legal orientation."""
     if n == 1:
         return 0
-    return sum(count_configs_on_orientation(o) for o in enumerate_p2_orientations(n))
+    return sum(multiplier_vector(o).product() for o in enumerate_p2_orientations(n))
 
 
 def _first_hit_buckets(m: int) -> list[int]:
@@ -193,7 +193,7 @@ def _first_hit_buckets(m: int) -> list[int]:
         j = 0
         while j < len(s) and s[j] != "F" and (j == 0 or s[j] != s[j - 1]):
             j += 1
-        buckets[j] += count_configs_on_orientation(o)
+        buckets[j] += multiplier_vector(o).product()
     return buckets
 
 
@@ -231,7 +231,7 @@ def count_T_summation(n: int, use_printed_limit: bool = False) -> int:
     """
     if n < 2:
         raise DomainError("summation route needs n >= 2")
-    limit = _enum_ceiling(None)
+    limit = _enum_ceiling()
     if n - 2 > limit:
         raise CeilingError(
             f"summation route at n = {n} enumerates orientations at n - 2 = {n - 2},"
@@ -255,7 +255,7 @@ def build_count_ledger(n: int) -> CountLedger:
     """All three total routes plus per-orientation products for one n."""
     per = {}
     for o in enumerate_p2_orientations(n) if n > 1 else []:
-        per[o.to_string()] = count_configs_on_orientation(o)
+        per[o.to_string()] = multiplier_vector(o).product()
     totals = {
         "R_n": len(per),
         "A_n": alternating_count(n),

@@ -19,8 +19,8 @@ small-n certificate.
 
 from __future__ import annotations
 
+import os
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from pardiff.errors import CeilingError, DomainError, WindowNotStabilizedError, env_ceiling
@@ -39,6 +39,11 @@ DEFAULT_CANDIDATE_CEILING = 7**10
 DEFAULT_BRIDGE_VERTEX_CEILING = 12
 _CANDIDATE_CEILING_ENV = "PARDIFF_ORACLE_CEILING"
 _BRIDGE_CEILING_ENV = "PARDIFF_BRIDGE_CEILING"
+# Raw candidates (2b+1)^(V-1) from which a search is split over a process
+# pool: below it, starting the workers costs about what they save.
+_POOL_THRESHOLD = 10**6
+# Window widenings the bridge oracle tries before giving up.
+_MAX_ESCALATIONS = 4
 
 
 @dataclass(frozen=True)
@@ -177,11 +182,17 @@ def _search_task(args):
     return _window_search(*args)
 
 
-def _run_search(graph: Graph, root0: int, window: int, collect: bool, workers: int):
+def _run_search(graph: Graph, root0: int, window: int, collect: bool, workers: int | None):
+    """_window_search, split by first difference over ``workers`` processes
+    (every core when None) once the raw candidates reach _POOL_THRESHOLD."""
+    if workers is None:
+        workers = os.cpu_count() or 1
     V = graph.vertex_count
     branches = 2 * window + 1
-    if workers <= 1 or V < 3 or branches ** (V - 1) < 10**5:
+    if workers <= 1 or V < 3 or branches ** (V - 1) < _POOL_THRESHOLD:
         return _window_search(graph, root0, window, collect)
+    from concurrent.futures import ProcessPoolExecutor
+
     tasks = [
         (graph, root0, window, collect, (d,)) for d in range(-window, window + 1)
     ]
@@ -195,9 +206,7 @@ def _run_search(graph: Graph, root0: int, window: int, collect: bool, workers: i
     return count, configs
 
 
-def _candidate_ceiling(override: int | None) -> int:
-    if override is not None:
-        return override
+def _candidate_ceiling() -> int:
     return env_ceiling(_CANDIDATE_CEILING_ENV, DEFAULT_CANDIDATE_CEILING)
 
 
@@ -275,9 +284,7 @@ def _path_transfer(diff_bound: int, steps: int):
     return len(diffs), stay, move, close
 
 
-def count_p2_configurations(
-    n: int, diff_bound: int = 3, candidate_ceiling: int | None = None
-) -> int:
+def count_p2_configurations(n: int, diff_bound: int = 3) -> int:
     """How many configurations enumerate_p2_configurations(n, diff_bound) lists,
     counted by a transfer DP over difference windows instead of a search.
 
@@ -293,7 +300,7 @@ def count_p2_configurations(
         raise DomainError("the oracle needs n >= 2")
     if diff_bound < 1:
         raise DomainError("diff_bound must be positive")
-    ceiling = _candidate_ceiling(candidate_ceiling)
+    ceiling = _candidate_ceiling()
     work = (n - 1) * (2 * diff_bound + 1) ** 4
     if work > ceiling:
         raise CeilingError(f"{work} window steps exceed the oracle ceiling {ceiling}")
@@ -322,22 +329,23 @@ def count_p2_configurations(
 
 
 def enumerate_p2_configurations(
-    n: int,
-    diff_bound: int = 3,
-    workers: int = 1,
-    candidate_ceiling: int | None = None,
+    n: int, diff_bound: int = 3, workers: int | None = None
 ) -> OracleResult:
     """All 2-periodic configurations on the n-path with v_1 = 0 and adjacent
     stack differences within diff_bound, ordered by difference vector.
 
     This search materializes the list and certifies count_p2_configurations
-    at small n; counts alone should come from that DP.
+    at small n; counts alone should come from that DP. ``workers`` defaults
+    to every core and matters only from _POOL_THRESHOLD raw candidates on.
+    No program caller sets it; it stays for perfbench/run.py's pool_probe,
+    which times this function at workers = 1 and 2 and, if the parameter
+    is missing, records a failed operation in every traced run.
     """
     if n < 2:
         raise DomainError("the oracle needs n >= 2")
     if diff_bound < 1:
         raise DomainError("diff_bound must be positive")
-    ceiling = _candidate_ceiling(candidate_ceiling)
+    ceiling = _candidate_ceiling()
     candidates = (2 * diff_bound + 1) ** (n - 1)
     if candidates > ceiling:
         raise CeilingError(
@@ -354,17 +362,10 @@ def orientations_realized(result: OracleResult) -> set[PathOrientation]:
     return {orientation_of_stacks(c.stacks) for c in result.configurations}
 
 
-def bound_stability_check(
-    n: int, diff_bound: int = 3, workers: int = 1, candidate_ceiling: int | None = None
-) -> bool:
-    """True iff widening the difference bound by one finds nothing new.
-
-    Both counts come from count_p2_configurations, which runs in-process, so
-    ``workers`` has no effect.
-    """
-    base = count_p2_configurations(n, diff_bound, candidate_ceiling)
-    wider = count_p2_configurations(n, diff_bound + 1, candidate_ceiling)
-    return base == wider
+def bound_stability_check(n: int, diff_bound: int = 3) -> bool:
+    """True iff count_p2_configurations finds nothing new when the
+    difference bound widens by one."""
+    return count_p2_configurations(n, diff_bound) == count_p2_configurations(n, diff_bound + 1)
 
 
 def build_bridge_graph(g0: Graph, base_vertex: int, k: int) -> SimpleGraph:
@@ -390,22 +391,20 @@ def enumerate_p2_on_bridge_graph(
     base_vertex: int,
     k: int,
     diff_bound: int = 3,
-    workers: int = 1,
-    max_escalations: int = 4,
-    vertex_ceiling: int | None = None,
+    workers: int | None = None,
 ) -> int:
     """Exploratory count of 2-periodic configurations on g0 plus a bridged path.
 
     The far-end path leaf is pinned at zero and stacks are windowed along a
     breadth-first spanning tree. Off the path no bound on stack differences
-    is proven, so the window is widened until two consecutive sizes agree;
-    failing to stabilize raises instead of returning a silently low count.
+    is proven, so the window is widened, up to _MAX_ESCALATIONS times, until
+    two consecutive sizes agree; failing to stabilize raises instead of
+    returning a silently low count. ``workers`` is as in
+    enumerate_p2_configurations, and kept for the same pool_probe.
     """
     if not is_connected(g0):
         raise DomainError("g0 must be connected")
-    ceiling = vertex_ceiling if vertex_ceiling is not None else env_ceiling(
-        _BRIDGE_CEILING_ENV, DEFAULT_BRIDGE_VERTEX_CEILING
-    )
+    ceiling = env_ceiling(_BRIDGE_CEILING_ENV, DEFAULT_BRIDGE_VERTEX_CEILING)
     graph = build_bridge_graph(g0, base_vertex, k)
     if graph.vertex_count > ceiling:
         raise CeilingError(
@@ -414,12 +413,12 @@ def enumerate_p2_on_bridge_graph(
     root0 = graph.vertex_count - 1  # far-end leaf, 0-based
     window = diff_bound
     prev, _ = _run_search(graph, root0, window, collect=False, workers=workers)
-    for _ in range(max_escalations):
+    for _ in range(_MAX_ESCALATIONS):
         cur, _ = _run_search(graph, root0, window + 1, collect=False, workers=workers)
         if cur == prev:
             return cur
         prev = cur
         window += 1
     raise WindowNotStabilizedError(
-        f"count still changing at window {window}; raise max_escalations"
+        f"count still changing at window {window} after {_MAX_ESCALATIONS} widenings"
     )

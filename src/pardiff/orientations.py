@@ -66,13 +66,11 @@ def check_p2_orientation(orient: PathOrientation) -> ForbiddenPatternReport:
     return ForbiddenPatternReport(legal=not violations, violations=tuple(violations))
 
 
-def _enum_ceiling(ceiling: int | None) -> int:
-    if ceiling is not None:
-        return ceiling
+def _enum_ceiling() -> int:
     return env_ceiling(_ENUM_CEILING_ENV, DEFAULT_ENUM_CEILING)
 
 
-def enumerate_p2_orientations(n: int, ceiling: int | None = None) -> list[PathOrientation]:
+def enumerate_p2_orientations(n: int) -> list[PathOrientation]:
     """All legal orientations of the n-vertex path, lexicographic with R < L < F.
 
     Depth-first construction over e_1..e_{n-1}; a sense is placed only when no
@@ -81,7 +79,7 @@ def enumerate_p2_orientations(n: int, ceiling: int | None = None) -> list[PathOr
     """
     if n < 1:
         raise DomainError("n must be positive")
-    limit = _enum_ceiling(ceiling)
+    limit = _enum_ceiling()
     if n > limit:
         raise CeilingError(f"orientation enumeration capped at n = {limit} (asked for {n})")
     if n == 1:

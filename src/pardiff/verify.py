@@ -35,7 +35,6 @@ class VerifyConfig:
     max_n_structure: int = 12
     random_trials: int = 150
     rng_seed: int = 987
-    workers: int = 1
 
 
 @dataclass(frozen=True)
@@ -87,7 +86,7 @@ def run_suites(config: VerifyConfig = VerifyConfig(), suites=None) -> list[Check
                 if uses_oracle_lists:
                     if oracle_lists is None:
                         oracle_lists = [
-                            oracle.enumerate_p2_configurations(n, workers=config.workers)
+                            oracle.enumerate_p2_configurations(n)
                             for n in range(2, config.max_n_oracle + 1)
                         ]
                     detail = fn(config, oracle_lists)
@@ -473,13 +472,13 @@ def _chk_bound_stability(cfg: VerifyConfig):
 def _chk_bridge_degenerate(cfg: VerifyConfig):
     single = PathGraph(1)
     for k in range(3, 6):
-        got = oracle.enumerate_p2_on_bridge_graph(single, 1, k, workers=cfg.workers)
+        got = oracle.enumerate_p2_on_bridge_graph(single, 1, k)
         want = counting.count_T_recurrence(k + 1)
         if got != want:
             return f"single vertex, k={k}: bridge count {got} != path count {want}"
     edge = PathGraph(2)
     for k in range(2, 5):
-        got = oracle.enumerate_p2_on_bridge_graph(edge, 1, k, workers=cfg.workers)
+        got = oracle.enumerate_p2_on_bridge_graph(edge, 1, k)
         want = counting.count_T_recurrence(k + 2)
         if got != want:
             return f"single edge, k={k}: bridge count {got} != path count {want}"

@@ -184,7 +184,7 @@ def test_criterion_10_bridge_recurrence_exploration(tmp_path):
 
 
 def test_verify_command_is_green(tmp_path):
-    assert main(["verify", "--workers", "1", "--out", str(tmp_path / "verify.json")]) == 0
+    assert main(["verify", "--out", str(tmp_path / "verify.json")]) == 0
     print("PASS verify gate: every invariant suite green at default depth")
 
 

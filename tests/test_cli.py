@@ -1,7 +1,9 @@
 """End-to-end command-line behaviour: outputs, manifests, exit codes, schemas."""
 
+import concurrent.futures
 import csv
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -97,7 +99,7 @@ def test_period_budget_too_small(tmp_path, capsys):
 @pytest.mark.parametrize("method,expected", [("oracle", 26), ("recurrence", 26), ("direct", 26), ("summation", 26)])
 def test_count_methods_agree_small(tmp_path, method, expected):
     out = tmp_path / "c.json"
-    assert main(["count", "--n", "4", "--method", method, "--workers", "1", "--out", str(out)]) == 0
+    assert main(["count", "--n", "4", "--method", method, "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
     assert payload["count"] == expected
     validate(payload, load_schema("count.schema.json"))
@@ -123,20 +125,47 @@ def test_count_oracle_reaches_fifty(tmp_path):
     assert json.loads(out.read_text())["count"] == count_T_recurrence(50)
 
 
-def test_count_oracle_starts_no_pool_without_configurations(tmp_path, monkeypatch):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a process pool was started")
+def _no_pool(*args, **kwargs):
+    raise AssertionError("a process pool was started")
 
-    monkeypatch.setattr(oracle, "ProcessPoolExecutor", no_pool)
+
+def test_count_oracle_starts_no_pool_without_configurations(tmp_path, monkeypatch):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
     out = tmp_path / "c.json"
-    assert main(["count", "--n", "11", "--method", "oracle", "--workers", "2", "--out", str(out)]) == 0
+    assert main(["count", "--n", "11", "--method", "oracle", "--out", str(out)]) == 0
     assert json.loads(out.read_text())["count"] == count_T_recurrence(11)
+
+
+def test_default_verify_oracle_suite_starts_no_pool(tmp_path, monkeypatch, capsys):
+    # the searches behind default-depth verify are too small to repay a pool
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
+    assert main(["verify", "--suites", "oracle", "--out", str(tmp_path / "v.json")]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+
+def test_full_configurations_at_nine_uses_every_core(tmp_path, monkeypatch):
+    real = concurrent.futures.ProcessPoolExecutor
+    started = []
+
+    def spy(*args, **kwargs):
+        started.append(kwargs["max_workers"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spy)
+    out = tmp_path / "c.json"
+    argv = ["count", "--n", "9", "--method", "oracle", "--full-configurations", "--out", str(out)]
+    assert main(argv) == 0
+    assert started == [2]
+    payload = json.loads(out.read_text())
+    assert len(payload["oracle_configurations"]) == payload["count"] == count_T_recurrence(9)
 
 
 def test_count_oracle_list_mismatch_exits_three(tmp_path, monkeypatch, capsys):
     real = oracle.count_p2_configurations
     monkeypatch.setattr(oracle, "count_p2_configurations", lambda *a, **k: real(*a, **k) + 1)
-    argv = ["count", "--n", "3", "--method", "oracle", "--workers", "1", "--full-configurations"]
+    argv = ["count", "--n", "3", "--method", "oracle", "--full-configurations"]
     assert main(argv + ["--out", str(tmp_path / "c.json")]) == 3
     err = capsys.readouterr().err
     assert err.count("\n") == 1
@@ -157,7 +186,7 @@ def test_count_ledger_payload(tmp_path):
 def test_count_oracle_full_configurations(tmp_path):
     out = tmp_path / "c.json"
     assert main(
-        ["count", "--n", "3", "--method", "oracle", "--workers", "1", "--full-configurations", "--out", str(out)]
+        ["count", "--n", "3", "--method", "oracle", "--full-configurations", "--out", str(out)]
     ) == 0
     payload = json.loads(out.read_text())
     assert len(payload["oracle_configurations"]) == 8
@@ -199,9 +228,10 @@ def test_verify_unknown_suite_is_domain_error(tmp_path, capsys):
         ["count", "--n", "0", "--method", "recurrence"],
         ["count", "--n", "0", "--method", "summation"],
         ["count", "--n", "0", "--method", "direct"],
-        ["count", "--n", "1", "--method", "oracle", "--workers", "1"],
+        ["count", "--n", "1", "--method", "oracle"],
         ["simulate", "--graph", "path:3", "--config", "0,1,0", "--steps", "0"],
         ["period", "--graph", "path:3", "--config", "0,1,0", "--max-steps", "1"],
+        ["period", "--graph", "path:3", "--config", "0,1,0", "--max-steps", "0"],
     ],
 )
 def test_out_of_domain_arguments_exit_one(tmp_path, capsys, argv):
@@ -284,10 +314,14 @@ def test_conjecture_missing_file_exits_one(tmp_path, capsys):
 
 def test_console_entry_point(tmp_path):
     out = tmp_path / "c.json"
+    # the child imports the same pardiff as this process, installed or not
+    src = str(Path(oracle.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "pardiff.cli", "count", "--n", "2", "--method", "recurrence", "--out", str(out)],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert json.loads(out.read_text())["count"] == 2

@@ -5,6 +5,7 @@ from itertools import product
 
 import pytest
 
+from pardiff import oracle
 from pardiff.counting import count_T_recurrence, count_configs_on_orientation
 from pardiff.engine import fire_step, orientation_of_stacks
 from pardiff.errors import CeilingError, DomainError, WindowNotStabilizedError
@@ -97,8 +98,8 @@ def test_bound_stability():
 
 
 def test_parallel_matches_serial():
-    serial = enumerate_p2_configurations(7, workers=1)
-    parallel = enumerate_p2_configurations(7, workers=3)
+    serial = enumerate_p2_configurations(9, workers=1)
+    parallel = enumerate_p2_configurations(9, workers=3)
     assert parallel.count == serial.count
     assert parallel.configurations == serial.configurations
 
@@ -225,16 +226,18 @@ def test_bridge_base_vertex_range():
         enumerate_p2_on_bridge_graph(TRIANGLE, 4, 3)
 
 
-def test_bridge_vertex_ceiling():
+def test_bridge_vertex_ceiling(monkeypatch):
     with pytest.raises(CeilingError):
         enumerate_p2_on_bridge_graph(TRIANGLE, 1, 10)
+    monkeypatch.setenv("PARDIFF_BRIDGE_CEILING", "12")
     with pytest.raises(CeilingError):
-        enumerate_p2_on_bridge_graph(TRIANGLE, 1, 10, vertex_ceiling=12)
+        enumerate_p2_on_bridge_graph(TRIANGLE, 1, 10)
 
 
-def test_bridge_escalation_budget():
+def test_bridge_escalation_budget(monkeypatch):
+    monkeypatch.setattr(oracle, "_MAX_ESCALATIONS", 0)
     with pytest.raises(WindowNotStabilizedError):
-        enumerate_p2_on_bridge_graph(TRIANGLE, 1, 2, max_escalations=0)
+        enumerate_p2_on_bridge_graph(TRIANGLE, 1, 2)
 
 
 def test_oracle_rejects_tiny_n():

@@ -90,10 +90,11 @@ def test_enumerate_is_lexicographic():
     assert keys == sorted(keys)
 
 
-def test_enumeration_ceiling():
+def test_enumeration_ceiling(monkeypatch):
     with pytest.raises(CeilingError):
         enumerate_p2_orientations(21)
-    assert len(enumerate_p2_orientations(21, ceiling=21)) == count_p2_orientations_recurrence(21)
+    monkeypatch.setenv("PARDIFF_ENUM_CEILING", "21")
+    assert len(enumerate_p2_orientations(21)) == count_p2_orientations_recurrence(21)
 
 
 def test_enumeration_ceiling_env_override(monkeypatch):
