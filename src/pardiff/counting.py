@@ -22,7 +22,7 @@ from pardiff.errors import (
     VertexIndexError,
 )
 from pardiff.graphs import SENSE_FLIP, PathOrientation
-from pardiff.orientations import _enum_ceiling, check_p2_orientation, enumerate_p2_orientations
+from pardiff.orientations import _enum_ceiling, check_p2_orientation, grow_p2_orientations
 
 # Multiplier of v_k from the senses of (e_{k-2}, e_{k-1}, e_k), for interior
 # vertices where both v_k and v_{k-1} have two neighbours. All 27 triples are
@@ -120,7 +120,10 @@ def vertex_multiplier(orient: PathOrientation, k: int) -> int:
         return 1 if orient.senses[1] == "F" else 2
     if k == n:
         return 1 if orient.senses[n - 3] == "F" else 2
-    triple = orient.senses[k - 3 : k]
+    return _table_multiplier(orient.senses[k - 3 : k], k)
+
+
+def _table_multiplier(triple: str, k: int) -> int:
     value = MULTIPLIER_TABLE[triple]
     if value is None:
         raise IllegalLocalPatternError(f"senses {triple} around v_{k} occur in no legal orientation")
@@ -171,11 +174,38 @@ def count_T_recurrence(n: int) -> int:
     return d
 
 
+def _counted_orientations(n: int) -> tuple[list[str], list[int]]:
+    """Every legal orientation of the n-path with its configuration count.
+
+    Parallel lists, in no set order, from ``grow_p2_orientations``: placing
+    e_p multiplies in the multiplier of v_p, read off (e_{p-2}, e_{p-1}, e_p)
+    by the same rules as ``vertex_multiplier``, and placing the last edge
+    also multiplies in that of the leaf v_n. Prefixes that share their last
+    two senses share each factor lookup.
+    """
+    edge_count = n - 1
+
+    def step_factor(window: str, p: int) -> int:
+        if p == 1:
+            factor = 1
+        elif p == 2:
+            factor = 1 if window[-1] == "F" else 2
+        else:
+            factor = _table_multiplier(window, p)
+        if p == edge_count and n >= 3:
+            factor *= 1 if window[-2] == "F" else 2  # the leaf v_n, from e_{n-2}
+        return factor
+
+    return grow_p2_orientations(n, step_factor)
+
+
 def count_T_direct(n: int) -> int:
-    """Sum of per-orientation products over every enumerated legal orientation."""
-    if n == 1:
-        return 0
-    return sum(multiplier_vector(o).product() for o in enumerate_p2_orientations(n))
+    """Sum of the configuration counts of every legal orientation.
+
+    The counts come from one grouped pass that extends shared prefix
+    products (``_counted_orientations``), not from a product per orientation.
+    """
+    return sum(_counted_orientations(n)[1])
 
 
 def _first_hit_buckets(m: int) -> list[int]:
@@ -185,15 +215,15 @@ def _first_hit_buckets(m: int) -> list[int]:
     Bucket j (0-based edge index) collects the orientations whose first flat
     edge is e_{j+1}, or whose first agreeing pair is (e_j, e_{j+1}), whichever
     comes first. The alternating orientations show neither and fill the last
-    bucket, j = m - 1, one past the last edge.
+    bucket, j = m - 1, one past the last edge. Orientations and their counts
+    come from one pass of ``_counted_orientations``.
     """
     buckets = [0] * m
-    for o in enumerate_p2_orientations(m):
-        s = o.senses
+    for s, count in zip(*_counted_orientations(m)):
         j = 0
         while j < len(s) and s[j] != "F" and (j == 0 or s[j] != s[j - 1]):
             j += 1
-        buckets[j] += multiplier_vector(o).product()
+        buckets[j] += count
     return buckets
 
 
@@ -253,9 +283,7 @@ def count_T_summation(n: int, use_printed_limit: bool = False) -> int:
 
 def build_count_ledger(n: int) -> CountLedger:
     """All three total routes plus per-orientation products for one n."""
-    per = {}
-    for o in enumerate_p2_orientations(n) if n > 1 else []:
-        per[o.to_string()] = multiplier_vector(o).product()
+    per = dict(zip(*_counted_orientations(n)))
     totals = {
         "R_n": len(per),
         "A_n": alternating_count(n),

@@ -24,7 +24,7 @@ from pardiff.graphs import (
     Graph,
     PathGraph,
     PathOrientation,
-    adjacency,
+    frozen_adjacency,
 )
 
 
@@ -55,7 +55,7 @@ class SequenceTrace:
         return [{"step": t, "stacks": list(c.stacks)} for t, c in enumerate(self.steps)]
 
 
-def _fire_raw(stacks: tuple[int, ...], adj: list[list[int]]) -> tuple[int, ...]:
+def _fire_raw(stacks: tuple[int, ...], adj: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
     out = []
     for v, sv in enumerate(stacks):
         delta = 0
@@ -82,7 +82,7 @@ def fire_step(graph: Graph, config: Configuration) -> Configuration:
             f"{len(config.stacks)} stacks for {graph.vertex_count} vertices"
         )
     _check_i64(config.stacks)
-    new = _fire_raw(config.stacks, adjacency(graph))
+    new = _fire_raw(config.stacks, frozen_adjacency(graph))
     _check_i64(new)
     return Configuration(new, graph)
 
@@ -121,7 +121,7 @@ def detect_period(graph: Graph, config: Configuration, max_steps: int) -> Period
             f"{len(config.stacks)} stacks for {graph.vertex_count} vertices"
         )
     _check_i64(config.stacks)
-    adj = adjacency(graph)
+    adj = frozen_adjacency(graph)
     seq = [config.stacks]
     seen = {config.stacks: 0}
     for t in range(1, max_steps + 1):
@@ -164,6 +164,6 @@ def orientation_of_stacks(stacks: tuple[int, ...]) -> PathOrientation:
 
 def is_inside_period(graph: Graph, config: Configuration) -> bool:
     """True iff two firings return the input exactly (covers periods 1 and 2)."""
-    adj = adjacency(graph)
+    adj = frozen_adjacency(graph)
     _check_i64(config.stacks)
     return _fire_raw(_fire_raw(config.stacks, adj), adj) == config.stacks

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Union
 
 from pardiff.errors import (
@@ -118,6 +119,16 @@ def adjacency(graph: Graph) -> list[list[int]]:
     for row in adj:
         row.sort()
     return adj
+
+
+@lru_cache(maxsize=64)
+def frozen_adjacency(graph: Graph) -> tuple[tuple[int, ...], ...]:
+    """``adjacency(graph)`` as tuples, built once per distinct graph and shared.
+
+    Graphs are frozen, so equal graphs share one entry; tuples keep any
+    caller from changing what the others read.
+    """
+    return tuple(map(tuple, adjacency(graph)))
 
 
 def is_connected(graph: Graph) -> bool:

@@ -15,6 +15,7 @@ bookended). Two pairs may share a bookend as long as each pair passes.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from pardiff.errors import CeilingError, DomainError, IllegalOrientationError, env_ceiling
@@ -70,12 +71,44 @@ def _enum_ceiling() -> int:
     return env_ceiling(_ENUM_CEILING_ENV, DEFAULT_ENUM_CEILING)
 
 
-def enumerate_p2_orientations(n: int) -> list[PathOrientation]:
-    """All legal orientations of the n-vertex path, lexicographic with R < L < F.
+def _may_follow(tail: str, sense: str, p: int, edge_count: int) -> bool:
+    """Whether e_p may take ``sense`` after ``tail``, the senses of e_{p-2}, e_{p-1}.
 
-    Depth-first construction over e_1..e_{n-1}; a sense is placed only when no
-    forbidden pattern is already forced, which keeps the visit count near the
-    output count instead of 3^(n-1).
+    This is the one legality rule the builder applies. Each side of each
+    pattern (a)-(d) is settled by a sense and the two before it, or by the
+    edge being a leaf edge, so a sense vector in which every sense passes
+    here avoids all four patterns.
+    """
+    if sense == "F":
+        if p == 1 or p == edge_count or tail[-1] == "F":
+            return False
+        return p < 3 or tail[0] != tail[1]  # else a directed pair right-bookended by a flat
+    if p == 1:
+        return True
+    last = tail[-1]
+    if last == "F":
+        # a flat is never e_1, so tail holds two senses and tail[0] is directed
+        return tail[0] != sense  # else a flat straddled by agreeing directed edges
+    if last == sense:
+        # the agreeing pair (e_{p-1}, e_p) needs a disagreeing bookend on each side
+        return p != 2 and p != edge_count and tail[0] != "F" and tail[0] != sense
+    return True
+
+
+def grow_p2_orientations(
+    n: int, step_factor: Callable[[str, int], int]
+) -> tuple[list[str], list[int]]:
+    """Every legal orientation of the n-vertex path with a weight, in no set order.
+
+    Returns parallel lists of sense strings and weights. A prefix's weight is
+    the product of ``step_factor(window, p)`` over its placements, where
+    ``window`` holds the senses of e_{p-2}, e_{p-1}, e_p (fewer at the start)
+    and e_p is the edge just placed. The prefixes are built one edge at a
+    time and kept grouped by their last two senses, which is all that
+    ``_may_follow`` and the factor read. So each sense is tested and its
+    factor taken once per group, and only the string and the weight are
+    extended per prefix. Each level is consumed group by group while the
+    next one is built, and the last level is returned ungrouped.
     """
     if n < 1:
         raise DomainError("n must be positive")
@@ -85,41 +118,44 @@ def enumerate_p2_orientations(n: int) -> list[PathOrientation]:
     if n == 1:
         # A single vertex has only the empty orientation, which belongs to the
         # all-equal fixed configuration, never to a 2-period.
-        return []
+        return [], []
     edge_count = n - 1
-    out: list[PathOrientation] = []
-    prefix: list[str] = []
-
-    def extend(p: int):
-        # p is the 1-based index of the edge being placed.
-        for sense in SENSE_ORDER:
-            if sense == "F":
-                if p == 1 or p == edge_count:
+    level: dict[str, tuple[list[str], list[int]]] = {"": ([""], [1])}
+    for p in range(1, edge_count + 1):
+        grown: dict[str, tuple[list[str], list[int]]] = {}
+        while level:
+            tail, (prefixes, weights) = level.popitem()
+            for sense in SENSE_ORDER:
+                if not _may_follow(tail, sense, p, edge_count):
                     continue
-                if prefix[-1] == "F":
-                    continue
-                if p >= 3 and prefix[-2] == prefix[-1]:
-                    continue  # directed pair would be right-bookended by a flat
-            elif p >= 2:
-                last = prefix[-1]
-                if last == "F":
-                    # flat can't be at e_1, so prefix[-2] exists and is directed
-                    if prefix[-2] == sense:
-                        continue  # flat straddled by agreeing directed edges
-                elif last == sense:
-                    if p == 2 or p == edge_count:
-                        continue  # pair missing a bookend at the boundary
-                    if prefix[-2] == "F" or prefix[-2] == sense:
-                        continue
-            prefix.append(sense)
-            if p == edge_count:
-                out.append(PathOrientation("".join(prefix)))
-            else:
-                extend(p + 1)
-            prefix.pop()
+                window = tail + sense
+                factor = step_factor(window, p)
+                key = window[-2:] if p < edge_count else ""
+                grown_prefixes, grown_weights = grown.setdefault(key, ([], []))
+                grown_prefixes.extend([q + sense for q in prefixes])
+                grown_weights.extend(weights if factor == 1 else [w * factor for w in weights])
+        level = grown
+    return level[""]
 
-    extend(1)
-    return out
+
+def _unit_factor(window: str, p: int) -> int:
+    return 1
+
+
+def enumerate_p2_orientations(n: int) -> list[PathOrientation]:
+    """All legal orientations of the n-vertex path, lexicographic with R < L < F.
+
+    Read off ``grow_p2_orientations`` with unit weights, then sorted, since
+    the builder's grouping by tail does not keep that order. All the strings
+    have n - 1 letters and "R" > "L" > "F" in code points, so descending
+    string order is R < L < F order. The builder makes each prefix that
+    passes ``_may_follow`` once, about 3.1 R_n of them over all levels
+    (371726 for the 119728 orientations at n = 20), instead of testing all
+    3^(n-1) sense vectors.
+    """
+    senses, _ = grow_p2_orientations(n, _unit_factor)
+    senses.sort(reverse=True)
+    return [PathOrientation(s) for s in senses]
 
 
 def count_p2_orientations_recurrence(n: int) -> int:

@@ -249,6 +249,28 @@ def test_summation_ceiling_names_requested_n(tmp_path, capsys):
     assert "n = 23" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--method", "direct", "--n", "21"],
+        ["count", "--method", "summation", "--ledger", "--n", "21"],
+    ],
+)
+def test_orientation_ceiling_exits_two(tmp_path, capsys, argv):
+    assert main(argv + ["--out", str(tmp_path / "c.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error [resource-ceiling]: ")
+    assert "capped at n = 20 (asked for 21)" in err
+
+
+def test_direct_route_above_raised_ceiling(tmp_path, monkeypatch):
+    monkeypatch.setenv("PARDIFF_ENUM_CEILING", "21")
+    out = tmp_path / "c.json"
+    assert main(["count", "--method", "direct", "--n", "21", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["count"] == count_T_recurrence(21)
+
+
 def test_count_provenance_reports_ceilings_in_force(tmp_path, monkeypatch):
     monkeypatch.setenv("PARDIFF_ENUM_CEILING", "25")
     monkeypatch.setenv("PARDIFF_ORACLE_CEILING", "1000")

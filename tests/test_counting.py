@@ -5,6 +5,7 @@ import math
 import pytest
 
 from pardiff.counting import (
+    _counted_orientations,
     agreeing_pair_positions,
     alternating_count,
     alternating_orientations,
@@ -28,7 +29,11 @@ from pardiff.errors import (
     NotAnAgreeingPairError,
 )
 from pardiff.graphs import PathOrientation
-from pardiff.orientations import check_p2_orientation, enumerate_p2_orientations
+from pardiff.orientations import (
+    check_p2_orientation,
+    count_p2_orientations_recurrence,
+    enumerate_p2_orientations,
+)
 
 # ten-vertex worked example: senses e_1..e_9 and the resulting multipliers
 WORKED_P10 = "LRLRRLFRL"
@@ -108,6 +113,20 @@ def test_direct_counts():
     assert count_T_direct(2) == 2
     assert count_T_direct(3) == 8
     assert count_T_direct(10) == count_T_recurrence(10)
+
+
+def test_builder_counts_match_per_orientation_products():
+    # count_configs_on_orientation re-checks legality and multiplies vertex by vertex
+    for n in range(2, 17):
+        senses, counts = _counted_orientations(n)
+        assert len(set(senses)) == len(senses) == count_p2_orientations_recurrence(n)
+        for s, count in zip(senses, counts):
+            assert count == count_configs_on_orientation(O(s)), s
+
+
+def test_direct_equals_recurrence_to_twenty():
+    for n in range(2, 21):
+        assert count_T_direct(n) == count_T_recurrence(n), n
 
 
 def test_direct_count_decomposition_n5():

@@ -17,6 +17,7 @@ from pardiff.engine import (
     is_inside_period,
     run_sequence,
 )
+from pardiff import graphs
 from pardiff.errors import ConfigMismatchError, PeriodNotFoundError, StackLimitError
 from pardiff.graphs import (
     Configuration,
@@ -59,6 +60,26 @@ def test_fire_step_star_goes_into_debt():
 def test_fire_step_length_mismatch():
     with pytest.raises(ConfigMismatchError):
         fire_step(P5, Configuration((0, 1), PathGraph(2)))
+
+
+def test_adjacency_built_once_per_graph(monkeypatch):
+    builds = []
+    build = graphs.adjacency
+
+    def counted(graph):
+        builds.append(graph)
+        return build(graph)
+
+    monkeypatch.setattr(graphs, "adjacency", counted)
+    graphs.frozen_adjacency.cache_clear()
+    g = PathGraph(6)
+    c = Configuration((0, 3, 1, 4, 1, 5), g)
+    for _ in range(50):
+        c = fire_step(g, c)
+    detect_period(PathGraph(6), c, 100)
+    is_inside_period(g, c)
+    assert builds == [g]
+    assert graphs.frozen_adjacency(g) == ((1,), (0, 2), (1, 3), (2, 4), (3, 5), (4,))
 
 
 def test_stack_limit_guard():

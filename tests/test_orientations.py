@@ -4,6 +4,7 @@ The pruned enumerator is certified against a plain filter over all 3^(n-1)
 sense vectors, and the recurrence against the enumeration.
 """
 
+import math
 from itertools import product
 
 import pytest
@@ -21,6 +22,7 @@ from pardiff.orientations import (
     check_p2_orientation,
     count_p2_orientations_recurrence,
     enumerate_p2_orientations,
+    grow_p2_orientations,
     witness_configuration,
 )
 
@@ -74,7 +76,7 @@ def test_enumerate_smallest():
 
 
 def test_enumerate_matches_plain_filter():
-    for n in range(2, 9):
+    for n in range(2, 11):
         wanted = [
             PathOrientation("".join(senses))
             for senses in product(SENSE_ORDER, repeat=n - 1)
@@ -83,11 +85,21 @@ def test_enumerate_matches_plain_filter():
         assert enumerate_p2_orientations(n) == wanted
 
 
+def test_builder_weight_is_product_of_step_factors():
+    def factor(window, p):
+        return 1 + (7 * p + sum(map(ord, window))) % 4
+
+    senses, weights = grow_p2_orientations(9, factor)
+    for s, weight in zip(senses, weights):
+        # the factor for e_p sees the senses of e_{p-2}, e_{p-1}, e_p
+        assert weight == math.prod(factor(s[max(p - 3, 0) : p], p) for p in range(1, 9)), s
+
+
 def test_enumerate_is_lexicographic():
     rank = {s: i for i, s in enumerate(SENSE_ORDER)}
-    got = enumerate_p2_orientations(7)
-    keys = [tuple(rank[s] for s in o.senses) for o in got]
-    assert keys == sorted(keys)
+    for n in (7, 12):
+        keys = [tuple(rank[s] for s in o.senses) for o in enumerate_p2_orientations(n)]
+        assert keys == sorted(keys), n
 
 
 def test_enumeration_ceiling(monkeypatch):
