@@ -39,8 +39,8 @@ from pardiff.graphs import (
 )
 from pardiff.oracle import (
     OracleResult,
-    bound_stability_check,
     count_p2_configurations,
+    count_p2_sequence,
     enumerate_p2_configurations,
     enumerate_p2_on_bridge_graph,
     orientations_realized,

@@ -45,13 +45,14 @@ def _json_body(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _write_manifest(out_path: str, command: str, parameters: dict, wall_time: float):
+def _write_manifest(out_path: str, command: str, parameters: dict, wall_time: float, **extra):
     manifest = {
         "command": command,
         "parameters": parameters,
         "artifact_version": pardiff.__version__,
         "wall_time_seconds": round(wall_time, 6),
         "output_path": out_path,
+        **extra,
     }
     _write_text(out_path + ".manifest.json", _json_body(manifest))
 
@@ -156,6 +157,7 @@ def _cmd_verify(args) -> int:
         "verify",
         {"suites": suites or verify.suite_names(), "max_n_oracle": args.max_n_oracle},
         time.perf_counter() - t0,
+        check_seconds={f"{r.suite}.{r.name}": round(r.seconds, 6) for r in results},
     )
     print(f"verify: {len(results) - len(failed)}/{len(results)} checks passed ({args.out})")
     return 3 if failed else 0

@@ -70,9 +70,12 @@ def _fire_raw(stacks: tuple[int, ...], adj: tuple[tuple[int, ...], ...]) -> tupl
 
 
 def _check_i64(stacks: tuple[int, ...]):
-    for x in stacks:
-        if x > I64_MAX or x < -I64_MAX - 1:
-            raise StackLimitError(f"stack size {x} outside signed 64-bit range")
+    high = max(stacks, default=0)
+    if high > I64_MAX:
+        raise StackLimitError(f"stack size {high} outside signed 64-bit range")
+    low = min(stacks, default=0)
+    if low < -I64_MAX - 1:
+        raise StackLimitError(f"stack size {low} outside signed 64-bit range")
 
 
 def fire_step(graph: Graph, config: Configuration) -> Configuration:

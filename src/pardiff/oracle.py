@@ -12,7 +12,7 @@ firing rule, which only reads a radius-two neighbourhood, so the pruned walk
 visits exactly the survivors of the full (2b+1)^(V-1) iteration.
 
 On paths the same locality makes the count a transfer-matrix sum over a
-sliding window of differences (count_p2_configurations), linear in n. The
+sliding window of differences (count_p2_sequence), linear in n. The
 search stays as the producer of configuration lists and as the DP's
 small-n certificate.
 """
@@ -284,17 +284,19 @@ def _path_transfer(diff_bound: int, steps: int):
     return len(diffs), stay, move, close
 
 
-def count_p2_configurations(n: int, diff_bound: int = 3) -> int:
-    """How many configurations enumerate_p2_configurations(n, diff_bound) lists,
-    counted by a transfer DP over difference windows instead of a search.
+def count_p2_sequence(n: int, diff_bound: int = 3) -> list[int]:
+    """How many configurations enumerate_p2_configurations(m, diff_bound) lists,
+    for every m = 2..n (entry m - 2), counted by a transfer DP over
+    difference windows instead of a search.
 
     Whether v_i lies in a 2-period, and whether one firing moves it, depends
     only on the four differences d_{i-2}..d_{i+1}, so appending a difference
     settles the vertex two places back (_path_transfer). Each tail carries
     two weights: configurations in which no vertex has moved yet, and those
     in which one has. Only the moved weight is counted, since fire = id is
-    not a 2-period. Work is at most (n-1)(2b+1)^4 window steps, held to the
-    oracle ceiling.
+    not a 2-period. One table and one forward pass serve every length: the
+    count at m closes the weights held after m - 2 appends. Work is at most
+    (n-1)(2b+1)^4 window steps, held to the oracle ceiling.
     """
     if n < 2:
         raise DomainError("the oracle needs n >= 2")
@@ -306,26 +308,32 @@ def count_p2_configurations(n: int, diff_bound: int = 3) -> int:
         raise CeilingError(f"{work} window steps exceed the oracle ceiling {ceiling}")
     starts, stay, move, close = _path_transfer(diff_bound, n - 2)
     size = len(close)
+    closing = [(i, moves) for i, moves in enumerate(close) if moves is not None]
     still = [1] * starts + [0] * (size - starts)
     moved = [0] * size
-    for _ in range(n - 2):
-        next_still = [0] * size
-        next_moved = [0] * size
-        for i in range(size):
-            s, m = still[i], moved[i]
-            if not (s or m):
-                continue
-            for k in stay[i]:
-                next_still[k] += s
-                next_moved[k] += m
-            for k in move[i]:
-                next_moved[k] += s + m
-        still, moved = next_still, next_moved
-    return sum(
-        moved[i] + (still[i] if moves else 0)
-        for i, moves in enumerate(close)
-        if moves is not None
-    )
+    counts = []
+    for step in range(n - 1):
+        if step:
+            next_still = [0] * size
+            next_moved = [0] * size
+            for i in range(size):
+                s, m = still[i], moved[i]
+                if not (s or m):
+                    continue
+                for k in stay[i]:
+                    next_still[k] += s
+                    next_moved[k] += m
+                for k in move[i]:
+                    next_moved[k] += s + m
+            still, moved = next_still, next_moved
+        counts.append(sum(moved[i] + (still[i] if moves else 0) for i, moves in closing))
+    return counts
+
+
+def count_p2_configurations(n: int, diff_bound: int = 3) -> int:
+    """How many configurations enumerate_p2_configurations(n, diff_bound) lists:
+    the last entry of count_p2_sequence(n, diff_bound)."""
+    return count_p2_sequence(n, diff_bound)[-1]
 
 
 def enumerate_p2_configurations(
@@ -360,12 +368,6 @@ def enumerate_p2_configurations(
 def orientations_realized(result: OracleResult) -> set[PathOrientation]:
     """Distinct orientations induced by the oracle's configurations."""
     return {orientation_of_stacks(c.stacks) for c in result.configurations}
-
-
-def bound_stability_check(n: int, diff_bound: int = 3) -> bool:
-    """True iff count_p2_configurations finds nothing new when the
-    difference bound widens by one."""
-    return count_p2_configurations(n, diff_bound) == count_p2_configurations(n, diff_bound + 1)
 
 
 def build_bridge_graph(g0: Graph, base_vertex: int, k: int) -> SimpleGraph:

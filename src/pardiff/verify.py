@@ -3,13 +3,16 @@
 Each check exercises one documented invariant at desk scale and reports the
 first counterexample it finds. Checks call through module namespaces so a
 deliberately broken function (for testing the tester) is caught by name.
-Checks that read the path oracle's configuration lists share one search per
-n within a run_suites call.
+Inputs that several checks read (orientation lists, the oracle's
+configuration lists, legality verdicts, per-orientation counts and the
+window-DP count sequences) are built at most once per run_suites call, in a
+_RunInputs object that the call creates and drops.
 """
 
 from __future__ import annotations
 
 import random
+import time
 from dataclasses import dataclass
 
 from pardiff import counting, engine, oracle, orientations
@@ -17,6 +20,7 @@ from pardiff.errors import DomainError
 from pardiff.graphs import (
     Configuration,
     PathGraph,
+    PathOrientation,
     SimpleGraph,
     canonicalize,
     parse_graph,
@@ -43,23 +47,72 @@ class CheckResult:
     name: str
     passed: bool
     detail: str = ""
+    # Wall time of the check, including any shared input it was first to read.
+    seconds: float = 0.0
 
     def to_dict(self) -> dict:
         return {"suite": self.suite, "name": self.name, "passed": self.passed, "detail": self.detail}
 
 
-_REGISTRY: dict[str, list[tuple[str, object, bool]]] = {}
+_REGISTRY: dict[str, list[tuple[str, object]]] = {}
 
-# Path lengths at which the count checks run the window DP.
-_DP_REACH = (*range(2, 13), 30, 60)
+# The count checks run the window DP at every path length 2.._DP_MAX.
+_DP_MAX = 60
 
 
-def _check(suite: str, name: str, uses_oracle_lists: bool = False):
-    """Register a check; with ``uses_oracle_lists`` it also receives the
-    OracleResults for n = 2..max_n_oracle."""
+class _RunInputs:
+    """Inputs shared by the checks of one run_suites call, each built on
+    first use. Every build goes through the module attribute at call time,
+    so a patched or wrapped function is the one that runs; nothing outlives
+    the call.
+    """
+
+    def __init__(self, config: VerifyConfig):
+        self._config = config
+        self._orientations: dict[int, list[PathOrientation]] = {}
+        self._oracle_lists = None
+        self._legal: dict[str, bool] = {}
+        self._counts: dict[str, int] = {}
+        self._dp_counts: dict[int, list[int]] = {}
+
+    def orientations(self, n: int) -> list[PathOrientation]:
+        if n not in self._orientations:
+            self._orientations[n] = orientations.enumerate_p2_orientations(n)
+        return self._orientations[n]
+
+    def oracle_lists(self) -> list[oracle.OracleResult]:
+        """The path oracle's configuration lists for n = 2..max_n_oracle."""
+        if self._oracle_lists is None:
+            self._oracle_lists = [
+                oracle.enumerate_p2_configurations(n)
+                for n in range(2, self._config.max_n_oracle + 1)
+            ]
+        return self._oracle_lists
+
+    def legal(self, orient: PathOrientation) -> bool:
+        key = orient.senses
+        if key not in self._legal:
+            self._legal[key] = orientations.check_p2_orientation(orient).legal
+        return self._legal[key]
+
+    def count(self, orient: PathOrientation) -> int:
+        key = orient.senses
+        if key not in self._counts:
+            self._counts[key] = counting.count_configs_on_orientation(orient)
+        return self._counts[key]
+
+    def dp_counts(self, diff_bound: int) -> list[int]:
+        """Window-DP counts at n = 2.._DP_MAX (entry n - 2)."""
+        if diff_bound not in self._dp_counts:
+            self._dp_counts[diff_bound] = oracle.count_p2_sequence(_DP_MAX, diff_bound)
+        return self._dp_counts[diff_bound]
+
+
+def _check(suite: str, name: str):
+    """Register a check, called as fn(config, inputs) with the run's _RunInputs."""
 
     def deco(fn):
-        _REGISTRY.setdefault(suite, []).append((name, fn, uses_oracle_lists))
+        _REGISTRY.setdefault(suite, []).append((name, fn))
         return fn
 
     return deco
@@ -78,23 +131,17 @@ def run_suites(config: VerifyConfig = VerifyConfig(), suites=None) -> list[Check
         if unknown:
             raise DomainError(f"unknown suites {unknown}; available: {list(_REGISTRY)}")
         selected = list(suites)
+    inputs = _RunInputs(config)
     results = []
-    oracle_lists = None
     for suite in selected:
-        for name, fn, uses_oracle_lists in _REGISTRY[suite]:
+        for name, fn in _REGISTRY[suite]:
+            t0 = time.perf_counter()
             try:
-                if uses_oracle_lists:
-                    if oracle_lists is None:
-                        oracle_lists = [
-                            oracle.enumerate_p2_configurations(n)
-                            for n in range(2, config.max_n_oracle + 1)
-                        ]
-                    detail = fn(config, oracle_lists)
-                else:
-                    detail = fn(config)
+                detail = fn(config, inputs)
             except Exception as exc:  # a crashing check is a failing check
                 detail = f"raised {type(exc).__name__}: {exc}"
-            results.append(CheckResult(suite, name, detail is None, detail or ""))
+            seconds = time.perf_counter() - t0
+            results.append(CheckResult(suite, name, detail is None, detail or "", seconds))
     return results
 
 
@@ -141,7 +188,7 @@ def _all_sense_vectors(edge_count: int):
 
 
 @_check("graph", "canonicalize-idempotent")
-def _chk_canonical_idempotent(cfg: VerifyConfig):
+def _chk_canonical_idempotent(cfg: VerifyConfig, inputs: _RunInputs):
     rng = random.Random(cfg.rng_seed)
     for _ in range(cfg.random_trials):
         _, c = _random_graph_and_config(rng)
@@ -152,7 +199,7 @@ def _chk_canonical_idempotent(cfg: VerifyConfig):
 
 
 @_check("graph", "shift-composition")
-def _chk_shift_composition(cfg: VerifyConfig):
+def _chk_shift_composition(cfg: VerifyConfig, inputs: _RunInputs):
     rng = random.Random(cfg.rng_seed + 1)
     for _ in range(cfg.random_trials):
         _, c = _random_graph_and_config(rng)
@@ -163,7 +210,7 @@ def _chk_shift_composition(cfg: VerifyConfig):
 
 
 @_check("graph", "parse-render-round-trip")
-def _chk_round_trip(cfg: VerifyConfig):
+def _chk_round_trip(cfg: VerifyConfig, inputs: _RunInputs):
     rng = random.Random(cfg.rng_seed + 2)
     for _ in range(cfg.random_trials):
         graph = PathGraph(rng.randint(1, 12)) if rng.random() < 0.4 else _random_connected_graph(rng)
@@ -177,7 +224,7 @@ def _chk_round_trip(cfg: VerifyConfig):
 
 
 @_check("engine", "chip-conservation")
-def _chk_conservation(cfg: VerifyConfig):
+def _chk_conservation(cfg: VerifyConfig, inputs: _RunInputs):
     rng = random.Random(cfg.rng_seed + 3)
     for _ in range(cfg.random_trials):
         graph, c = _random_graph_and_config(rng)
@@ -188,7 +235,7 @@ def _chk_conservation(cfg: VerifyConfig):
 
 
 @_check("engine", "shift-equivariance")
-def _chk_equivariance(cfg: VerifyConfig):
+def _chk_equivariance(cfg: VerifyConfig, inputs: _RunInputs):
     rng = random.Random(cfg.rng_seed + 4)
     for _ in range(cfg.random_trials):
         graph, c = _random_graph_and_config(rng)
@@ -199,10 +246,10 @@ def _chk_equivariance(cfg: VerifyConfig):
 
 
 @_check("engine", "period-reversal")
-def _chk_period_reversal(cfg: VerifyConfig):
+def _chk_period_reversal(cfg: VerifyConfig, inputs: _RunInputs):
     for n in range(3, 11):
         graph = PathGraph(n)
-        for orient in orientations.enumerate_p2_orientations(n):
+        for orient in inputs.orientations(n):
             c = orientations.witness_configuration(orient)
             fired = engine.fire_step(graph, c)
             if engine.induced_orientation(graph, fired) != orient.flipped():
@@ -211,7 +258,7 @@ def _chk_period_reversal(cfg: VerifyConfig):
 
 
 @_check("engine", "random-period-detection")
-def _chk_random_period(cfg: VerifyConfig):
+def _chk_random_period(cfg: VerifyConfig, inputs: _RunInputs):
     rng = random.Random(cfg.rng_seed + 5)
     for _ in range(cfg.random_trials):
         graph, c = _random_graph_and_config(rng)
@@ -222,7 +269,7 @@ def _chk_random_period(cfg: VerifyConfig):
 
 
 @_check("engine", "fixed-point-iff-all-equal")
-def _chk_fixed_points(cfg: VerifyConfig):
+def _chk_fixed_points(cfg: VerifyConfig, inputs: _RunInputs):
     rng = random.Random(cfg.rng_seed + 6)
     for _ in range(cfg.random_trials):
         graph = _random_connected_graph(rng)
@@ -241,12 +288,12 @@ def _chk_fixed_points(cfg: VerifyConfig):
 # suite: orientation
 
 
-@_check("orientation", "realized-equals-enumerated", uses_oracle_lists=True)
-def _chk_realized(cfg: VerifyConfig, oracle_lists):
-    for result in oracle_lists:
+@_check("orientation", "realized-equals-enumerated")
+def _chk_realized(cfg: VerifyConfig, inputs: _RunInputs):
+    for result in inputs.oracle_lists():
         n = result.n
         realized = oracle.orientations_realized(result)
-        enumerated = set(orientations.enumerate_p2_orientations(n))
+        enumerated = set(inputs.orientations(n))
         if realized != enumerated:
             extra = {o.to_string() for o in realized - enumerated}
             missing = {o.to_string() for o in enumerated - realized}
@@ -255,9 +302,12 @@ def _chk_realized(cfg: VerifyConfig, oracle_lists):
 
 
 @_check("orientation", "count-matches-recurrence")
-def _chk_orientation_counts(cfg: VerifyConfig):
+def _chk_orientation_counts(cfg: VerifyConfig, inputs: _RunInputs):
     for n in range(1, 19):
-        got = len(orientations.enumerate_p2_orientations(n))
+        senses, _ = orientations.grow_p2_orientations(n, orientations._unit_factor)
+        got = len(set(senses))
+        if got != len(senses):
+            return f"n={n}: {len(senses) - got} orientations enumerated twice"
         want = orientations.count_p2_orientations_recurrence(n)
         if got != want:
             return f"n={n}: enumerated {got}, recurrence {want}"
@@ -265,10 +315,10 @@ def _chk_orientation_counts(cfg: VerifyConfig):
 
 
 @_check("orientation", "witness-valid")
-def _chk_witness(cfg: VerifyConfig):
+def _chk_witness(cfg: VerifyConfig, inputs: _RunInputs):
     for n in range(2, cfg.max_n_witness + 1):
         graph = PathGraph(n)
-        for orient in orientations.enumerate_p2_orientations(n):
+        for orient in inputs.orientations(n):
             c = orientations.witness_configuration(orient)
             once = engine.fire_step(graph, c)
             if once == c or engine.fire_step(graph, once) != c:
@@ -279,25 +329,21 @@ def _chk_witness(cfg: VerifyConfig):
 
 
 @_check("orientation", "mirror-symmetry")
-def _chk_mirror(cfg: VerifyConfig):
-    from pardiff.graphs import PathOrientation
-
+def _chk_mirror(cfg: VerifyConfig, inputs: _RunInputs):
     for e in range(1, 8):
         for senses in _all_sense_vectors(e):
             o = PathOrientation(senses)
-            if orientations.check_p2_orientation(o).legal != orientations.check_p2_orientation(o.mirrored()).legal:
+            if inputs.legal(o) != inputs.legal(o.mirrored()):
                 return f"legality changed under mirroring for {o.to_string()}"
     return None
 
 
 @_check("orientation", "flip-symmetry")
-def _chk_flip(cfg: VerifyConfig):
-    from pardiff.graphs import PathOrientation
-
+def _chk_flip(cfg: VerifyConfig, inputs: _RunInputs):
     for e in range(1, 8):
         for senses in _all_sense_vectors(e):
             o = PathOrientation(senses)
-            if orientations.check_p2_orientation(o).legal != orientations.check_p2_orientation(o.flipped()).legal:
+            if inputs.legal(o) != inputs.legal(o.flipped()):
                 return f"legality changed under direction flip for {o.to_string()}"
     return None
 
@@ -307,7 +353,7 @@ def _chk_flip(cfg: VerifyConfig):
 
 
 @_check("counting", "route-agreement")
-def _chk_routes(cfg: VerifyConfig):
+def _chk_routes(cfg: VerifyConfig, inputs: _RunInputs):
     for n in range(2, cfg.max_n_routes + 1):
         rec = counting.count_T_recurrence(n)
         summ = counting.count_T_summation(n)
@@ -318,50 +364,48 @@ def _chk_routes(cfg: VerifyConfig):
 
 
 @_check("counting", "severing-multiplicative")
-def _chk_severing(cfg: VerifyConfig):
+def _chk_severing(cfg: VerifyConfig, inputs: _RunInputs):
     for n in range(2, cfg.max_n_structure + 1):
-        for orient in orientations.enumerate_p2_orientations(n):
+        for orient in inputs.orientations(n):
             if "F" not in orient.senses:
                 continue
-            whole = counting.count_configs_on_orientation(orient)
+            whole = inputs.count(orient)
             prod = 1
             for part in counting.sever_at_flats(orient):
-                prod *= counting.count_configs_on_orientation(part)
+                prod *= inputs.count(part)
             if whole != prod:
                 return f"{orient.to_string()}: whole {whole} != product {prod}"
     return None
 
 
 @_check("counting", "contraction-invariant")
-def _chk_contraction(cfg: VerifyConfig):
+def _chk_contraction(cfg: VerifyConfig, inputs: _RunInputs):
     for n in range(4, cfg.max_n_structure + 1):
-        for orient in orientations.enumerate_p2_orientations(n):
-            before = counting.count_configs_on_orientation(orient)
+        for orient in inputs.orientations(n):
+            before = inputs.count(orient)
             for i in counting.agreeing_pair_positions(orient):
                 smaller = counting.contract_agreeing(orient, i)
-                if not orientations.check_p2_orientation(smaller).legal:
+                if not inputs.legal(smaller):
                     return f"{orient.to_string()} contracted at {i} is illegal"
-                if counting.count_configs_on_orientation(smaller) != before:
+                if inputs.count(smaller) != before:
                     return f"{orient.to_string()} contracted at {i} changed the count"
     return None
 
 
 @_check("counting", "alternating-sequence")
-def _chk_alternating(cfg: VerifyConfig):
+def _chk_alternating(cfg: VerifyConfig, inputs: _RunInputs):
     for n in range(3, 14):
         if counting.alternating_count(n + 1) != 3 * counting.alternating_count(n):
             return f"A_{n + 1} != 3 A_{n}"
     for n in range(2, 15):
-        direct = sum(
-            counting.count_configs_on_orientation(o) for o in counting.alternating_orientations(n)
-        )
+        direct = sum(inputs.count(o) for o in counting.alternating_orientations(n))
         if direct != counting.alternating_count(n):
             return f"n={n}: direct alternating {direct} != closed form {counting.alternating_count(n)}"
     return None
 
 
 @_check("counting", "stage-claims")
-def _chk_stage(cfg: VerifyConfig):
+def _chk_stage(cfg: VerifyConfig, inputs: _RunInputs):
     for n in range(2, 11):
         t_n = counting.count_T_recurrence(n)
         a_n = counting.alternating_count(n)
@@ -379,7 +423,7 @@ def _chk_stage(cfg: VerifyConfig):
 
 
 @_check("counting", "ratio-convergence")
-def _chk_ratio(cfg: VerifyConfig):
+def _chk_ratio(cfg: VerifyConfig, inputs: _RunInputs):
     model = counting.characteristic_roots()
     ratio = counting.count_T_recurrence(31) / counting.count_T_recurrence(30)
     if abs(ratio - model.dominant_root) > 1e-3:
@@ -388,7 +432,7 @@ def _chk_ratio(cfg: VerifyConfig):
 
 
 @_check("counting", "summation-erratum-detectable")
-def _chk_erratum(cfg: VerifyConfig):
+def _chk_erratum(cfg: VerifyConfig, inputs: _RunInputs):
     printed = counting.count_T_summation(5, use_printed_limit=True)
     if printed != 88:
         return f"printed-limit value at n=5 is {printed}, expected the known-bad 88"
@@ -398,7 +442,7 @@ def _chk_erratum(cfg: VerifyConfig):
 
 
 @_check("counting", "characteristic-roots")
-def _chk_roots(cfg: VerifyConfig):
+def _chk_roots(cfg: VerifyConfig, inputs: _RunInputs):
     model = counting.characteristic_roots()
     for r in model.roots:
         residual = ((r - 3) * r - 2) * r * r - r + 1
@@ -419,36 +463,35 @@ def _chk_roots(cfg: VerifyConfig):
 
 
 @_check("oracle", "count-vs-recurrence")
-def _chk_oracle_counts(cfg: VerifyConfig):
-    """Window-DP count at b = 3 against T_n for n = 2..12, 30 and 60."""
-    for n in _DP_REACH:
-        got = oracle.count_p2_configurations(n)
+def _chk_oracle_counts(cfg: VerifyConfig, inputs: _RunInputs):
+    """Window-DP count at b = 3 against T_n for every n = 2..60."""
+    for n, got in enumerate(inputs.dp_counts(3), start=2):
         want = counting.count_T_recurrence(n)
         if got != want:
             return f"n={n}: oracle {got}, recurrence {want}"
     return None
 
 
-@_check("oracle", "per-orientation-refinement", uses_oracle_lists=True)
-def _chk_refinement(cfg: VerifyConfig, oracle_lists):
+@_check("oracle", "per-orientation-refinement")
+def _chk_refinement(cfg: VerifyConfig, inputs: _RunInputs):
     from collections import Counter
 
-    for result in oracle_lists:
+    for result in inputs.oracle_lists():
         n = result.n
         grouped = Counter(
             engine.orientation_of_stacks(c.stacks).to_string() for c in result.configurations
         )
-        for orient in orientations.enumerate_p2_orientations(n):
-            want = counting.count_configs_on_orientation(orient)
+        for orient in inputs.orientations(n):
+            want = inputs.count(orient)
             got = grouped.get(orient.to_string(), 0)
             if got != want:
                 return f"n={n} {orient.to_string()}: oracle {got}, multipliers {want}"
     return None
 
 
-@_check("oracle", "orbit-pairing", uses_oracle_lists=True)
-def _chk_orbit_pairing(cfg: VerifyConfig, oracle_lists):
-    for result in oracle_lists:
+@_check("oracle", "orbit-pairing")
+def _chk_orbit_pairing(cfg: VerifyConfig, inputs: _RunInputs):
+    for result in inputs.oracle_lists():
         n = result.n
         graph = PathGraph(n)
         members = set(result.configurations)
@@ -460,16 +503,16 @@ def _chk_orbit_pairing(cfg: VerifyConfig, oracle_lists):
 
 
 @_check("oracle", "bound-stability")
-def _chk_bound_stability(cfg: VerifyConfig):
-    """Window-DP counts at b = 3 and b = 4 agree for n = 2..12, 30 and 60."""
-    for n in _DP_REACH:
-        if not oracle.bound_stability_check(n):
+def _chk_bound_stability(cfg: VerifyConfig, inputs: _RunInputs):
+    """Window-DP counts at b = 3 and b = 4 agree for every n = 2..60."""
+    for n, (at3, at4) in enumerate(zip(inputs.dp_counts(3), inputs.dp_counts(4)), start=2):
+        if at3 != at4:
             return f"n={n}: counts differ between bounds 3 and 4"
     return None
 
 
 @_check("oracle", "bridge-degenerate-cases")
-def _chk_bridge_degenerate(cfg: VerifyConfig):
+def _chk_bridge_degenerate(cfg: VerifyConfig, inputs: _RunInputs):
     single = PathGraph(1)
     for k in range(3, 6):
         got = oracle.enumerate_p2_on_bridge_graph(single, 1, k)

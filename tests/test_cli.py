@@ -217,6 +217,18 @@ def test_verify_suite_filter(tmp_path, capsys):
     assert {r["suite"] for r in results} == {"graph"}
 
 
+def test_verify_manifest_records_check_seconds(tmp_path, capsys):
+    out = tmp_path / "v.json"
+    assert main(["verify", "--suites", "graph,oracle", "--out", str(out)]) == 0
+    manifest = read_manifest(out)
+    validate(manifest, load_schema("manifest.schema.json"))
+    names = [f"{r['suite']}.{r['name']}" for r in json.loads(out.read_text())]
+    assert sorted(manifest["check_seconds"]) == sorted(names)
+    assert all(t >= 0 for t in manifest["check_seconds"].values())
+    body = out.read_text()
+    assert "seconds" not in body
+
+
 def test_verify_unknown_suite_is_domain_error(tmp_path, capsys):
     code = main(["verify", "--suites", "bogus", "--out", str(tmp_path / "v.json")])
     assert code == 1

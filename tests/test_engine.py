@@ -91,6 +91,12 @@ def test_stack_limit_guard():
     # the centre gains three chips and leaves the signed 64-bit range
     with pytest.raises(StackLimitError):
         fire_step(star, Configuration((big - 1, big, big, big), star))
+    low = -(2**63)
+    with pytest.raises(StackLimitError, match=str(low - 1)):
+        fire_step(p2, Configuration((0, low - 1), p2))
+    # the centre sends a chip to each of three poorer leaves and drops below the range
+    with pytest.raises(StackLimitError, match=str(low - 2)):
+        fire_step(star, Configuration((low + 1, low, low, low), star))
 
 
 def test_run_sequence_demo():

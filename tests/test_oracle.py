@@ -11,9 +11,9 @@ from pardiff.engine import fire_step, orientation_of_stacks
 from pardiff.errors import CeilingError, DomainError, WindowNotStabilizedError
 from pardiff.graphs import Configuration, PathGraph, SimpleGraph, canonicalize
 from pardiff.oracle import (
-    bound_stability_check,
     build_bridge_graph,
     count_p2_configurations,
+    count_p2_sequence,
     enumerate_p2_configurations,
     enumerate_p2_on_bridge_graph,
     orientations_realized,
@@ -93,8 +93,14 @@ def test_orbit_partners_are_members(oracle_runs):
 
 
 def test_bound_stability():
-    for n in (2, 5, 7):
-        assert bound_stability_check(n)
+    # b = 3 and b = 4 agree at every n = 2..60
+    assert count_p2_sequence(60, 3) == count_p2_sequence(60, 4)
+
+
+@pytest.mark.parametrize("diff_bound", [2, 3, 4])
+def test_count_sequence_matches_single_counts(diff_bound):
+    sequence = count_p2_sequence(60, diff_bound)
+    assert sequence == [count_p2_configurations(n, diff_bound) for n in range(2, 61)]
 
 
 def test_parallel_matches_serial():

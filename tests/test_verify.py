@@ -1,9 +1,11 @@
 """The verify suites themselves: all green on a healthy build, and a broken
 function must be caught by the check that owns the property."""
 
+from collections import Counter
+
 import pytest
 
-from pardiff import counting, verify
+from pardiff import counting, oracle, orientations, verify
 
 SMALL = verify.VerifyConfig(
     max_n_oracle=5,
@@ -57,3 +59,82 @@ def test_results_serialize():
     for r in results:
         d = r.to_dict()
         assert set(d) == {"suite", "name", "passed", "detail"}
+
+
+def test_default_run_builds_each_shared_input_once(monkeypatch):
+    enumerated, tables = Counter(), Counter()
+    real_enumerate, real_transfer = orientations.enumerate_p2_orientations, oracle._path_transfer
+
+    def spy_enumerate(n):
+        enumerated[n] += 1
+        return real_enumerate(n)
+
+    def spy_transfer(diff_bound, steps):
+        tables[diff_bound] += 1
+        return real_transfer(diff_bound, steps)
+
+    monkeypatch.setattr(orientations, "enumerate_p2_orientations", spy_enumerate)
+    monkeypatch.setattr(oracle, "_path_transfer", spy_transfer)
+    results = verify.run_suites()
+    assert all(r.passed for r in results)
+    assert enumerated and set(enumerated.values()) == {1}
+    assert tables == {3: 1, 4: 1}
+
+
+def test_check_durations_are_recorded():
+    results = verify.run_suites(SMALL, suites=["graph", "oracle"])
+    assert all(r.seconds > 0 for r in results)
+
+
+def _count_off_by_one_on_flats(monkeypatch):
+    real = counting.count_configs_on_orientation
+    monkeypatch.setattr(
+        counting,
+        "count_configs_on_orientation",
+        lambda o: real(o) + ("F" in o.senses),
+    )
+
+
+def _failed(results):
+    return {r.name for r in results if not r.passed}
+
+
+def test_memoized_count_fault_is_named(monkeypatch):
+    _count_off_by_one_on_flats(monkeypatch)
+    assert "severing-multiplicative" in _failed(verify.run_suites(SMALL, suites=["counting"]))
+
+
+def test_memoized_legality_fault_is_named(monkeypatch):
+    real = orientations.check_p2_orientation
+    target = "RRL"  # illegal, and its mirror image RLL differs from it
+
+    def wrong_on_target(o):
+        report = real(o)
+        if o.senses == target:
+            return orientations.ForbiddenPatternReport(legal=not report.legal, violations=())
+        return report
+
+    monkeypatch.setattr(orientations, "check_p2_orientation", wrong_on_target)
+    assert "mirror-symmetry" in _failed(verify.run_suites(SMALL, suites=["orientation"]))
+
+
+def test_fault_after_clean_run_is_caught(monkeypatch):
+    assert not _failed(verify.run_suites(SMALL, suites=["counting", "oracle"]))
+    _count_off_by_one_on_flats(monkeypatch)
+    failed = _failed(verify.run_suites(SMALL, suites=["counting", "oracle"]))
+    assert {"severing-multiplicative", "per-orientation-refinement"} <= failed
+
+
+def test_duplicated_orientation_is_named(monkeypatch):
+    real = orientations.grow_p2_orientations
+
+    def grow_with_duplicate(n, step_factor):
+        senses, weights = real(n, step_factor)
+        if n == 9:
+            senses[-1] = senses[0]
+        return senses, weights
+
+    monkeypatch.setattr(orientations, "grow_p2_orientations", grow_with_duplicate)
+    results = verify.run_suites(SMALL, suites=["orientation"])
+    details = {r.name: r.detail for r in results if not r.passed}
+    assert details == {"count-matches-recurrence": "n=9: 1 orientations enumerated twice"}
