@@ -3,7 +3,6 @@
 from pardiff.counting import (
     AsymptoticModel,
     CountLedger,
-    MultiplierVector,
     alternating_count,
     characteristic_roots,
     conjecture_recurrence_check,
@@ -28,7 +27,6 @@ from pardiff.engine import (
 from pardiff.graphs import (
     Configuration,
     PathGraph,
-    PathOrientation,
     SimpleGraph,
     canonicalize,
     config_from_string,

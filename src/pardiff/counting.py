@@ -10,19 +10,24 @@ must all agree.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from pardiff.errors import (
     CeilingError,
     DomainError,
     IllegalLocalPatternError,
-    IllegalOrientationError,
     InternalInconsistencyError,
     NotAnAgreeingPairError,
     VertexIndexError,
 )
-from pardiff.graphs import SENSE_FLIP, PathOrientation
-from pardiff.orientations import _enum_ceiling, check_p2_orientation, grow_p2_orientations
+from pardiff.graphs import flipped
+from pardiff.orientations import (
+    _enum_ceiling,
+    _require_legal,
+    _require_senses,
+    grow_p2_orientations,
+)
 
 # Multiplier of v_k from the senses of (e_{k-2}, e_{k-1}, e_k), for interior
 # vertices where both v_k and v_{k-1} have two neighbours. All 27 triples are
@@ -68,19 +73,6 @@ MULTIPLIER_TABLE: dict[str, int | None] = {
 
 
 @dataclass(frozen=True)
-class MultiplierVector:
-    """Per-vertex multipliers, v_1 first; entry 1 is always 1."""
-
-    values: tuple[int, ...]
-
-    def product(self) -> int:
-        p = 1
-        for v in self.values:
-            p *= v
-        return p
-
-
-@dataclass(frozen=True)
 class CountLedger:
     """Per-orientation products and the aggregate counts for one path length."""
 
@@ -101,13 +93,14 @@ class AsymptoticModel:
     dominant_coefficient: float
 
 
-def vertex_multiplier(orient: PathOrientation, k: int) -> int:
+def vertex_multiplier(orient: str, k: int) -> int:
     """Number of admissible stack sizes for v_k given all stacks to its right.
 
-    Assumes the orientation is legal overall; a locally impossible sense
-    triple still raises IllegalLocalPatternError.
+    Assumes the orientation is legal overall, and reads only the letters
+    around v_k; a locally impossible sense triple, or one with a letter
+    outside "RLF", still raises IllegalLocalPatternError.
     """
-    n = orient.n
+    n = len(orient) + 1
     if not 1 <= k <= n:
         raise VertexIndexError(f"vertex {k} outside [1, {n}]")
     if k == 1:
@@ -117,31 +110,29 @@ def vertex_multiplier(orient: PathOrientation, k: int) -> int:
         # pinned, so the single leaf neighbour contributes no freedom.
         return 1
     if k == 2:
-        return 1 if orient.senses[1] == "F" else 2
+        return 1 if orient[1] == "F" else 2
     if k == n:
-        return 1 if orient.senses[n - 3] == "F" else 2
-    return _table_multiplier(orient.senses[k - 3 : k], k)
+        return 1 if orient[n - 3] == "F" else 2
+    return _table_multiplier(orient[k - 3 : k], k)
 
 
 def _table_multiplier(triple: str, k: int) -> int:
-    value = MULTIPLIER_TABLE[triple]
+    value = MULTIPLIER_TABLE.get(triple)
     if value is None:
         raise IllegalLocalPatternError(f"senses {triple} around v_{k} occur in no legal orientation")
     return value
 
 
-def multiplier_vector(orient: PathOrientation) -> MultiplierVector:
-    return MultiplierVector(tuple(vertex_multiplier(orient, k) for k in range(1, orient.n + 1)))
+def multiplier_vector(orient: str) -> tuple[int, ...]:
+    """Per-vertex multipliers, v_1 first; entry 1 is always 1."""
+    _require_senses(orient)
+    return tuple(vertex_multiplier(orient, k) for k in range(1, len(orient) + 2))
 
 
-def count_configs_on_orientation(orient: PathOrientation) -> int:
+def count_configs_on_orientation(orient: str) -> int:
     """Product of the vertex multipliers; the orientation must be legal."""
-    report = check_p2_orientation(orient)
-    if not report.legal:
-        raise IllegalOrientationError(
-            f"orientation {orient.to_string()!r} violates {report.violations[0][0]}"
-        )
-    return multiplier_vector(orient).product()
+    _require_legal(orient)
+    return math.prod(multiplier_vector(orient))
 
 
 def alternating_count(n: int) -> int:
@@ -155,11 +146,11 @@ def alternating_count(n: int) -> int:
     return 8 * 3 ** (n - 3)
 
 
-def alternating_orientations(n: int) -> list[PathOrientation]:
+def alternating_orientations(n: int) -> list[str]:
     """The two flat-free orientations in which every adjacent edge pair disagrees."""
     if n < 2:
         return []
-    return [PathOrientation((pair * n)[: n - 1]) for pair in ("RL", "LR")]
+    return [(pair * n)[: n - 1] for pair in ("RL", "LR")]
 
 
 def count_T_recurrence(n: int) -> int:
@@ -294,42 +285,33 @@ def build_count_ledger(n: int) -> CountLedger:
     return CountLedger(n=n, per_orientation=per, totals=totals)
 
 
-def sever_at_flats(orient: PathOrientation) -> list[PathOrientation]:
+def sever_at_flats(orient: str) -> list[str]:
     """Suborientations on the maximal flat-free segments (flat edges deleted).
 
     For a legal input every segment is itself legal, and the product of the
     segment counts equals the whole orientation's count.
     """
-    report = check_p2_orientation(orient)
-    if not report.legal:
-        raise IllegalOrientationError(
-            f"orientation {orient.to_string()!r} violates {report.violations[0][0]}"
-        )
-    return [PathOrientation(part) for part in orient.senses.split("F")]
+    _require_legal(orient)
+    return orient.split("F")
 
 
-def contract_agreeing(orient: PathOrientation, i: int) -> PathOrientation:
+def contract_agreeing(s: str, i: int) -> str:
     """Remove the agreeing pair (e_{i-1}, e_i) and flip every later directed edge.
 
     The result lives on a path with two fewer vertices and is induced by
     exactly as many configurations as the input.
     """
-    report = check_p2_orientation(orient)
-    if not report.legal:
-        raise IllegalOrientationError(
-            f"orientation {orient.to_string()!r} violates {report.violations[0][0]}"
-        )
-    s = orient.senses
+    _require_legal(s)
     if not 2 <= i <= len(s):
         raise NotAnAgreeingPairError(f"no edge pair (e_{i - 1}, e_{i}) on this path")
     if s[i - 2] == "F" or s[i - 2] != s[i - 1]:
         raise NotAnAgreeingPairError(f"edges e_{i - 1}, e_{i} are not an agreeing directed pair")
-    return PathOrientation(s[: i - 2] + s[i:].translate(SENSE_FLIP))
+    return s[: i - 2] + flipped(s[i:])
 
 
-def agreeing_pair_positions(orient: PathOrientation) -> list[int]:
+def agreeing_pair_positions(s: str) -> list[int]:
     """Indices i such that (e_{i-1}, e_i) is an agreeing directed pair."""
-    s = orient.senses
+    _require_senses(s)
     return [i for i in range(2, len(s) + 1) if s[i - 2] != "F" and s[i - 2] == s[i - 1]]
 
 

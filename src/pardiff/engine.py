@@ -23,7 +23,6 @@ from pardiff.graphs import (
     Configuration,
     Graph,
     PathGraph,
-    PathOrientation,
     frozen_adjacency,
 )
 
@@ -150,7 +149,7 @@ def detect_period(graph: Graph, config: Configuration, max_steps: int) -> Period
     return PeriodReport(preperiod=preperiod, period=period, orbit=orbit)
 
 
-def induced_orientation(graph: PathGraph, config: Configuration) -> PathOrientation:
+def induced_orientation(graph: PathGraph, config: Configuration) -> str:
     """Sense of e_i from the stacks: Right if v_{i+1} is richer than v_i."""
     if len(config.stacks) != graph.vertex_count:
         raise ConfigMismatchError(
@@ -159,10 +158,8 @@ def induced_orientation(graph: PathGraph, config: Configuration) -> PathOrientat
     return orientation_of_stacks(config.stacks)
 
 
-def orientation_of_stacks(stacks: tuple[int, ...]) -> PathOrientation:
-    return PathOrientation(
-        "".join("R" if b > a else "L" if b < a else "F" for a, b in zip(stacks, stacks[1:]))
-    )
+def orientation_of_stacks(stacks: tuple[int, ...]) -> str:
+    return "".join("R" if b > a else "L" if b < a else "F" for a, b in zip(stacks, stacks[1:]))
 
 
 def is_inside_period(graph: Graph, config: Configuration) -> bool:

@@ -9,8 +9,8 @@ Conventions used throughout the package:
   the drawing and has sense Right; head toward the higher index is Left;
   equal stacks give Flat.
 * Configuration strings are comma-separated stack sizes ordered v_1..v_n.
-* Orientation strings are letters over {R, L, F}, e_1 first; PathOrientation
-  holds exactly that string.
+* Orientation strings are letters over {R, L, F}, e_1 first. Every layer
+  passes an orientation as that plain string.
 
 Stack sizes are plain Python integers at the interfaces; the firing engine
 promises signed 64-bit behaviour and rejects values outside that range.
@@ -40,6 +40,16 @@ SENSE_ORDER = "RLF"
 
 # str.translate table swapping Right and Left; Flat stays Flat.
 SENSE_FLIP = str.maketrans("RL", "LR")
+
+
+def flipped(orient: str) -> str:
+    """Swap Right and Left on every edge (the orbit partner's orientation)."""
+    return orient.translate(SENSE_FLIP)
+
+
+def mirrored(orient: str) -> str:
+    """Relabel the path from the other end: reverse edge order and swap R/L."""
+    return orient[::-1].translate(SENSE_FLIP)
 
 
 @dataclass(frozen=True)
@@ -161,43 +171,6 @@ class Configuration:
         if not 1 <= vertex <= len(self.stacks):
             raise VertexIndexError(f"vertex {vertex} outside [1, {len(self.stacks)}]")
         return self.stacks[vertex - 1]
-
-
-@dataclass(frozen=True)
-class PathOrientation:
-    """Edge senses of a path as letters over "RLF", entry i (0-based) describing e_{i+1}."""
-
-    senses: str
-
-    @property
-    def n(self) -> int:
-        """Vertex count of the underlying path."""
-        return len(self.senses) + 1
-
-    def sense(self, edge_index: int) -> str:
-        """Sense letter of 1-based edge e_i."""
-        if not 1 <= edge_index <= len(self.senses):
-            raise VertexIndexError(f"edge {edge_index} outside [1, {len(self.senses)}]")
-        return self.senses[edge_index - 1]
-
-    def to_string(self) -> str:
-        return self.senses
-
-    @classmethod
-    def from_string(cls, text: str) -> "PathOrientation":
-        senses = text.strip()
-        for ch in senses:
-            if ch not in SENSE_ORDER:
-                raise GraphFormatError(f"unknown sense letter {ch!r}")
-        return cls(senses)
-
-    def flipped(self) -> "PathOrientation":
-        """Swap Right and Left on every edge (the orbit partner's orientation)."""
-        return PathOrientation(self.senses.translate(SENSE_FLIP))
-
-    def mirrored(self) -> "PathOrientation":
-        """Relabel the path from the other end: reverse edge order and swap R/L."""
-        return PathOrientation(self.senses[::-1].translate(SENSE_FLIP))
 
 
 def parse_graph(text: str) -> Graph:

@@ -28,7 +28,6 @@ from pardiff.graphs import (
     Configuration,
     Graph,
     PathGraph,
-    PathOrientation,
     SimpleGraph,
     adjacency,
     is_connected,
@@ -365,7 +364,7 @@ def enumerate_p2_configurations(
     return OracleResult(n=n, diff_bound=diff_bound, configurations=configs, count=count)
 
 
-def orientations_realized(result: OracleResult) -> set[PathOrientation]:
+def orientations_realized(result: OracleResult) -> set[str]:
     """Distinct orientations induced by the oracle's configurations."""
     return {orientation_of_stacks(c.stacks) for c in result.configurations}
 

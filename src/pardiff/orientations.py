@@ -18,8 +18,14 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from pardiff.errors import CeilingError, DomainError, IllegalOrientationError, env_ceiling
-from pardiff.graphs import Configuration, PathGraph, PathOrientation, SENSE_ORDER
+from pardiff.errors import (
+    CeilingError,
+    DomainError,
+    GraphFormatError,
+    IllegalOrientationError,
+    env_ceiling,
+)
+from pardiff.graphs import Configuration, PathGraph, SENSE_ORDER
 
 RULE_ADJACENT_FLATS = "AdjacentFlats"
 RULE_FLAT_AT_LEAF = "FlatAtLeaf"
@@ -40,12 +46,22 @@ class ForbiddenPatternReport:
     violations: tuple[tuple[str, tuple[int, int]], ...]
 
 
-def check_p2_orientation(orient: PathOrientation) -> ForbiddenPatternReport:
-    """Report every forbidden-pattern violation in the orientation (n >= 2)."""
-    s = orient.senses
+def _require_senses(orient: str) -> None:
+    """Raise GraphFormatError naming the first letter outside "RLF", if there is one."""
+    bad = orient.lstrip(SENSE_ORDER)
+    if bad:
+        raise GraphFormatError(f"unknown sense letter {bad[0]!r}")
+
+
+def check_p2_orientation(s: str) -> ForbiddenPatternReport:
+    """Report every forbidden-pattern violation in the orientation (n >= 2).
+
+    Raises GraphFormatError on the first letter outside "RLF".
+    """
     e = len(s)
     if e < 1:
         raise DomainError("orientation checking needs a path with at least one edge")
+    _require_senses(s)
     violations = []
     if s[0] == "F":
         violations.append((RULE_FLAT_AT_LEAF, (1, 1)))
@@ -65,6 +81,13 @@ def check_p2_orientation(orient: PathOrientation) -> ForbiddenPatternReport:
         if not (left_ok and right_ok):
             violations.append((RULE_PAIR_NOT_BOOKENDED, (i + 1, i + 2)))
     return ForbiddenPatternReport(legal=not violations, violations=tuple(violations))
+
+
+def _require_legal(orient: str) -> None:
+    """Raise IllegalOrientationError naming the first violation, if there is one."""
+    report = check_p2_orientation(orient)
+    if not report.legal:
+        raise IllegalOrientationError(f"orientation {orient!r} violates {report.violations[0][0]}")
 
 
 def _enum_ceiling() -> int:
@@ -142,7 +165,7 @@ def _unit_factor(window: str, p: int) -> int:
     return 1
 
 
-def enumerate_p2_orientations(n: int) -> list[PathOrientation]:
+def enumerate_p2_orientations(n: int) -> list[str]:
     """All legal orientations of the n-vertex path, lexicographic with R < L < F.
 
     Read off ``grow_p2_orientations`` with unit weights, then sorted, since
@@ -155,7 +178,7 @@ def enumerate_p2_orientations(n: int) -> list[PathOrientation]:
     """
     senses, _ = grow_p2_orientations(n, _unit_factor)
     senses.sort(reverse=True)
-    return [PathOrientation(s) for s in senses]
+    return senses
 
 
 def count_p2_orientations_recurrence(n: int) -> int:
@@ -169,18 +192,14 @@ def count_p2_orientations_recurrence(n: int) -> int:
     return vals[n]
 
 
-def witness_configuration(orient: PathOrientation) -> Configuration:
+def witness_configuration(orient: str) -> Configuration:
     """A configuration inducing the orientation and already inside a 2-period.
 
     Built right to left from v_1 = 0: one chip more than the previous vertex
     across a Right edge, one less across a Left edge, equal across a Flat edge.
     """
-    report = check_p2_orientation(orient)
-    if not report.legal:
-        raise IllegalOrientationError(
-            f"orientation {orient.to_string()!r} violates {report.violations[0][0]}"
-        )
+    _require_legal(orient)
     stacks = [0]
-    for sense in orient.senses:
+    for sense in orient:
         stacks.append(stacks[-1] + _STEP[sense])
-    return Configuration(tuple(stacks), PathGraph(orient.n))
+    return Configuration(tuple(stacks), PathGraph(len(stacks)))

@@ -20,9 +20,10 @@ from pardiff.errors import DomainError
 from pardiff.graphs import (
     Configuration,
     PathGraph,
-    PathOrientation,
     SimpleGraph,
     canonicalize,
+    flipped,
+    mirrored,
     parse_graph,
     render_graph,
     shift,
@@ -69,13 +70,13 @@ class _RunInputs:
 
     def __init__(self, config: VerifyConfig):
         self._config = config
-        self._orientations: dict[int, list[PathOrientation]] = {}
+        self._orientations: dict[int, list[str]] = {}
         self._oracle_lists = None
         self._legal: dict[str, bool] = {}
         self._counts: dict[str, int] = {}
         self._dp_counts: dict[int, list[int]] = {}
 
-    def orientations(self, n: int) -> list[PathOrientation]:
+    def orientations(self, n: int) -> list[str]:
         if n not in self._orientations:
             self._orientations[n] = orientations.enumerate_p2_orientations(n)
         return self._orientations[n]
@@ -89,17 +90,15 @@ class _RunInputs:
             ]
         return self._oracle_lists
 
-    def legal(self, orient: PathOrientation) -> bool:
-        key = orient.senses
-        if key not in self._legal:
-            self._legal[key] = orientations.check_p2_orientation(orient).legal
-        return self._legal[key]
+    def legal(self, orient: str) -> bool:
+        if orient not in self._legal:
+            self._legal[orient] = orientations.check_p2_orientation(orient).legal
+        return self._legal[orient]
 
-    def count(self, orient: PathOrientation) -> int:
-        key = orient.senses
-        if key not in self._counts:
-            self._counts[key] = counting.count_configs_on_orientation(orient)
-        return self._counts[key]
+    def count(self, orient: str) -> int:
+        if orient not in self._counts:
+            self._counts[orient] = counting.count_configs_on_orientation(orient)
+        return self._counts[orient]
 
     def dp_counts(self, diff_bound: int) -> list[int]:
         """Window-DP counts at n = 2.._DP_MAX (entry n - 2)."""
@@ -252,8 +251,8 @@ def _chk_period_reversal(cfg: VerifyConfig, inputs: _RunInputs):
         for orient in inputs.orientations(n):
             c = orientations.witness_configuration(orient)
             fired = engine.fire_step(graph, c)
-            if engine.induced_orientation(graph, fired) != orient.flipped():
-                return f"orientation {orient.to_string()} not reversed after firing"
+            if engine.induced_orientation(graph, fired) != flipped(orient):
+                return f"orientation {orient} not reversed after firing"
     return None
 
 
@@ -295,8 +294,8 @@ def _chk_realized(cfg: VerifyConfig, inputs: _RunInputs):
         realized = oracle.orientations_realized(result)
         enumerated = set(inputs.orientations(n))
         if realized != enumerated:
-            extra = {o.to_string() for o in realized - enumerated}
-            missing = {o.to_string() for o in enumerated - realized}
+            extra = realized - enumerated
+            missing = enumerated - realized
             return f"n={n}: extra {sorted(extra)}, missing {sorted(missing)}"
     return None
 
@@ -322,29 +321,27 @@ def _chk_witness(cfg: VerifyConfig, inputs: _RunInputs):
             c = orientations.witness_configuration(orient)
             once = engine.fire_step(graph, c)
             if once == c or engine.fire_step(graph, once) != c:
-                return f"witness for {orient.to_string()} is not exactly 2-periodic"
+                return f"witness for {orient} is not exactly 2-periodic"
             if engine.induced_orientation(graph, c) != orient:
-                return f"witness for {orient.to_string()} induces a different orientation"
+                return f"witness for {orient} induces a different orientation"
     return None
 
 
 @_check("orientation", "mirror-symmetry")
 def _chk_mirror(cfg: VerifyConfig, inputs: _RunInputs):
     for e in range(1, 8):
-        for senses in _all_sense_vectors(e):
-            o = PathOrientation(senses)
-            if inputs.legal(o) != inputs.legal(o.mirrored()):
-                return f"legality changed under mirroring for {o.to_string()}"
+        for o in _all_sense_vectors(e):
+            if inputs.legal(o) != inputs.legal(mirrored(o)):
+                return f"legality changed under mirroring for {o}"
     return None
 
 
 @_check("orientation", "flip-symmetry")
 def _chk_flip(cfg: VerifyConfig, inputs: _RunInputs):
     for e in range(1, 8):
-        for senses in _all_sense_vectors(e):
-            o = PathOrientation(senses)
-            if inputs.legal(o) != inputs.legal(o.flipped()):
-                return f"legality changed under direction flip for {o.to_string()}"
+        for o in _all_sense_vectors(e):
+            if inputs.legal(o) != inputs.legal(flipped(o)):
+                return f"legality changed under direction flip for {o}"
     return None
 
 
@@ -367,14 +364,14 @@ def _chk_routes(cfg: VerifyConfig, inputs: _RunInputs):
 def _chk_severing(cfg: VerifyConfig, inputs: _RunInputs):
     for n in range(2, cfg.max_n_structure + 1):
         for orient in inputs.orientations(n):
-            if "F" not in orient.senses:
+            if "F" not in orient:
                 continue
             whole = inputs.count(orient)
             prod = 1
             for part in counting.sever_at_flats(orient):
                 prod *= inputs.count(part)
             if whole != prod:
-                return f"{orient.to_string()}: whole {whole} != product {prod}"
+                return f"{orient}: whole {whole} != product {prod}"
     return None
 
 
@@ -386,9 +383,9 @@ def _chk_contraction(cfg: VerifyConfig, inputs: _RunInputs):
             for i in counting.agreeing_pair_positions(orient):
                 smaller = counting.contract_agreeing(orient, i)
                 if not inputs.legal(smaller):
-                    return f"{orient.to_string()} contracted at {i} is illegal"
+                    return f"{orient} contracted at {i} is illegal"
                 if inputs.count(smaller) != before:
-                    return f"{orient.to_string()} contracted at {i} changed the count"
+                    return f"{orient} contracted at {i} changed the count"
     return None
 
 
@@ -478,14 +475,12 @@ def _chk_refinement(cfg: VerifyConfig, inputs: _RunInputs):
 
     for result in inputs.oracle_lists():
         n = result.n
-        grouped = Counter(
-            engine.orientation_of_stacks(c.stacks).to_string() for c in result.configurations
-        )
+        grouped = Counter(engine.orientation_of_stacks(c.stacks) for c in result.configurations)
         for orient in inputs.orientations(n):
             want = inputs.count(orient)
-            got = grouped.get(orient.to_string(), 0)
+            got = grouped.get(orient, 0)
             if got != want:
-                return f"n={n} {orient.to_string()}: oracle {got}, multipliers {want}"
+                return f"n={n} {orient}: oracle {got}, multipliers {want}"
     return None
 
 

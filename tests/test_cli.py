@@ -13,7 +13,8 @@ from jsonschema import validate
 
 from pardiff import oracle
 from pardiff.cli import main
-from pardiff.counting import count_T_recurrence
+from pardiff.counting import alternating_count, count_T_recurrence
+from pardiff.orientations import count_p2_orientations_recurrence
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
 
@@ -346,16 +347,33 @@ def test_conjecture_missing_file_exits_one(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_console_entry_point(tmp_path):
-    out = tmp_path / "c.json"
-    # the child imports the same pardiff as this process, installed or not
+def _run_child(args):
+    """Run ``python *args`` importing the same pardiff as this process, installed or not."""
     src = str(Path(oracle.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "pardiff.cli", "count", "--n", "2", "--method", "recurrence", "--out", str(out)],
-        capture_output=True,
-        text=True,
-        env=env,
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def test_console_entry_point(tmp_path):
+    out = tmp_path / "c.json"
+    proc = _run_child(
+        ["-m", "pardiff.cli", "count", "--n", "2", "--method", "recurrence", "--out", str(out)]
     )
     assert proc.returncode == 0
     assert json.loads(out.read_text())["count"] == 2
+
+
+def test_export_sequences_script(tmp_path):
+    out = tmp_path / "sequences.csv"
+    script = Path(__file__).resolve().parent.parent / "scripts" / "export_sequences.py"
+    proc = _run_child([str(script), "--n-max", "12", "--out", str(out)])
+    assert proc.returncode == 0, proc.stderr
+    with open(out, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["n", "R_n", "A_n", "T_n"]
+    assert [int(r[0]) for r in rows] == list(range(1, 13))
+    for n, r_n, a_n, t_n in rows:
+        n = int(n)
+        assert int(r_n) == count_p2_orientations_recurrence(n), n
+        assert int(a_n) == alternating_count(n), n
+        assert int(t_n) == count_T_recurrence(n), n

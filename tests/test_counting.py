@@ -24,15 +24,16 @@ from pardiff.counting import (
     vertex_multiplier,
 )
 from pardiff.errors import (
+    GraphFormatError,
     IllegalLocalPatternError,
     IllegalOrientationError,
     NotAnAgreeingPairError,
 )
-from pardiff.graphs import PathOrientation
 from pardiff.orientations import (
     check_p2_orientation,
     count_p2_orientations_recurrence,
     enumerate_p2_orientations,
+    witness_configuration,
 )
 
 # ten-vertex worked example: senses e_1..e_9 and the resulting multipliers
@@ -42,47 +43,68 @@ WORKED_MULTIPLIERS = (1, 2, 3, 3, 1, 1, 2, 1, 2, 2)
 T_KNOWN = {1: 0, 2: 2, 3: 8, 4: 26, 5: 96, 6: 346, 7: 1248}
 
 
-def O(text):
-    return PathOrientation.from_string(text)
-
-
 def test_worked_example_multipliers():
-    assert multiplier_vector(O(WORKED_P10)).values == WORKED_MULTIPLIERS
-    assert count_configs_on_orientation(O(WORKED_P10)) == 144
+    assert multiplier_vector(WORKED_P10) == WORKED_MULTIPLIERS
+    assert count_configs_on_orientation(WORKED_P10) == 144
 
 
 def test_alternating_interior_multiplier_is_three():
-    o = O("RLRLRL")
-    for k in range(3, o.n):
+    o = "RLRLRL"
+    for k in range(3, len(o) + 1):
         assert vertex_multiplier(o, k) == 3
 
 
 def test_flat_neighbour_forces_single_choice():
     # the flat edge pins v_3 to v_2's stack, so one choice only
-    assert vertex_multiplier(O("RFL"), 3) == 1
+    assert vertex_multiplier("RFL", 3) == 1
 
 
 def test_two_vertex_path_has_unit_multipliers():
-    assert multiplier_vector(O("R")).values == (1, 1)
-    assert count_configs_on_orientation(O("R")) == 1
-    assert count_configs_on_orientation(O("L")) == 1
+    assert multiplier_vector("R") == (1, 1)
+    assert count_configs_on_orientation("R") == 1
+    assert count_configs_on_orientation("L") == 1
 
 
 def test_leaf_multipliers_follow_second_edge():
-    assert vertex_multiplier(O("RLR"), 2) == 2
-    assert vertex_multiplier(O("RFL"), 2) == 1
-    assert vertex_multiplier(O("RLRL"), 5) == 2
-    assert vertex_multiplier(O("RLFR"), 5) == 1
+    assert vertex_multiplier("RLR", 2) == 2
+    assert vertex_multiplier("RFL", 2) == 1
+    assert vertex_multiplier("RLRL", 5) == 2
+    assert vertex_multiplier("RLFR", 5) == 1
 
 
 def test_locally_impossible_triple_raises():
     with pytest.raises(IllegalLocalPatternError):
-        vertex_multiplier(O("RRRL"), 3)
+        vertex_multiplier("RRRL", 3)
+
+
+@pytest.mark.parametrize("text,letter", [("RXL", "X"), ("rl", "r")])
+@pytest.mark.parametrize(
+    "entry",
+    [
+        check_p2_orientation,
+        witness_configuration,
+        count_configs_on_orientation,
+        sever_at_flats,
+        lambda o: contract_agreeing(o, 2),
+        multiplier_vector,
+        agreeing_pair_positions,
+    ],
+    ids=["check", "witness", "count", "sever", "contract", "multipliers", "agreeing-pairs"],
+)
+def test_unknown_sense_letter_rejected(entry, text, letter):
+    # a GraphFormatError, never a KeyError and never a legal verdict
+    with pytest.raises(GraphFormatError, match=f"unknown sense letter '{letter}'"):
+        entry(text)
+
+
+def test_unknown_triple_is_an_illegal_local_pattern():
+    with pytest.raises(IllegalLocalPatternError):
+        vertex_multiplier("RXLR", 3)
 
 
 def test_count_rejects_illegal_orientation():
     with pytest.raises(IllegalOrientationError):
-        count_configs_on_orientation(O("RRL"))
+        count_configs_on_orientation("RRL")
 
 
 def test_alternating_counts():
@@ -100,7 +122,7 @@ def test_alternating_closed_form_matches_direct_sum():
 
 
 def test_alternating_p5_orientation_count():
-    assert count_configs_on_orientation(O("RLRL")) == 36
+    assert count_configs_on_orientation("RLRL") == 36
 
 
 def test_recurrence_initial_values():
@@ -121,7 +143,7 @@ def test_builder_counts_match_per_orientation_products():
         senses, counts = _counted_orientations(n)
         assert len(set(senses)) == len(senses) == count_p2_orientations_recurrence(n)
         for s, count in zip(senses, counts):
-            assert count == count_configs_on_orientation(O(s)), s
+            assert count == count_configs_on_orientation(s), s
 
 
 def test_direct_equals_recurrence_to_twenty():
@@ -133,11 +155,11 @@ def test_direct_count_decomposition_n5():
     by_kind = {"alternating": 0, "flat_e2": 0, "flat_e3": 0, "agreeing": 0}
     for o in enumerate_p2_orientations(5):
         c = count_configs_on_orientation(o)
-        if "F" not in o.senses and not agreeing_pair_positions(o):
+        if "F" not in o and not agreeing_pair_positions(o):
             by_kind["alternating"] += c
-        elif o.senses[1] == "F":
+        elif o[1] == "F":
             by_kind["flat_e2"] += c
-        elif o.senses[2] == "F":
+        elif o[2] == "F":
             by_kind["flat_e3"] += c
         else:
             by_kind["agreeing"] += c
@@ -181,40 +203,40 @@ def test_stage_monotone():
 
 
 def test_sever_examples():
-    parts = sever_at_flats(O("RFL"))
-    assert [p.to_string() for p in parts] == ["R", "L"]
-    alt = O("RLRL")
+    parts = sever_at_flats("RFL")
+    assert parts == ["R", "L"]
+    alt = "RLRL"
     assert sever_at_flats(alt) == [alt]
-    worked = sever_at_flats(O(WORKED_P10))
-    assert [p.to_string() for p in worked] == ["LRLRRL", "RL"]
+    worked = sever_at_flats(WORKED_P10)
+    assert worked == ["LRLRRL", "RL"]
     assert all(check_p2_orientation(p).legal for p in worked)
 
 
 def test_sever_multiplicative():
     for n in range(2, 11):
         for o in enumerate_p2_orientations(n):
-            if "F" not in o.senses:
+            if "F" not in o:
                 continue
             prod = math.prod(count_configs_on_orientation(p) for p in sever_at_flats(o))
             assert prod == count_configs_on_orientation(o)
 
 
 def test_contract_example():
-    smaller = contract_agreeing(O("LRRL"), 3)
-    assert smaller.to_string() == "LR"
-    assert count_configs_on_orientation(O("LRRL")) == count_configs_on_orientation(smaller) == 4
+    smaller = contract_agreeing("LRRL", 3)
+    assert smaller == "LR"
+    assert count_configs_on_orientation("LRRL") == count_configs_on_orientation(smaller) == 4
 
 
 def test_contract_nine_vertex_case():
     # the pair sits at (e_3, e_4); everything past it reverses direction
-    assert contract_agreeing(O("RLRRLRLR"), 4).to_string() == "RLRLRL"
+    assert contract_agreeing("RLRRLRLR", 4) == "RLRLRL"
 
 
 def test_contract_requires_agreeing_pair():
     with pytest.raises(NotAnAgreeingPairError):
-        contract_agreeing(O("RLRL"), 3)
+        contract_agreeing("RLRL", 3)
     with pytest.raises(NotAnAgreeingPairError):
-        contract_agreeing(O("RFL"), 2)
+        contract_agreeing("RFL", 2)
 
 
 def test_contract_preserves_counts():

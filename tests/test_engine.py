@@ -24,6 +24,7 @@ from pardiff.graphs import (
     PathGraph,
     SimpleGraph,
     canonicalize,
+    flipped,
     shift,
 )
 
@@ -170,10 +171,10 @@ def test_period_report_json_shape():
 
 
 def test_induced_orientation_examples():
-    assert induced_orientation(P5, Configuration((12, 2, 8, 9, 15), P5)).to_string() == "LRRR"
-    assert induced_orientation(P5, Configuration((4, 4, 4, 4, 4), P5)).to_string() == "FFFF"
+    assert induced_orientation(P5, Configuration((12, 2, 8, 9, 15), P5)) == "LRRR"
+    assert induced_orientation(P5, Configuration((4, 4, 4, 4, 4), P5)) == "FFFF"
     g3 = PathGraph(3)
-    assert induced_orientation(g3, Configuration((0, 1, 2), g3)).to_string() == "RR"
+    assert induced_orientation(g3, Configuration((0, 1, 2), g3)) == "RR"
 
 
 def test_is_inside_period_examples():
@@ -246,7 +247,7 @@ def test_orbit_orientation_reverses_on_paths(gc):
     report = detect_period(graph, c, default_max_steps(graph, c))
     inside = report.orbit[0]
     fired = fire_step(graph, inside)
-    assert induced_orientation(graph, fired) == induced_orientation(graph, inside).flipped()
+    assert induced_orientation(graph, fired) == flipped(induced_orientation(graph, inside))
 
 
 @given(graph_and_config())

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from pardiff.engine import induced_orientation
 from pardiff.errors import (
     ConfigMismatchError,
     DuplicateEdgeError,
@@ -14,15 +15,17 @@ from pardiff.errors import (
 from pardiff.graphs import (
     Configuration,
     PathGraph,
-    PathOrientation,
     SimpleGraph,
     canonicalize,
     config_from_string,
     config_to_string,
+    flipped,
+    mirrored,
     parse_graph,
     render_graph,
     shift,
 )
+from pardiff.orientations import check_p2_orientation, witness_configuration
 
 
 def test_parse_path():
@@ -94,20 +97,18 @@ def test_config_string_round_trip():
 
 
 def test_orientation_string_round_trip():
-    o = PathOrientation.from_string("RLFRL")
-    assert o.to_string() == "RLFRL"
-    assert o.n == 6
-    assert o.sense(3) == "F"
+    # a sense string, built into its witness and read back off the stacks
+    assert induced_orientation(PathGraph(6), witness_configuration("RLFRL")) == "RLFRL"
     with pytest.raises(GraphFormatError):
-        PathOrientation.from_string("RLX")
+        check_p2_orientation("RLX")
 
 
 def test_orientation_mirror_and_flip():
-    o = PathOrientation.from_string("RLF")
-    assert o.flipped().to_string() == "LRF"
-    assert o.mirrored().to_string() == "FRL"
-    assert o.mirrored().mirrored() == o
-    assert o.flipped().flipped() == o
+    o = "RLF"
+    assert flipped(o) == "LRF"
+    assert mirrored(o) == "FRL"
+    assert mirrored(mirrored(o)) == o
+    assert flipped(flipped(o)) == o
 
 
 def test_self_loop_rejected_in_constructor():

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from pardiff.engine import fire_step, induced_orientation
 from pardiff.errors import CeilingError, IllegalOrientationError
-from pardiff.graphs import SENSE_ORDER, PathGraph, PathOrientation
+from pardiff.graphs import SENSE_ORDER, PathGraph, flipped, mirrored
 from pardiff.orientations import (
     RULE_ADJACENT_FLATS,
     RULE_FLAT_AT_LEAF,
@@ -30,12 +30,8 @@ from pardiff.orientations import (
 R_PREFIX = [0, 2, 2, 4, 8, 14, 28, 52, 100, 190, 362]
 
 
-def O(text):
-    return PathOrientation.from_string(text)
-
-
 def test_alternating_is_legal():
-    assert check_p2_orientation(O("RLRL")).legal
+    assert check_p2_orientation("RLRL").legal
 
 
 @pytest.mark.parametrize(
@@ -50,37 +46,37 @@ def test_alternating_is_legal():
     ],
 )
 def test_forbidden_patterns_reported(text, rule):
-    report = check_p2_orientation(O(text))
+    report = check_p2_orientation(text)
     assert not report.legal
     assert rule in {v[0] for v in report.violations}
 
 
 def test_violation_spans_are_edge_indices():
-    report = check_p2_orientation(O("RFRL"))
+    report = check_p2_orientation("RFRL")
     assert (RULE_FLAT_NOT_BOOKENDED, (1, 3)) in report.violations
 
 
 def test_single_edge_path():
-    assert check_p2_orientation(O("R")).legal
-    assert check_p2_orientation(O("L")).legal
-    report = check_p2_orientation(O("F"))
+    assert check_p2_orientation("R").legal
+    assert check_p2_orientation("L").legal
+    report = check_p2_orientation("F")
     assert not report.legal
     assert report.violations == ((RULE_FLAT_AT_LEAF, (1, 1)),)
 
 
 def test_enumerate_smallest():
     assert enumerate_p2_orientations(1) == []
-    assert [o.to_string() for o in enumerate_p2_orientations(2)] == ["R", "L"]
-    assert [o.to_string() for o in enumerate_p2_orientations(4)] == ["RLR", "RFL", "LRL", "LFR"]
+    assert enumerate_p2_orientations(2) == ["R", "L"]
+    assert enumerate_p2_orientations(4) == ["RLR", "RFL", "LRL", "LFR"]
     assert len(enumerate_p2_orientations(5)) == 8
 
 
 def test_enumerate_matches_plain_filter():
     for n in range(2, 11):
         wanted = [
-            PathOrientation("".join(senses))
+            "".join(senses)
             for senses in product(SENSE_ORDER, repeat=n - 1)
-            if check_p2_orientation(PathOrientation("".join(senses))).legal
+            if check_p2_orientation("".join(senses)).legal
         ]
         assert enumerate_p2_orientations(n) == wanted
 
@@ -98,7 +94,7 @@ def test_builder_weight_is_product_of_step_factors():
 def test_enumerate_is_lexicographic():
     rank = {s: i for i, s in enumerate(SENSE_ORDER)}
     for n in (7, 12):
-        keys = [tuple(rank[s] for s in o.senses) for o in enumerate_p2_orientations(n)]
+        keys = [tuple(rank[s] for s in o) for o in enumerate_p2_orientations(n)]
         assert keys == sorted(keys), n
 
 
@@ -127,13 +123,13 @@ def test_counts_agree_with_enumeration():
 
 
 def test_witness_examples():
-    assert witness_configuration(O("RLRL")).stacks == (0, 1, 0, 1, 0)
-    assert witness_configuration(O("RFL")).stacks == (0, 1, 1, 0)
-    assert witness_configuration(O("L")).stacks == (0, -1)
+    assert witness_configuration("RLRL").stacks == (0, 1, 0, 1, 0)
+    assert witness_configuration("RFL").stacks == (0, 1, 1, 0)
+    assert witness_configuration("L").stacks == (0, -1)
 
 
 def test_witness_rfl_is_two_periodic():
-    c = witness_configuration(O("RFL"))
+    c = witness_configuration("RFL")
     g = PathGraph(4)
     once = fire_step(g, c)
     assert once != c
@@ -142,7 +138,7 @@ def test_witness_rfl_is_two_periodic():
 
 def test_witness_rejects_illegal():
     with pytest.raises(IllegalOrientationError):
-        witness_configuration(O("RRL"))
+        witness_configuration("RRL")
 
 
 def test_witnesses_induce_their_orientation():
@@ -153,19 +149,17 @@ def test_witnesses_induce_their_orientation():
             assert induced_orientation(g, c) == o
 
 
-sense_vectors = st.lists(st.sampled_from(SENSE_ORDER), min_size=1, max_size=12).map(
-    lambda senses: PathOrientation("".join(senses))
-)
+sense_vectors = st.lists(st.sampled_from(SENSE_ORDER), min_size=1, max_size=12).map("".join)
 
 
 @given(sense_vectors)
 def test_mirror_preserves_legality(o):
-    assert check_p2_orientation(o.mirrored()).legal == check_p2_orientation(o).legal
+    assert check_p2_orientation(mirrored(o)).legal == check_p2_orientation(o).legal
 
 
 @given(sense_vectors)
 def test_flip_preserves_legality(o):
-    assert check_p2_orientation(o.flipped()).legal == check_p2_orientation(o).legal
+    assert check_p2_orientation(flipped(o)).legal == check_p2_orientation(o).legal
 
 
 @given(sense_vectors)

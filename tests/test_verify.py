@@ -91,7 +91,7 @@ def _count_off_by_one_on_flats(monkeypatch):
     monkeypatch.setattr(
         counting,
         "count_configs_on_orientation",
-        lambda o: real(o) + ("F" in o.senses),
+        lambda o: real(o) + ("F" in o),
     )
 
 
@@ -110,7 +110,7 @@ def test_memoized_legality_fault_is_named(monkeypatch):
 
     def wrong_on_target(o):
         report = real(o)
-        if o.senses == target:
+        if o == target:
             return orientations.ForbiddenPatternReport(legal=not report.legal, violations=())
         return report
 
