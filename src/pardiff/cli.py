@@ -10,8 +10,6 @@ inconsistency.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import sys
@@ -164,6 +162,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_conjecture(args) -> int:
+    import csv  # only this command writes CSV; the others skip the import
+    import io
+
     t0 = time.perf_counter()
     with open(args.g0_file, encoding="utf-8") as fh:
         g0 = parse_graph(fh.read())

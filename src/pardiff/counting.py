@@ -11,7 +11,6 @@ must all agree.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from pardiff.errors import (
     CeilingError,
@@ -21,7 +20,7 @@ from pardiff.errors import (
     NotAnAgreeingPairError,
     VertexIndexError,
 )
-from pardiff.graphs import flipped
+from pardiff.graphs import Record, flipped
 from pardiff.orientations import (
     _enum_ceiling,
     _require_legal,
@@ -72,37 +71,48 @@ MULTIPLIER_TABLE: dict[str, int | None] = {
 }
 
 
-@dataclass(frozen=True)
-class CountLedger:
-    """Per-orientation products and the aggregate counts for one path length."""
+class CountLedger(Record):
+    """Per-orientation products and the aggregate counts for one path length.
 
-    n: int
-    per_orientation: dict[str, int]
-    totals: dict[str, int]
+    Its dict fields make it unhashable.
+    """
+
+    __slots__ = _fields = ("n", "per_orientation", "totals")
+
+    def __init__(self, n: int, per_orientation: dict[str, int], totals: dict[str, int]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "per_orientation", per_orientation)
+        object.__setattr__(self, "totals", totals)
 
     def to_dict(self) -> dict:
         return {"n": self.n, "per_orientation": dict(self.per_orientation), "totals": dict(self.totals)}
 
 
-@dataclass(frozen=True)
-class AsymptoticModel:
+class AsymptoticModel(Record):
     """Roots of x^4 - 3x^3 - 2x^2 - x + 1 and the fitted dominant term."""
 
-    roots: tuple[complex, ...]
-    dominant_root: float
-    dominant_coefficient: float
+    __slots__ = _fields = ("roots", "dominant_root", "dominant_coefficient")
+
+    def __init__(self, roots: tuple[complex, ...], dominant_root: float, dominant_coefficient: float):
+        object.__setattr__(self, "roots", roots)
+        object.__setattr__(self, "dominant_root", dominant_root)
+        object.__setattr__(self, "dominant_coefficient", dominant_coefficient)
 
 
 def vertex_multiplier(orient: str, k: int) -> int:
     """Number of admissible stack sizes for v_k given all stacks to its right.
 
-    Assumes the orientation is legal overall, and reads only the letters
-    around v_k; a locally impossible sense triple, or one with a letter
-    outside "RLF", still raises IllegalLocalPatternError.
+    Assumes the orientation is legal overall, and reads only the senses of
+    e_{k-2}, e_{k-1} and e_k, those that exist. At v_1, v_2 and v_n a letter
+    outside "RLF" among them raises GraphFormatError. At an interior vertex
+    a locally impossible sense triple, including one with such a letter,
+    raises IllegalLocalPatternError.
     """
     n = len(orient) + 1
     if not 1 <= k <= n:
         raise VertexIndexError(f"vertex {k} outside [1, {n}]")
+    if k <= 2 or k == n:
+        _require_senses(orient[max(k - 3, 0) : k])
     if k == 1:
         return 1
     if n == 2:

@@ -9,8 +9,6 @@ instead of generic cycle finding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from pardiff.errors import (
     ConfigMismatchError,
     DomainError,
@@ -23,17 +21,20 @@ from pardiff.graphs import (
     Configuration,
     Graph,
     PathGraph,
+    Record,
     frozen_adjacency,
 )
 
 
-@dataclass(frozen=True)
-class PeriodReport:
+class PeriodReport(Record):
     """Least preperiod N and least period p in {1, 2}, with the orbit at time N."""
 
-    preperiod: int
-    period: int
-    orbit: tuple[Configuration, ...]
+    __slots__ = _fields = ("preperiod", "period", "orbit")
+
+    def __init__(self, preperiod: int, period: int, orbit: tuple[Configuration, ...]):
+        object.__setattr__(self, "preperiod", preperiod)
+        object.__setattr__(self, "period", period)
+        object.__setattr__(self, "orbit", orbit)
 
     def to_dict(self) -> dict:
         return {
@@ -43,12 +44,14 @@ class PeriodReport:
         }
 
 
-@dataclass(frozen=True)
-class SequenceTrace:
+class SequenceTrace(Record):
     """Configurations C_0, C_1, ... produced by repeated firing; steps[0] is C_0."""
 
-    initial: Configuration
-    steps: tuple[Configuration, ...]
+    __slots__ = _fields = ("initial", "steps")
+
+    def __init__(self, initial: Configuration, steps: tuple[Configuration, ...]):
+        object.__setattr__(self, "initial", initial)
+        object.__setattr__(self, "steps", steps)
 
     def to_json_lines(self) -> list[dict]:
         return [{"step": t, "stacks": list(c.stacks)} for t, c in enumerate(self.steps)]

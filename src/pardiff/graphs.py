@@ -19,7 +19,6 @@ promises signed 64-bit behaviour and rejects values outside that range.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Union
 
@@ -52,23 +51,73 @@ def mirrored(orient: str) -> str:
     return orient[::-1].translate(SENSE_FLIP)
 
 
-@dataclass(frozen=True)
-class SimpleGraph:
+class Record:
+    """Immutable value over the fields named in ``_fields``, in constructor order.
+
+    Gives value equality (NotImplemented against any other class), a hash
+    of the field tuple, a repr naming the class, no assignment, and pickling
+    by a constructor call, since unpickling cannot assign to the fields.
+    Each subclass sets its fields in ``__init__`` with ``object.__setattr__``.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({body})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (self.__class__, self._values())
+
+
+# SimpleGraph, PathGraph and Configuration are built and compared inside the
+# search and verify loops, and graphs key frozen_adjacency's cache, so each
+# spells out its own __init__, __eq__ and __hash__.
+
+
+class SimpleGraph(Record):
     """Finite simple undirected graph; edges stored as (u, v) pairs with u < v."""
 
-    vertex_count: int
-    edges: frozenset[tuple[int, int]]
+    __slots__ = _fields = ("vertex_count", "edges")
 
-    def __post_init__(self):
-        if self.vertex_count < 1:
+    def __init__(self, vertex_count: int, edges: frozenset[tuple[int, int]]):
+        if vertex_count < 1:
             raise VertexIndexError("vertex_count must be positive")
-        for u, v in self.edges:
+        for u, v in edges:
             if u == v:
                 raise SelfLoopError(f"self-loop at vertex {u}")
             if u > v:
                 raise VertexIndexError(f"edge ({u}, {v}) not normalized as u < v")
-            if not (1 <= u <= self.vertex_count and 1 <= v <= self.vertex_count):
-                raise VertexIndexError(f"edge ({u}, {v}) outside [1, {self.vertex_count}]")
+            if not (1 <= u <= vertex_count and 1 <= v <= vertex_count):
+                raise VertexIndexError(f"edge ({u}, {v}) outside [1, {vertex_count}]")
+        object.__setattr__(self, "vertex_count", vertex_count)
+        object.__setattr__(self, "edges", edges)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.vertex_count == other.vertex_count and self.edges == other.edges
+
+    def __hash__(self):
+        return hash((self.vertex_count, self.edges))
 
     @classmethod
     def from_edge_list(cls, pairs, vertex_count=None) -> "SimpleGraph":
@@ -94,15 +143,23 @@ class SimpleGraph:
         return cls(vertex_count=vertex_count, edges=frozenset(norm))
 
 
-@dataclass(frozen=True)
-class PathGraph:
+class PathGraph(Record):
     """Path on n vertices, v_1 rightmost; edge e_i joins v_i and v_{i+1}."""
 
-    n: int
+    __slots__ = _fields = ("n",)
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int):
+        if n < 1:
             raise VertexIndexError("path needs at least one vertex")
+        object.__setattr__(self, "n", n)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n
+
+    def __hash__(self):
+        return hash((self.n,))
 
     @property
     def vertex_count(self) -> int:
@@ -153,18 +210,24 @@ def is_connected(graph: Graph) -> bool:
     return len(seen) == graph.vertex_count
 
 
-@dataclass(frozen=True)
-class Configuration:
+class Configuration(Record):
     """Integer stack sizes indexed v_1..v_n; negative values (debt) are legal."""
 
-    stacks: tuple[int, ...]
-    graph: Graph
+    __slots__ = _fields = ("stacks", "graph")
 
-    def __post_init__(self):
-        if len(self.stacks) != self.graph.vertex_count:
-            raise ConfigMismatchError(
-                f"{len(self.stacks)} stacks for {self.graph.vertex_count} vertices"
-            )
+    def __init__(self, stacks: tuple[int, ...], graph: Graph):
+        if len(stacks) != graph.vertex_count:
+            raise ConfigMismatchError(f"{len(stacks)} stacks for {graph.vertex_count} vertices")
+        object.__setattr__(self, "stacks", stacks)
+        object.__setattr__(self, "graph", graph)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.stacks == other.stacks and self.graph == other.graph
+
+    def __hash__(self):
+        return hash((self.stacks, self.graph))
 
     def stack(self, vertex: int) -> int:
         """Stack size of 1-based vertex index."""

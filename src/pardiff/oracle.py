@@ -21,13 +21,13 @@ from __future__ import annotations
 
 import os
 from collections import deque
-from dataclasses import dataclass
 
 from pardiff.errors import CeilingError, DomainError, WindowNotStabilizedError, env_ceiling
 from pardiff.graphs import (
     Configuration,
     Graph,
     PathGraph,
+    Record,
     SimpleGraph,
     adjacency,
     is_connected,
@@ -45,14 +45,16 @@ _POOL_THRESHOLD = 10**6
 _MAX_ESCALATIONS = 4
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(Record):
     """Every canonical 2-periodic configuration found within the difference bound."""
 
-    n: int
-    diff_bound: int
-    configurations: tuple[Configuration, ...]
-    count: int
+    __slots__ = _fields = ("n", "diff_bound", "configurations", "count")
+
+    def __init__(self, n: int, diff_bound: int, configurations: tuple[Configuration, ...], count: int):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "diff_bound", diff_bound)
+        object.__setattr__(self, "configurations", configurations)
+        object.__setattr__(self, "count", count)
 
     def to_dict(self, include_configurations: bool = True) -> dict:
         out = {"n": self.n, "diff_bound": self.diff_bound, "count": self.count}

@@ -16,7 +16,6 @@ bookended). Two pairs may share a bookend as long as each pair passes.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
 
 from pardiff.errors import (
     CeilingError,
@@ -25,7 +24,7 @@ from pardiff.errors import (
     IllegalOrientationError,
     env_ceiling,
 )
-from pardiff.graphs import Configuration, PathGraph, SENSE_ORDER
+from pardiff.graphs import Configuration, PathGraph, Record, SENSE_ORDER
 
 RULE_ADJACENT_FLATS = "AdjacentFlats"
 RULE_FLAT_AT_LEAF = "FlatAtLeaf"
@@ -38,12 +37,14 @@ _ENUM_CEILING_ENV = "PARDIFF_ENUM_CEILING"
 _STEP = {"R": 1, "L": -1, "F": 0}  # witness stack change across each sense
 
 
-@dataclass(frozen=True)
-class ForbiddenPatternReport:
+class ForbiddenPatternReport(Record):
     """Checker verdict; each violation is (rule id, inclusive 1-based edge span)."""
 
-    legal: bool
-    violations: tuple[tuple[str, tuple[int, int]], ...]
+    __slots__ = _fields = ("legal", "violations")
+
+    def __init__(self, legal: bool, violations: tuple[tuple[str, tuple[int, int]], ...]):
+        object.__setattr__(self, "legal", legal)
+        object.__setattr__(self, "violations", violations)
 
 
 def _require_senses(orient: str) -> None:

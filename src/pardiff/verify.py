@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 
 from pardiff import counting, engine, oracle, orientations
 from pardiff.errors import DomainError
 from pardiff.graphs import (
     Configuration,
     PathGraph,
+    Record,
     SimpleGraph,
     canonicalize,
     flipped,
@@ -30,26 +30,55 @@ from pardiff.graphs import (
 )
 
 
-@dataclass(frozen=True)
-class VerifyConfig:
-    """Depth knobs for the suites; defaults keep a full run under a minute."""
+class VerifyConfig(Record):
+    """Depth knobs for the suites; defaults keep a full run under a minute.
 
-    max_n_oracle: int = 8
-    max_n_witness: int = 14
-    max_n_routes: int = 16
-    max_n_structure: int = 12
-    random_trials: int = 150
-    rng_seed: int = 987
+    The defaults stay readable on the class (the CLI's option defaults read
+    them there), so the fields live in the instance dict, not in slots.
+    """
+
+    _fields = (
+        "max_n_oracle",
+        "max_n_witness",
+        "max_n_routes",
+        "max_n_structure",
+        "random_trials",
+        "rng_seed",
+    )
+    max_n_oracle = 8
+    max_n_witness = 14
+    max_n_routes = 16
+    max_n_structure = 12
+    random_trials = 150
+    rng_seed = 987
+
+    def __init__(
+        self,
+        max_n_oracle: int = max_n_oracle,
+        max_n_witness: int = max_n_witness,
+        max_n_routes: int = max_n_routes,
+        max_n_structure: int = max_n_structure,
+        random_trials: int = random_trials,
+        rng_seed: int = rng_seed,
+    ):
+        object.__setattr__(self, "max_n_oracle", max_n_oracle)
+        object.__setattr__(self, "max_n_witness", max_n_witness)
+        object.__setattr__(self, "max_n_routes", max_n_routes)
+        object.__setattr__(self, "max_n_structure", max_n_structure)
+        object.__setattr__(self, "random_trials", random_trials)
+        object.__setattr__(self, "rng_seed", rng_seed)
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    suite: str
-    name: str
-    passed: bool
-    detail: str = ""
-    # Wall time of the check, including any shared input it was first to read.
-    seconds: float = 0.0
+class CheckResult(Record):
+    __slots__ = _fields = ("suite", "name", "passed", "detail", "seconds")
+
+    def __init__(self, suite: str, name: str, passed: bool, detail: str = "", seconds: float = 0.0):
+        object.__setattr__(self, "suite", suite)
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "detail", detail)
+        # Wall time of the check, including any shared input it was first to read.
+        object.__setattr__(self, "seconds", seconds)
 
     def to_dict(self) -> dict:
         return {"suite": self.suite, "name": self.name, "passed": self.passed, "detail": self.detail}

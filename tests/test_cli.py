@@ -377,3 +377,20 @@ def test_export_sequences_script(tmp_path):
         assert int(r_n) == count_p2_orientations_recurrence(n), n
         assert int(a_n) == alternating_count(n), n
         assert int(t_n) == count_T_recurrence(n), n
+
+
+def test_cli_import_skips_dataclasses_and_loads_every_module():
+    # Each command is a fresh interpreter, so the import path is paid per call.
+    # Every pardiff module stays eagerly loaded: perfbench's tracer wraps them
+    # straight from sys.modules after importing pardiff.cli.
+    proc = _run_child(
+        [
+            "-c",
+            "import json, sys; from pardiff.cli import main; print(json.dumps(sorted(sys.modules)))",
+        ]
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stdout))
+    assert not {"dataclasses", "inspect"} & loaded
+    for name in ("graphs", "engine", "orientations", "counting", "oracle", "verify"):
+        assert f"pardiff.{name}" in loaded

@@ -97,6 +97,13 @@ def test_unknown_sense_letter_rejected(entry, text, letter):
         entry(text)
 
 
+@pytest.mark.parametrize("text,k,letter", [("X", 1, "X"), ("rl", 2, "r"), ("RLx", 4, "x")])
+def test_end_vertex_multiplier_rejects_unknown_letter(text, k, letter):
+    # the v_1, v_2 and v_n branches read no table, so they check their letters
+    with pytest.raises(GraphFormatError, match=f"unknown sense letter '{letter}'"):
+        vertex_multiplier(text, k)
+
+
 def test_unknown_triple_is_an_illegal_local_pattern():
     with pytest.raises(IllegalLocalPatternError):
         vertex_multiplier("RXLR", 3)
