@@ -93,14 +93,10 @@ def _cmd_period(args) -> int:
 def _cmd_count(args) -> int:
     t0 = time.perf_counter()
     n, method = args.n, args.method
-    if method == "recurrence":
-        count = counting.count_T_recurrence(n)
-    elif method == "summation":
-        count = counting.count_T_summation(n)
-    elif method == "direct":
-        count = counting.count_T_direct(n)
-    else:
+    if method == "oracle":
         count = oracle.count_p2_configurations(n, diff_bound=args.diff_bound)
+    else:  # count_T_recurrence, count_T_summation or count_T_direct
+        count = getattr(counting, f"count_T_{method}")(n)
     payload = {
         "n": n,
         "method": method,
@@ -149,11 +145,12 @@ def _cmd_verify(args) -> int:
     for r in results:
         print(f"{'PASS' if r.passed else 'FAIL'} {r.suite}.{r.name}" + (f": {r.detail}" if r.detail else ""))
     failed = [r for r in results if not r.passed]
+    depths = {name: getattr(config, name) for name in verify.DEPTH_MINIMUMS}
     _write_text(args.out, _json_body([r.to_dict() for r in results]))
     _write_manifest(
         args.out,
         "verify",
-        {"suites": suites or verify.suite_names(), "max_n_oracle": args.max_n_oracle},
+        {"suites": suites or verify.suite_names(), **depths},
         time.perf_counter() - t0,
         check_seconds={f"{r.suite}.{r.name}": round(r.seconds, 6) for r in results},
     )

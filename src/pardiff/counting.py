@@ -11,9 +11,9 @@ must all agree.
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 
 from pardiff.errors import (
-    CeilingError,
     DomainError,
     IllegalLocalPatternError,
     InternalInconsistencyError,
@@ -22,17 +22,20 @@ from pardiff.errors import (
 )
 from pardiff.graphs import Record, flipped
 from pardiff.orientations import (
-    _enum_ceiling,
+    _may_follow,
     _require_legal,
     _require_senses,
+    count_p2_orientations_recurrence,
     grow_p2_orientations,
+    p2_completion_weights,
 )
 
 # Multiplier of v_k from the senses of (e_{k-2}, e_{k-1}, e_k), for interior
-# vertices where both v_k and v_{k-1} have two neighbours. All 27 triples are
-# listed; direction-flipped patterns share values, and None marks a triple no
-# legal orientation contains.
-MULTIPLIER_TABLE: dict[str, int | None] = {
+# vertices where both v_k and v_{k-1} have two neighbours; direction-flipped
+# patterns share values. The 13 triples left out occur in no legal
+# orientation: adjacent flats, a flat straddled by agreeing directed edges,
+# and an agreeing pair against a flat or a third agreeing edge.
+MULTIPLIER_TABLE: dict[str, int] = {
     # middle edge disagrees with both neighbours (fully alternating)
     "LRL": 3,
     "RLR": 3,
@@ -52,22 +55,6 @@ MULTIPLIER_TABLE: dict[str, int | None] = {
     # flat between disagreeing directed edges
     "RFL": 1,
     "LFR": 1,
-    # adjacent flats
-    "FFF": None,
-    "FFR": None,
-    "FFL": None,
-    "RFF": None,
-    "LFF": None,
-    # flat straddled by agreeing directed edges
-    "RFR": None,
-    "LFL": None,
-    # agreeing pair against a flat or a third agreeing edge
-    "RRF": None,
-    "LLF": None,
-    "FRR": None,
-    "FLL": None,
-    "RRR": None,
-    "LLL": None,
 }
 
 
@@ -175,15 +162,10 @@ def count_T_recurrence(n: int) -> int:
     return d
 
 
-def _counted_orientations(n: int) -> tuple[list[str], list[int]]:
-    """Every legal orientation of the n-path with its configuration count.
-
-    Parallel lists, in no set order, from ``grow_p2_orientations``: placing
-    e_p multiplies in the multiplier of v_p, read off (e_{p-2}, e_{p-1}, e_p)
-    by the same rules as ``vertex_multiplier``, and placing the last edge
-    also multiplies in that of the leaf v_n. Prefixes that share their last
-    two senses share each factor lookup.
-    """
+def _multiplier_step(n: int):
+    """The step factor of the n-path's configuration counts: placing e_p multiplies in the
+    multiplier of v_p, by the rules of ``vertex_multiplier``, and placing the last edge also
+    that of the leaf v_n. From p = 3 on it reads only the window and whether e_p is last."""
     edge_count = n - 1
 
     def step_factor(window: str, p: int) -> int:
@@ -197,34 +179,47 @@ def _counted_orientations(n: int) -> tuple[list[str], list[int]]:
             factor *= 1 if window[-2] == "F" else 2  # the leaf v_n, from e_{n-2}
         return factor
 
-    return grow_p2_orientations(n, step_factor)
+    return step_factor
+
+
+def _counted_orientations(n: int) -> tuple[list[str], list[int]]:
+    """Every legal orientation of the n-path and its configuration count, in no set order."""
+    return grow_p2_orientations(n, _multiplier_step(n))
 
 
 def count_T_direct(n: int) -> int:
-    """Sum of the configuration counts of every legal orientation.
+    """Sum of the configuration counts of every legal orientation, taken per
+    group of prefixes sharing their last two senses: none is listed, any n."""
+    for completions in p2_completion_weights(n, _multiplier_step(n)):
+        pass  # keep only the last entry, that of the empty prefix
+    return completions[""]
 
-    The counts come from one grouped pass that extends shared prefix
-    products (``_counted_orientations``), not from a product per orientation.
-    """
-    return sum(_counted_orientations(n)[1])
 
-
-def _first_hit_buckets(m: int) -> list[int]:
+def _first_hit_buckets(m: int, after: list[dict[str, int]]) -> list[int]:
     """Configuration totals on the m-path, bucketed by where the orientation
     first shows a flat edge or an agreeing pair.
 
     Bucket j (0-based edge index) collects the orientations whose first flat
     edge is e_{j+1}, or whose first agreeing pair is (e_j, e_{j+1}), whichever
-    comes first. The alternating orientations show neither and fill the last
-    bucket, j = m - 1, one past the last edge. Orientations and their counts
-    come from one pass of ``_counted_orientations``.
+    comes first; the alternating ones show neither and fill bucket m - 1.
+    Bucket j < m - 1 is an alternating prefix's weight, times the factor of
+    e_{j+1}, times the weight of its completions. Those start at e_3 or later
+    (e_{j+1} is never e_1), so they depend only on the tail and the edges
+    left, and ``after`` may list the ``p2_completion_weights`` entries of the
+    M-path for any M >= m.
     """
     buckets = [0] * m
-    for s, count in zip(*_counted_orientations(m)):
-        j = 0
-        while j < len(s) and s[j] != "F" and (j == 0 or s[j] != s[j - 1]):
-            j += 1
-        buckets[j] += count
+    step_factor = _multiplier_step(m)
+    for alternating in alternating_orientations(m):
+        weight = 1
+        for p in range(1, m):
+            tail = alternating[max(p - 3, 0) : p - 1]
+            for sense in "F" + tail[-1:]:  # a flat e_p, or one that agrees with e_{p-1}
+                if _may_follow(tail, sense, p, m - 1):
+                    window = tail + sense
+                    buckets[p - 1] += weight * step_factor(window, p) * after[m - 1 - p][window[-2:]]
+            weight *= step_factor(alternating[max(p - 3, 0) : p], p)
+        buckets[m - 1] += weight
     return buckets
 
 
@@ -239,7 +234,7 @@ def stage(n: int, k: int) -> int:
         raise DomainError("stage needs n >= 2")
     if k < 0:
         raise DomainError("stage needs k >= 0")
-    return sum(_first_hit_buckets(n)[: k + 1])
+    return sum(_first_hit_buckets(n, list(p2_completion_weights(n, _multiplier_step(n))))[: k + 1])
 
 
 def _half_alternating(k: int) -> int:
@@ -255,29 +250,23 @@ def count_T_summation(n: int, use_printed_limit: bool = False) -> int:
     T_2..T_n are built bottom-up, each from the earlier ones, so the route
     never consults the recurrence. The agreeing-first term of T_m adds
     T_{m-2} - stage(m-2, k-2) for k = 3..m-2, read as suffix sums of the
-    first-hit buckets of the (m-2)-path. The printed form of that upper limit
-    is m-3, which undercounts (88 instead of 96 at n = 5); it is kept behind
-    ``use_printed_limit``, applied to T_n alone, purely as a regression
-    reference.
+    first-hit buckets of the (m-2)-path, all off the completion weights of
+    the (n-2)-path. The printed form of that upper limit is m-3, which
+    undercounts (88 instead of 96 at n = 5); it is kept behind
+    ``use_printed_limit``, applied to T_n alone, as a regression reference.
     """
     if n < 2:
         raise DomainError("summation route needs n >= 2")
-    limit = _enum_ceiling()
-    if n - 2 > limit:
-        raise CeilingError(
-            f"summation route at n = {n} enumerates orientations at n - 2 = {n - 2},"
-            f" capped at n = {limit}"
-        )
+    after = list(p2_completion_weights(n - 2, _multiplier_step(n - 2))) if n >= 5 else []
     t = [0, 0]  # t[m] = T_m; t[0] and t[1] are never read
     for m in range(2, n + 1):
         total = alternating_count(m)
         for k in range(2, m - 1):
             total += _half_alternating(k) * t[m - k]
         if m >= 5:
-            buckets = _first_hit_buckets(m - 2)
+            suffix = list(accumulate(reversed(_first_hit_buckets(m - 2, after))))[::-1]
             agree_upper = m - 3 if use_printed_limit and m == n else m - 2
-            for k in range(3, agree_upper + 1):
-                total += sum(buckets[k - 1 :])
+            total += sum(suffix[2:agree_upper])  # sum(buckets[k - 1:]) for k = 3..agree_upper
         t.append(total)
     return t[n]
 
@@ -347,11 +336,7 @@ def characteristic_roots(fit_range: tuple[int, int] = (20, 30)) -> AsymptoticMod
     for _ in range(500):
         moved = 0.0
         for i, z in enumerate(zs):
-            denom = 1 + 0j
-            for j, w in enumerate(zs):
-                if j != i:
-                    denom *= z - w
-            step = _char_poly(z) / denom
+            step = _char_poly(z) / math.prod(z - w for j, w in enumerate(zs) if j != i)
             zs[i] = z - step
             moved = max(moved, abs(step))
         if moved < 1e-15:
@@ -377,8 +362,6 @@ def conjecture_recurrence_check(counts: list[int]) -> list[int]:
 
 def sequence_rows(n_max: int) -> list[tuple[int, int, int, int]]:
     """CSV-ready rows (n, R_n, A_n, T_n) for n = 1..n_max."""
-    from pardiff.orientations import count_p2_orientations_recurrence
-
     return [
         (n, count_p2_orientations_recurrence(n), alternating_count(n), count_T_recurrence(n))
         for n in range(1, n_max + 1)

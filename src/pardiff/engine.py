@@ -71,6 +71,11 @@ def _fire_raw(stacks: tuple[int, ...], adj: tuple[tuple[int, ...], ...]) -> tupl
     return tuple(out)
 
 
+def _require_fits(graph: Graph, config: Configuration):
+    if len(config.stacks) != graph.vertex_count:
+        raise ConfigMismatchError(f"{len(config.stacks)} stacks for {graph.vertex_count} vertices")
+
+
 def _check_i64(stacks: tuple[int, ...]):
     high = max(stacks, default=0)
     if high > I64_MAX:
@@ -82,10 +87,7 @@ def _check_i64(stacks: tuple[int, ...]):
 
 def fire_step(graph: Graph, config: Configuration) -> Configuration:
     """One simultaneous firing of every vertex."""
-    if len(config.stacks) != graph.vertex_count:
-        raise ConfigMismatchError(
-            f"{len(config.stacks)} stacks for {graph.vertex_count} vertices"
-        )
+    _require_fits(graph, config)
     _check_i64(config.stacks)
     new = _fire_raw(config.stacks, frozen_adjacency(graph))
     _check_i64(new)
@@ -121,10 +123,7 @@ def detect_period(graph: Graph, config: Configuration, max_steps: int) -> Period
     """
     if max_steps < 2:
         raise DomainError("max_steps must be >= 2")
-    if len(config.stacks) != graph.vertex_count:
-        raise ConfigMismatchError(
-            f"{len(config.stacks)} stacks for {graph.vertex_count} vertices"
-        )
+    _require_fits(graph, config)
     _check_i64(config.stacks)
     adj = frozen_adjacency(graph)
     seq = [config.stacks]
@@ -154,10 +153,7 @@ def detect_period(graph: Graph, config: Configuration, max_steps: int) -> Period
 
 def induced_orientation(graph: PathGraph, config: Configuration) -> str:
     """Sense of e_i from the stacks: Right if v_{i+1} is richer than v_i."""
-    if len(config.stacks) != graph.vertex_count:
-        raise ConfigMismatchError(
-            f"{len(config.stacks)} stacks for {graph.vertex_count} vertices"
-        )
+    _require_fits(graph, config)
     return orientation_of_stacks(config.stacks)
 
 

@@ -166,10 +166,6 @@ class PathGraph(Record):
         return self.n
 
     @property
-    def edge_count(self) -> int:
-        return self.n - 1
-
-    @property
     def edges(self) -> frozenset[tuple[int, int]]:
         return frozenset((i, i + 1) for i in range(1, self.n))
 

@@ -15,7 +15,7 @@ bookended). Two pairs may share a bookend as long as each pair passes.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 
 from pardiff.errors import (
     CeilingError,
@@ -160,6 +160,34 @@ def grow_p2_orientations(
                 grown_weights.extend(weights if factor == 1 else [w * factor for w in weights])
         level = grown
     return level[""]
+
+
+def p2_completion_weights(n: int, step_factor: Callable[[str, int], int]) -> Iterator[dict[str, int]]:
+    """The weights of ``grow_p2_orientations(n, step_factor)`` summed per group, listing nothing.
+
+    Yields, for r = 0, 1, ..., n - 1 in turn, a dict from each tail (last two
+    senses) of a legal prefix of n - 1 - r edges to the total weight of the
+    prefix's legal r-edge completions, ending with ``{"": total weight}``.
+    This is the builder's pass run backward with one integer per group, the
+    transfer-matrix method (Stanley, Enumerative Combinatorics I, section
+    4.7): O(n) steps, no ceiling, and two entries held at a time.
+    """
+    if n < 1:
+        raise DomainError("n must be positive")
+    if n == 1:
+        yield {"": 0}  # as in the builder, the empty orientation is no 2-period
+        return
+    edge_count = n - 1
+    tails = [{""}]  # tails[i]: the tails of the legal prefixes of i edges
+    for p in range(1, edge_count + 1):
+        grown = {(t + s)[-2:] for t in tails[-1] for s in SENSE_ORDER if _may_follow(t, s, p, edge_count)}
+        tails.append(tails[-1] if grown == tails[-1] else grown)  # one set for the long stable run
+    rest = dict.fromkeys(tails[edge_count], 1)
+    yield rest
+    for p in range(edge_count, 0, -1):
+        rest = {t: sum(step_factor(t + s, p) * rest[(t + s)[-2:]] for s in SENSE_ORDER
+                       if _may_follow(t, s, p, edge_count)) for t in tails[p - 1]}
+        yield rest
 
 
 def _unit_factor(window: str, p: int) -> int:

@@ -13,12 +13,14 @@ from __future__ import annotations
 
 import random
 import time
+from itertools import product
 
 from pardiff import counting, engine, oracle, orientations
-from pardiff.errors import DomainError
+from pardiff.errors import CeilingError, DomainError
 from pardiff.graphs import (
     Configuration,
     PathGraph,
+    SENSE_ORDER,
     Record,
     SimpleGraph,
     canonicalize,
@@ -28,6 +30,10 @@ from pardiff.graphs import (
     render_graph,
     shift,
 )
+
+
+# The smallest n each depth's checks start from; a smaller depth checks nothing.
+DEPTH_MINIMUMS = {"max_n_oracle": 2, "max_n_witness": 2, "max_n_routes": 2, "max_n_structure": 4}
 
 
 class VerifyConfig(Record):
@@ -65,6 +71,9 @@ class VerifyConfig(Record):
         object.__setattr__(self, "max_n_witness", max_n_witness)
         object.__setattr__(self, "max_n_routes", max_n_routes)
         object.__setattr__(self, "max_n_structure", max_n_structure)
+        for name, least in DEPTH_MINIMUMS.items():
+            if getattr(self, name) < least:
+                raise DomainError(f"{name} must be at least {least} (got {getattr(self, name)})")
         object.__setattr__(self, "random_trials", random_trials)
         object.__setattr__(self, "rng_seed", rng_seed)
 
@@ -166,6 +175,8 @@ def run_suites(config: VerifyConfig = VerifyConfig(), suites=None) -> list[Check
             t0 = time.perf_counter()
             try:
                 detail = fn(config, inputs)
+            except CeilingError:  # a resource limit, not a verdict on the invariant
+                raise
             except Exception as exc:  # a crashing check is a failing check
                 detail = f"raised {type(exc).__name__}: {exc}"
             seconds = time.perf_counter() - t0
@@ -200,15 +211,6 @@ def _random_graph_and_config(rng):
     else:
         graph = _random_connected_graph(rng)
     return graph, _random_config(rng, graph)
-
-
-def _all_sense_vectors(edge_count: int):
-    from itertools import product
-
-    from pardiff.graphs import SENSE_ORDER
-
-    for senses in product(SENSE_ORDER, repeat=edge_count):
-        yield "".join(senses)
 
 
 # ---------------------------------------------------------------------------
@@ -356,22 +358,19 @@ def _chk_witness(cfg: VerifyConfig, inputs: _RunInputs):
     return None
 
 
-@_check("orientation", "mirror-symmetry")
-def _chk_mirror(cfg: VerifyConfig, inputs: _RunInputs):
-    for e in range(1, 8):
-        for o in _all_sense_vectors(e):
-            if inputs.legal(o) != inputs.legal(mirrored(o)):
-                return f"legality changed under mirroring for {o}"
-    return None
+def _legality_kept_by(transform, name: str):
+    def check(cfg: VerifyConfig, inputs: _RunInputs):
+        for e in range(1, 8):
+            for o in map("".join, product(SENSE_ORDER, repeat=e)):
+                if inputs.legal(o) != inputs.legal(transform(o)):
+                    return f"legality changed under {name} for {o}"
+        return None
+
+    return check
 
 
-@_check("orientation", "flip-symmetry")
-def _chk_flip(cfg: VerifyConfig, inputs: _RunInputs):
-    for e in range(1, 8):
-        for o in _all_sense_vectors(e):
-            if inputs.legal(o) != inputs.legal(flipped(o)):
-                return f"legality changed under direction flip for {o}"
-    return None
+_check("orientation", "mirror-symmetry")(_legality_kept_by(mirrored, "mirroring"))
+_check("orientation", "flip-symmetry")(_legality_kept_by(flipped, "direction flip"))
 
 
 # ---------------------------------------------------------------------------

@@ -230,6 +230,55 @@ def test_verify_manifest_records_check_seconds(tmp_path, capsys):
     assert "seconds" not in body
 
 
+def test_verify_manifest_records_every_depth(tmp_path, capsys):
+    out = tmp_path / "v.json"
+    argv = ["verify", "--suites", "graph", "--max-n-routes", "9", "--out", str(out)]
+    assert main(argv) == 0
+    parameters = read_manifest(out)["parameters"]
+    assert parameters == {
+        "suites": ["graph"],
+        "max_n_oracle": 8,
+        "max_n_witness": 14,
+        "max_n_routes": 9,
+        "max_n_structure": 12,
+    }
+
+
+def test_verify_ceiling_inside_a_check_exits_two(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("PARDIFF_ENUM_CEILING", "9")
+    argv = ["verify", "--suites", "orientation", "--max-n-witness", "10"]
+    assert main(argv + ["--out", str(tmp_path / "v.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error [resource-ceiling]: ")
+    assert "FAIL" not in captured.out
+
+
+def test_verify_routes_past_the_enumeration_ceiling(tmp_path, capsys):
+    out = tmp_path / "v.json"
+    assert main(["verify", "--suites", "counting", "--max-n-routes", "25", "--out", str(out)]) == 0
+    assert all(r["passed"] for r in json.loads(out.read_text()))
+
+
+@pytest.mark.parametrize(
+    "option,value,minimum",
+    [
+        ("--max-n-oracle", "1", 2),
+        ("--max-n-witness", "1", 2),
+        ("--max-n-routes", "0", 2),
+        ("--max-n-structure", "-3", 4),
+        ("--max-n-structure", "3", 4),
+    ],
+)
+def test_verify_vacuous_depth_exits_one(tmp_path, capsys, option, value, minimum):
+    assert main(["verify", option, value, "--out", str(tmp_path / "v.json")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error [domain-error]: ")
+    assert f"{option[2:].replace('-', '_')} must be at least {minimum}" in captured.err
+    assert not captured.out
+
+
 def test_verify_unknown_suite_is_domain_error(tmp_path, capsys):
     code = main(["verify", "--suites", "bogus", "--out", str(tmp_path / "v.json")])
     assert code == 1
@@ -254,18 +303,33 @@ def test_out_of_domain_arguments_exit_one(tmp_path, capsys, argv):
     assert err.startswith("error [domain-error]: ")
 
 
-def test_summation_ceiling_names_requested_n(tmp_path, capsys):
-    code = main(["count", "--n", "23", "--method", "summation", "--out", str(tmp_path / "c.json")])
-    assert code == 2
+def test_summation_passes_the_enumeration_ceiling(tmp_path):
+    out = tmp_path / "c.json"
+    assert main(["count", "--n", "23", "--method", "summation", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["count"] == count_T_recurrence(23)
+
+
+def test_summation_ledger_ceiling_names_requested_n(tmp_path, capsys):
+    argv = ["count", "--n", "23", "--method", "summation", "--ledger"]
+    assert main(argv + ["--out", str(tmp_path / "c.json")]) == 2
     err = capsys.readouterr().err
+    assert err.count("\n") == 1
     assert err.startswith("error [resource-ceiling]: ")
-    assert "n = 23" in err
+    assert "asked for 23" in err
+
+
+@pytest.mark.parametrize("method", ["direct", "summation"])
+@pytest.mark.parametrize("n", [60, 200])
+def test_orientation_routes_count_far_past_the_ceiling(tmp_path, method, n):
+    out = tmp_path / "c.json"
+    assert main(["count", "--method", method, "--n", str(n), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["count"] == count_T_recurrence(n)
 
 
 @pytest.mark.parametrize(
     "argv",
     [
-        ["count", "--method", "direct", "--n", "21"],
+        ["count", "--method", "direct", "--ledger", "--n", "21"],
         ["count", "--method", "summation", "--ledger", "--n", "21"],
     ],
 )

@@ -6,6 +6,8 @@ import pytest
 
 from pardiff.counting import (
     _counted_orientations,
+    _first_hit_buckets,
+    _multiplier_step,
     agreeing_pair_positions,
     alternating_count,
     alternating_orientations,
@@ -33,6 +35,7 @@ from pardiff.orientations import (
     check_p2_orientation,
     count_p2_orientations_recurrence,
     enumerate_p2_orientations,
+    p2_completion_weights,
     witness_configuration,
 )
 
@@ -158,6 +161,41 @@ def test_direct_equals_recurrence_to_twenty():
         assert count_T_direct(n) == count_T_recurrence(n), n
 
 
+def test_direct_transfer_equals_listed_weights():
+    for n in range(1, 19):
+        assert count_T_direct(n) == sum(_counted_orientations(n)[1]), n
+
+
+def test_direct_transfer_reaches_past_the_enumeration_ceiling():
+    for n in [*range(21, 201), 2000]:
+        assert count_T_direct(n) == count_T_recurrence(n), n
+
+
+def _scanned_buckets(m):
+    """First-hit buckets by scanning every listed orientation: the reference."""
+    buckets = [0] * m
+    for s, count in zip(*_counted_orientations(m)):
+        j = 0
+        while j < len(s) and s[j] != "F" and (j == 0 or s[j] != s[j - 1]):
+            j += 1
+        buckets[j] += count
+    return buckets
+
+
+def test_first_hit_buckets_match_the_string_scan():
+    tables = {size: list(p2_completion_weights(size, _multiplier_step(size))) for size in range(1, 19)}
+    for m in range(1, 17):
+        want = _scanned_buckets(m)
+        for size in range(m, 19):  # a longer path's completion table serves too
+            assert _first_hit_buckets(m, tables[size]) == want, (m, size)
+
+
+def test_first_hit_buckets_sum_to_T_from_one_table():
+    table = list(p2_completion_weights(400, _multiplier_step(400)))
+    for m in [*range(2, 121), 400]:
+        assert sum(_first_hit_buckets(m, table)) == count_T_recurrence(m), m
+
+
 def test_direct_count_decomposition_n5():
     by_kind = {"alternating": 0, "flat_e2": 0, "flat_e3": 0, "agreeing": 0}
     for o in enumerate_p2_orientations(5):
@@ -189,6 +227,11 @@ def test_summation_printed_upper_limit_undercounts():
 def test_routes_agree():
     for n in range(2, 13):
         assert count_T_recurrence(n) == count_T_summation(n) == count_T_direct(n)
+
+
+def test_summation_reaches_past_the_enumeration_ceiling():
+    for n in [*range(13, 81), 200]:
+        assert count_T_summation(n) == count_T_recurrence(n), n
 
 
 def test_stage_examples():

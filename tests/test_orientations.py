@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pardiff.engine import fire_step, induced_orientation
-from pardiff.errors import CeilingError, IllegalOrientationError
+from pardiff.errors import CeilingError, DomainError, IllegalOrientationError
 from pardiff.graphs import SENSE_ORDER, PathGraph, flipped, mirrored
 from pardiff.orientations import (
     RULE_ADJACENT_FLATS,
@@ -23,6 +23,7 @@ from pardiff.orientations import (
     count_p2_orientations_recurrence,
     enumerate_p2_orientations,
     grow_p2_orientations,
+    p2_completion_weights,
     witness_configuration,
 )
 
@@ -89,6 +90,35 @@ def test_builder_weight_is_product_of_step_factors():
     for s, weight in zip(senses, weights):
         # the factor for e_p sees the senses of e_{p-2}, e_{p-1}, e_p
         assert weight == math.prod(factor(s[max(p - 3, 0) : p], p) for p in range(1, 9)), s
+
+
+def test_completion_weights_sum_the_builder_weights_per_group():
+    def factor(window, p):
+        return 1 + (7 * p + sum(map(ord, window))) % 4
+
+    for n in range(1, 12):
+        senses, weights = grow_p2_orientations(n, factor)
+        after = list(p2_completion_weights(n, factor))
+        assert len(after) == max(n, 1) and after[-1] == {"": sum(weights)}, n
+        for i in range(1, n):
+            # every listed prefix of i edges, grouped by tail: its weight times its completions
+            by_tail = {}
+            for s, weight in zip(senses, weights):
+                prefix = s[:i]
+                w = math.prod(factor(prefix[max(p - 3, 0) : p], p) for p in range(1, i + 1))
+                by_tail.setdefault(prefix[-2:], {})[prefix] = w
+            for tail, prefixes in by_tail.items():
+                assert sum(prefixes.values()) * after[n - 1 - i][tail] == sum(
+                    weight for s, weight in zip(senses, weights) if s[:i] in prefixes
+                ), (n, i, tail)
+
+
+def test_completion_weights_count_orientations_at_any_n():
+    for n in [*range(1, 80), 500]:
+        *_, total = p2_completion_weights(n, lambda window, p: 1)
+        assert total == {"": count_p2_orientations_recurrence(n)}, n
+    with pytest.raises(DomainError):
+        next(p2_completion_weights(0, lambda window, p: 1))
 
 
 def test_enumerate_is_lexicographic():

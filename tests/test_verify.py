@@ -6,6 +6,7 @@ from collections import Counter
 import pytest
 
 from pardiff import counting, oracle, orientations, verify
+from pardiff.errors import CeilingError, DomainError
 
 SMALL = verify.VerifyConfig(
     max_n_oracle=5,
@@ -138,3 +139,29 @@ def test_duplicated_orientation_is_named(monkeypatch):
     results = verify.run_suites(SMALL, suites=["orientation"])
     details = {r.name: r.detail for r in results if not r.passed}
     assert details == {"count-matches-recurrence": "n=9: 1 orientations enumerated twice"}
+
+
+def test_ceiling_inside_a_check_propagates(monkeypatch):
+    monkeypatch.setenv("PARDIFF_ENUM_CEILING", "7")
+    config = verify.VerifyConfig(max_n_oracle=5, max_n_witness=8)
+    with pytest.raises(CeilingError, match="asked for 8"):
+        verify.run_suites(config, suites=["orientation"])
+
+
+def test_other_exceptions_still_fail_their_check(monkeypatch):
+    def broken(n):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(counting, "count_T_direct", broken)
+    results = verify.run_suites(SMALL, suites=["counting"])
+    details = {r.name: r.detail for r in results if not r.passed}
+    assert details == {"route-agreement": "raised RuntimeError: boom"}
+
+
+@pytest.mark.parametrize(
+    "depth,minimum", [("max_n_oracle", 2), ("max_n_witness", 2), ("max_n_routes", 2), ("max_n_structure", 4)]
+)
+def test_depth_below_its_first_n_is_rejected(depth, minimum):
+    with pytest.raises(DomainError, match=f"{depth} must be at least {minimum}"):
+        verify.VerifyConfig(**{depth: minimum - 1})
+    assert getattr(verify.VerifyConfig(**{depth: minimum}), depth) == minimum
