@@ -16,7 +16,6 @@ from itertools import accumulate
 from pardiff.errors import (
     DomainError,
     IllegalLocalPatternError,
-    InternalInconsistencyError,
     NotAnAgreeingPairError,
     VertexIndexError,
 )
@@ -100,23 +99,23 @@ def vertex_multiplier(orient: str, k: int) -> int:
         raise VertexIndexError(f"vertex {k} outside [1, {n}]")
     if k <= 2 or k == n:
         _require_senses(orient[max(k - 3, 0) : k])
-    if k == 1:
-        return 1
-    if n == 2:
-        # Both stacks of a 2-periodic pair on one edge are forced once v_1 is
-        # pinned, so the single leaf neighbour contributes no freedom.
+    return _vertex_factor(orient[max(k - 3, 0) : min(k, n - 1)], k, n)
+
+
+def _vertex_factor(senses: str, k: int, n: int) -> int:
+    """Multiplier of v_k on the n-path, read from ``senses``: the senses of e_{k-2},
+    e_{k-1} and e_k that exist. ``vertex_multiplier`` and the step factor both use it."""
+    if k == 1 or n == 2:
+        # v_1 is pinned; and both stacks of a 2-periodic pair on one edge are
+        # forced once v_1 is, so the single leaf neighbour adds no freedom.
         return 1
     if k == 2:
-        return 1 if orient[1] == "F" else 2
+        return 1 if senses[1] == "F" else 2
     if k == n:
-        return 1 if orient[n - 3] == "F" else 2
-    return _table_multiplier(orient[k - 3 : k], k)
-
-
-def _table_multiplier(triple: str, k: int) -> int:
-    value = MULTIPLIER_TABLE.get(triple)
+        return 1 if senses[0] == "F" else 2  # from e_{n-2}
+    value = MULTIPLIER_TABLE.get(senses)
     if value is None:
-        raise IllegalLocalPatternError(f"senses {triple} around v_{k} occur in no legal orientation")
+        raise IllegalLocalPatternError(f"senses {senses} around v_{k} occur in no legal orientation")
     return value
 
 
@@ -164,19 +163,13 @@ def count_T_recurrence(n: int) -> int:
 
 def _multiplier_step(n: int):
     """The step factor of the n-path's configuration counts: placing e_p multiplies in the
-    multiplier of v_p, by the rules of ``vertex_multiplier``, and placing the last edge also
-    that of the leaf v_n. From p = 3 on it reads only the window and whether e_p is last."""
-    edge_count = n - 1
+    multiplier of v_p, and placing the last edge also that of the leaf v_n. From p = 3 on
+    it reads only the window and whether e_p is last."""
 
     def step_factor(window: str, p: int) -> int:
-        if p == 1:
-            factor = 1
-        elif p == 2:
-            factor = 1 if window[-1] == "F" else 2
-        else:
-            factor = _table_multiplier(window, p)
-        if p == edge_count and n >= 3:
-            factor *= 1 if window[-2] == "F" else 2  # the leaf v_n, from e_{n-2}
+        factor = _vertex_factor(window, p, n)
+        if p == n - 1:
+            factor *= _vertex_factor(window[-2:], n, n)
         return factor
 
     return step_factor
@@ -237,13 +230,6 @@ def stage(n: int, k: int) -> int:
     return sum(_first_hit_buckets(n, list(p2_completion_weights(n, _multiplier_step(n))))[: k + 1])
 
 
-def _half_alternating(k: int) -> int:
-    a = alternating_count(k)
-    if a % 2:
-        raise InternalInconsistencyError(f"alternating count {a} for n={k} is odd")
-    return a // 2
-
-
 def count_T_summation(n: int, use_printed_limit: bool = False) -> int:
     """T_n as alternating + flat-first + agreeing-first contributions.
 
@@ -262,7 +248,7 @@ def count_T_summation(n: int, use_printed_limit: bool = False) -> int:
     for m in range(2, n + 1):
         total = alternating_count(m)
         for k in range(2, m - 1):
-            total += _half_alternating(k) * t[m - k]
+            total += alternating_count(k) // 2 * t[m - k]
         if m >= 5:
             suffix = list(accumulate(reversed(_first_hit_buckets(m - 2, after))))[::-1]
             agree_upper = m - 3 if use_printed_limit and m == n else m - 2
@@ -324,13 +310,13 @@ def _char_poly(z: complex) -> complex:
     return value
 
 
-def characteristic_roots(fit_range: tuple[int, int] = (20, 30)) -> AsymptoticModel:
+def characteristic_roots() -> AsymptoticModel:
     """Roots of the T-recurrence polynomial by Durand-Kerner, plus a fitted c_1.
 
     Durand-Kerner refines all four roots at once: each moves by p(z_i) over
     the product of its distances to the others, from the standard distinct
     seeds (0.4 + 0.9i)^i. The leading coefficient is a one-parameter
-    least-squares fit of T_n against alpha_1^n over the given inclusive n range.
+    least-squares fit of T_n against alpha_1^n over n = 20..30.
     """
     zs = [(0.4 + 0.9j) ** i for i in range(4)]
     for _ in range(500):
@@ -344,9 +330,8 @@ def characteristic_roots(fit_range: tuple[int, int] = (20, 30)) -> AsymptoticMod
     roots = tuple(sorted(zs, key=lambda z: -abs(z)))
     real_roots = sorted((z.real for z in roots if abs(z.imag) < 1e-9), reverse=True)
     dominant = real_roots[0]
-    lo, hi = fit_range
-    num = sum(count_T_recurrence(m) * dominant**m for m in range(lo, hi + 1))
-    den = sum(dominant ** (2 * m) for m in range(lo, hi + 1))
+    num = sum(count_T_recurrence(m) * dominant**m for m in range(20, 31))
+    den = sum(dominant ** (2 * m) for m in range(20, 31))
     return AsymptoticModel(roots=roots, dominant_root=dominant, dominant_coefficient=num / den)
 
 

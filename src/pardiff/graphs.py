@@ -283,6 +283,6 @@ def shift(config: Configuration, k: int) -> Configuration:
     return Configuration(tuple(x + k for x in config.stacks), config.graph)
 
 
-def canonicalize(config: Configuration, base: int = 1) -> Configuration:
-    """Shift so the base vertex (v_1 by default) holds zero chips."""
-    return shift(config, -config.stack(base))
+def canonicalize(config: Configuration) -> Configuration:
+    """Shift so v_1 holds zero chips."""
+    return shift(config, -config.stack(1))

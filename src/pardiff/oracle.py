@@ -56,12 +56,6 @@ class OracleResult(Record):
         object.__setattr__(self, "configurations", configurations)
         object.__setattr__(self, "count", count)
 
-    def to_dict(self, include_configurations: bool = True) -> dict:
-        out = {"n": self.n, "diff_bound": self.diff_bound, "count": self.count}
-        if include_configurations:
-            out["configurations"] = [list(c.stacks) for c in self.configurations]
-        return out
-
 
 def _bfs_plan(adj0: list[list[int]], root: int):
     """BFS order plus per-prefix-length firing and checking schedules.

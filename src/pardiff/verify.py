@@ -37,26 +37,17 @@ DEPTH_MINIMUMS = {"max_n_oracle": 2, "max_n_witness": 2, "max_n_routes": 2, "max
 
 
 class VerifyConfig(Record):
-    """Depth knobs for the suites; defaults keep a full run under a minute.
+    """The suites' depths, one per CLI option; defaults keep a full run under a minute.
 
     The defaults stay readable on the class (the CLI's option defaults read
     them there), so the fields live in the instance dict, not in slots.
     """
 
-    _fields = (
-        "max_n_oracle",
-        "max_n_witness",
-        "max_n_routes",
-        "max_n_structure",
-        "random_trials",
-        "rng_seed",
-    )
+    _fields = ("max_n_oracle", "max_n_witness", "max_n_routes", "max_n_structure")
     max_n_oracle = 8
     max_n_witness = 14
     max_n_routes = 16
     max_n_structure = 12
-    random_trials = 150
-    rng_seed = 987
 
     def __init__(
         self,
@@ -64,8 +55,6 @@ class VerifyConfig(Record):
         max_n_witness: int = max_n_witness,
         max_n_routes: int = max_n_routes,
         max_n_structure: int = max_n_structure,
-        random_trials: int = random_trials,
-        rng_seed: int = rng_seed,
     ):
         object.__setattr__(self, "max_n_oracle", max_n_oracle)
         object.__setattr__(self, "max_n_witness", max_n_witness)
@@ -74,8 +63,6 @@ class VerifyConfig(Record):
         for name, least in DEPTH_MINIMUMS.items():
             if getattr(self, name) < least:
                 raise DomainError(f"{name} must be at least {least} (got {getattr(self, name)})")
-        object.__setattr__(self, "random_trials", random_trials)
-        object.__setattr__(self, "rng_seed", rng_seed)
 
 
 class CheckResult(Record):
@@ -97,6 +84,10 @@ _REGISTRY: dict[str, list[tuple[str, object]]] = {}
 
 # The count checks run the window DP at every path length 2.._DP_MAX.
 _DP_MAX = 60
+
+# Each randomized check draws _RANDOM_TRIALS cases from a fixed seed of its own.
+_RANDOM_TRIALS = 150
+_RNG_SEED = 987
 
 
 class _RunInputs:
@@ -219,8 +210,8 @@ def _random_graph_and_config(rng):
 
 @_check("graph", "canonicalize-idempotent")
 def _chk_canonical_idempotent(cfg: VerifyConfig, inputs: _RunInputs):
-    rng = random.Random(cfg.rng_seed)
-    for _ in range(cfg.random_trials):
+    rng = random.Random(_RNG_SEED)
+    for _ in range(_RANDOM_TRIALS):
         _, c = _random_graph_and_config(rng)
         once = canonicalize(c)
         if canonicalize(once) != once:
@@ -230,8 +221,8 @@ def _chk_canonical_idempotent(cfg: VerifyConfig, inputs: _RunInputs):
 
 @_check("graph", "shift-composition")
 def _chk_shift_composition(cfg: VerifyConfig, inputs: _RunInputs):
-    rng = random.Random(cfg.rng_seed + 1)
-    for _ in range(cfg.random_trials):
+    rng = random.Random(_RNG_SEED + 1)
+    for _ in range(_RANDOM_TRIALS):
         _, c = _random_graph_and_config(rng)
         a, b = rng.randint(-9, 9), rng.randint(-9, 9)
         if shift(shift(c, a), b) != shift(c, a + b):
@@ -241,8 +232,8 @@ def _chk_shift_composition(cfg: VerifyConfig, inputs: _RunInputs):
 
 @_check("graph", "parse-render-round-trip")
 def _chk_round_trip(cfg: VerifyConfig, inputs: _RunInputs):
-    rng = random.Random(cfg.rng_seed + 2)
-    for _ in range(cfg.random_trials):
+    rng = random.Random(_RNG_SEED + 2)
+    for _ in range(_RANDOM_TRIALS):
         graph = PathGraph(rng.randint(1, 12)) if rng.random() < 0.4 else _random_connected_graph(rng)
         if parse_graph(render_graph(graph)) != graph:
             return f"round trip failed for {render_graph(graph)!r}"
@@ -255,8 +246,8 @@ def _chk_round_trip(cfg: VerifyConfig, inputs: _RunInputs):
 
 @_check("engine", "chip-conservation")
 def _chk_conservation(cfg: VerifyConfig, inputs: _RunInputs):
-    rng = random.Random(cfg.rng_seed + 3)
-    for _ in range(cfg.random_trials):
+    rng = random.Random(_RNG_SEED + 3)
+    for _ in range(_RANDOM_TRIALS):
         graph, c = _random_graph_and_config(rng)
         fired = engine.fire_step(graph, c)
         if sum(fired.stacks) != sum(c.stacks):
@@ -266,8 +257,8 @@ def _chk_conservation(cfg: VerifyConfig, inputs: _RunInputs):
 
 @_check("engine", "shift-equivariance")
 def _chk_equivariance(cfg: VerifyConfig, inputs: _RunInputs):
-    rng = random.Random(cfg.rng_seed + 4)
-    for _ in range(cfg.random_trials):
+    rng = random.Random(_RNG_SEED + 4)
+    for _ in range(_RANDOM_TRIALS):
         graph, c = _random_graph_and_config(rng)
         k = rng.randint(-7, 7)
         if engine.fire_step(graph, shift(c, k)) != shift(engine.fire_step(graph, c), k):
@@ -289,8 +280,8 @@ def _chk_period_reversal(cfg: VerifyConfig, inputs: _RunInputs):
 
 @_check("engine", "random-period-detection")
 def _chk_random_period(cfg: VerifyConfig, inputs: _RunInputs):
-    rng = random.Random(cfg.rng_seed + 5)
-    for _ in range(cfg.random_trials):
+    rng = random.Random(_RNG_SEED + 5)
+    for _ in range(_RANDOM_TRIALS):
         graph, c = _random_graph_and_config(rng)
         report = engine.detect_period(graph, c, engine.default_max_steps(graph, c))
         if report.period not in (1, 2):
@@ -300,8 +291,8 @@ def _chk_random_period(cfg: VerifyConfig, inputs: _RunInputs):
 
 @_check("engine", "fixed-point-iff-all-equal")
 def _chk_fixed_points(cfg: VerifyConfig, inputs: _RunInputs):
-    rng = random.Random(cfg.rng_seed + 6)
-    for _ in range(cfg.random_trials):
+    rng = random.Random(_RNG_SEED + 6)
+    for _ in range(_RANDOM_TRIALS):
         graph = _random_connected_graph(rng)
         c = _random_config(rng, graph)
         fixed = engine.fire_step(graph, c) == c
@@ -333,12 +324,20 @@ def _chk_realized(cfg: VerifyConfig, inputs: _RunInputs):
 
 @_check("orientation", "count-matches-recurrence")
 def _chk_orientation_counts(cfg: VerifyConfig, inputs: _RunInputs):
+    """R_n against the transfer's unit-weight total for n = 1..18, and against
+    the listed orientations, checked distinct, for n up to the enumeration ceiling."""
+    listed = min(18, orientations._enum_ceiling())
     for n in range(1, 19):
+        want = orientations.count_p2_orientations_recurrence(n)
+        *_, total = orientations.p2_completion_weights(n, orientations._unit_factor)
+        if total[""] != want:
+            return f"n={n}: transfer {total['']}, recurrence {want}"
+        if n > listed:
+            continue
         senses, _ = orientations.grow_p2_orientations(n, orientations._unit_factor)
         got = len(set(senses))
         if got != len(senses):
             return f"n={n}: {len(senses) - got} orientations enumerated twice"
-        want = orientations.count_p2_orientations_recurrence(n)
         if got != want:
             return f"n={n}: enumerated {got}, recurrence {want}"
     return None

@@ -3,41 +3,44 @@
 Each test prints a PASS line once its assertions went through, so a -s or -v
 run reads as a checklist. Everything here is cross-checked rather than
 self-referential: recurrences against enumeration, enumeration against the
-firing-only oracle, closed forms against direct sums.
+firing-only oracle, closed forms against direct sums. Invariant loops that
+``verify`` runs are not written again here: the criteria that name its
+checks read one run of every suite at the acceptance depths.
 """
 
 import csv
 import json
-import math
 import time
-from collections import Counter
+
+import pytest
 
 from pardiff.cli import main
 from pardiff.counting import (
-    agreeing_pair_positions,
     alternating_count,
-    alternating_orientations,
-    characteristic_roots,
-    contract_agreeing,
-    count_T_direct,
     count_T_recurrence,
-    count_T_summation,
     count_configs_on_orientation,
     multiplier_vector,
-    sever_at_flats,
 )
-from pardiff.engine import fire_step, induced_orientation, run_sequence
+from pardiff.engine import run_sequence
 from pardiff.graphs import Configuration, PathGraph
-from pardiff.oracle import orientations_realized
-from pardiff.orientations import (
-    check_p2_orientation,
-    count_p2_orientations_recurrence,
-    enumerate_p2_orientations,
-    witness_configuration,
-)
+from pardiff.orientations import count_p2_orientations_recurrence, enumerate_p2_orientations
+from pardiff.verify import VerifyConfig, run_suites
 
 R_PRINTED_PREFIX = [0, 2, 2, 4, 8, 14, 28, 52, 100, 190, 362]
 T_SMALL = {2: 2, 3: 8, 4: 26}
+
+
+@pytest.fixture(scope="module")
+def verify_checks():
+    """Every verify check at the acceptance depths, keyed "suite.name"."""
+    depths = VerifyConfig(max_n_oracle=10, max_n_witness=14, max_n_routes=16, max_n_structure=12)
+    return {f"{r.suite}.{r.name}": r for r in run_suites(depths)}
+
+
+def _assert_passed(checks, *names):
+    for name in names:
+        assert name in checks, f"verify has no check {name}"
+        assert checks[name].passed, f"{name}: {checks[name].detail}"
 
 
 def test_criterion_01_p5_demo_run(tmp_path):
@@ -92,13 +95,8 @@ def test_criterion_03_oracle_equals_recurrence(oracle_runs):
     print("PASS criterion 3: firing-only oracle equals the recurrence for n = 2..10")
 
 
-def test_criterion_04_route_agreement():
-    for n in range(2, 17):
-        rec = count_T_recurrence(n)
-        assert count_T_summation(n) == rec
-        assert count_T_direct(n) == rec
-    assert count_T_summation(5, use_printed_limit=True) == 88
-    assert count_T_recurrence(5) == 96
+def test_criterion_04_route_agreement(verify_checks):
+    _assert_passed(verify_checks, "counting.route-agreement", "counting.summation-erratum-detectable")
     print("PASS criterion 4: three routes agree for n = 2..16; misprinted limit fails at n = 5 (88 vs 96)")
 
 
@@ -109,49 +107,25 @@ def test_criterion_05_worked_ten_vertex_example():
     print("PASS criterion 5: ten-vertex worked example gives multipliers and product 144")
 
 
-def test_criterion_06_alternating_counts():
-    for n in range(3, 15):
-        direct = sum(count_configs_on_orientation(o) for o in alternating_orientations(n))
-        assert direct == alternating_count(n) == 8 * 3 ** (n - 3)
-        assert alternating_count(n + 1) == 3 * alternating_count(n)
-    print("PASS criterion 6: alternating closed form matches direct enumeration for n = 3..14")
+def test_criterion_06_alternating_counts(verify_checks):
+    _assert_passed(verify_checks, "counting.alternating-sequence")
+    for n in range(3, 16):
+        assert alternating_count(n) == 8 * 3 ** (n - 3)
+    print("PASS criterion 6: alternating closed form holds for n = 3..15 and matches direct sums for n = 2..14")
 
 
-def test_criterion_07_severing_and_contraction():
-    for n in range(2, 13):
-        for orient in enumerate_p2_orientations(n):
-            whole = count_configs_on_orientation(orient)
-            if "F" in orient:
-                parts = sever_at_flats(orient)
-                assert all(check_p2_orientation(p).legal for p in parts)
-                assert math.prod(count_configs_on_orientation(p) for p in parts) == whole
-            for i in agreeing_pair_positions(orient):
-                smaller = contract_agreeing(orient, i)
-                assert check_p2_orientation(smaller).legal
-                assert count_configs_on_orientation(smaller) == whole
+def test_criterion_07_severing_and_contraction(verify_checks):
+    _assert_passed(verify_checks, "counting.severing-multiplicative", "counting.contraction-invariant")
     print("PASS criterion 7: severing and contraction preserve counts for every orientation, n <= 12")
 
 
-def test_criterion_08_witness_soundness():
-    for n in range(2, 15):
-        graph = PathGraph(n)
-        for orient in enumerate_p2_orientations(n):
-            witness = witness_configuration(orient)
-            once = fire_step(graph, witness)
-            assert once != witness, "witness must not be a fixed point"
-            assert fire_step(graph, once) == witness, "witness must return after two firings"
-            assert induced_orientation(graph, witness) == orient
+def test_criterion_08_witness_soundness(verify_checks):
+    _assert_passed(verify_checks, "orientation.witness-valid")
     print("PASS criterion 8: witnesses are exactly 2-periodic and induce their orientation, n <= 14")
 
 
-def test_criterion_09_asymptotics():
-    model = characteristic_roots()
-    assert abs(model.dominant_root - 3.6096) <= 1e-4
-    second = min(z.real for z in model.roots if abs(z.imag) < 1e-9)
-    assert abs(second - 0.4290) <= 1e-4
-    assert abs(model.dominant_coefficient - 0.1564) <= 1e-3
-    ratio = count_T_recurrence(31) / count_T_recurrence(30)
-    assert abs(ratio - model.dominant_root) <= 1e-3
+def test_criterion_09_asymptotics(verify_checks):
+    _assert_passed(verify_checks, "counting.characteristic-roots", "counting.ratio-convergence")
     print("PASS criterion 9: roots 3.6096 / 0.4290, coefficient 0.1564, ratio within 1e-3")
 
 
@@ -188,15 +162,7 @@ def test_verify_command_is_green(tmp_path):
     print("PASS verify gate: every invariant suite green at default depth")
 
 
-def test_criterion_03_per_orientation_refinement(oracle_runs):
+def test_criterion_03_per_orientation_refinement(verify_checks):
     # the oracle grouped by induced orientation reproduces every multiplier product
-    for n in range(2, 11):
-        grouped = Counter()
-        for c in oracle_runs(n).configurations:
-            grouped[induced_orientation(PathGraph(n), c)] += 1
-        enumerated = enumerate_p2_orientations(n)
-        assert set(grouped) == set(enumerated)
-        for orient in enumerated:
-            assert grouped[orient] == count_configs_on_orientation(orient)
-        assert orientations_realized(oracle_runs(n)) == set(enumerated)
+    _assert_passed(verify_checks, "oracle.per-orientation-refinement", "orientation.realized-equals-enumerated")
     print("PASS criterion 3 refinement: per-orientation oracle groups equal multiplier products, n <= 10")

@@ -4,6 +4,7 @@ import concurrent.futures
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -246,11 +247,15 @@ def test_verify_manifest_records_every_depth(tmp_path, capsys):
 
 def test_verify_ceiling_inside_a_check_exits_two(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("PARDIFF_ENUM_CEILING", "9")
-    argv = ["verify", "--suites", "orientation", "--max-n-witness", "10"]
-    assert main(argv + ["--out", str(tmp_path / "v.json")]) == 2
+    argv = ["verify", "--suites", "orientation", "--max-n-oracle", "8", "--out", str(tmp_path / "v.json")]
+    # every depth within the ceiling: the orientation counts past it come from the transfer
+    assert main(argv + ["--max-n-witness", "9"]) == 0
+    capsys.readouterr()
+    assert main(argv + ["--max-n-witness", "10"]) == 2
     captured = capsys.readouterr()
     assert captured.err.count("\n") == 1
     assert captured.err.startswith("error [resource-ceiling]: ")
+    assert "asked for 10" in captured.err
     assert "FAIL" not in captured.out
 
 
@@ -441,6 +446,15 @@ def test_export_sequences_script(tmp_path):
         assert int(r_n) == count_p2_orientations_recurrence(n), n
         assert int(a_n) == alternating_count(n), n
         assert int(t_n) == count_T_recurrence(n), n
+
+
+def test_probe_conjecture_script():
+    script = Path(__file__).resolve().parent.parent / "scripts" / "probe_conjecture.py"
+    proc = _run_child([str(script), "--g0", "edge", "--k-min", "2", "--k-max", "6"])
+    assert proc.returncode == 0, proc.stderr
+    # a path bridged onto an edge is the (k + 2)-vertex path: T_4..T_8
+    assert re.findall(r"count=\s*(\d+)", proc.stdout) == ["26", "96", "346", "1248", "4506"]
+    assert proc.stdout.splitlines()[-1] == "order-4 recurrence residuals (k >= 6): [0]"
 
 
 def test_cli_import_skips_dataclasses_and_loads_every_module():

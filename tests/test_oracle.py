@@ -1,15 +1,15 @@
 """Brute-force oracle: pruning soundness, theory cross-checks, bridge graphs."""
 
-from collections import Counter, deque
+from collections import deque
 from itertools import product
 
 import pytest
 
 from pardiff import oracle
-from pardiff.counting import count_T_recurrence, count_configs_on_orientation
-from pardiff.engine import fire_step, orientation_of_stacks
+from pardiff.counting import count_T_recurrence
+from pardiff.engine import fire_step
 from pardiff.errors import CeilingError, DomainError, WindowNotStabilizedError
-from pardiff.graphs import Configuration, PathGraph, SimpleGraph, canonicalize
+from pardiff.graphs import Configuration, PathGraph, SimpleGraph
 from pardiff.oracle import (
     build_bridge_graph,
     count_p2_configurations,
@@ -74,29 +74,6 @@ def test_orientations_realized(oracle_runs):
     assert len(orientations_realized(oracle_runs(6))) == 14
 
 
-def test_per_orientation_grouping_matches_multipliers(oracle_runs):
-    for n in range(2, 9):
-        grouped = Counter(
-            orientation_of_stacks(c.stacks)
-            for c in oracle_runs(n).configurations
-        )
-        for o in enumerate_p2_orientations(n):
-            assert grouped[o] == count_configs_on_orientation(o)
-
-
-def test_orbit_partners_are_members(oracle_runs):
-    for n in range(2, 8):
-        graph = PathGraph(n)
-        members = set(oracle_runs(n).configurations)
-        for c in members:
-            assert canonicalize(fire_step(graph, c)) in members
-
-
-def test_bound_stability():
-    # b = 3 and b = 4 agree at every n = 2..60
-    assert count_p2_sequence(60, 3) == count_p2_sequence(60, 4)
-
-
 @pytest.mark.parametrize("diff_bound", [2, 3, 4])
 def test_count_sequence_matches_single_counts(diff_bound):
     sequence = count_p2_sequence(60, diff_bound)
@@ -154,15 +131,6 @@ def test_window_dp_ceiling(monkeypatch):
     monkeypatch.setenv("PARDIFF_ORACLE_CEILING", "100")
     with pytest.raises(CeilingError):
         count_p2_configurations(5)
-
-
-def test_result_export_shapes(oracle_runs):
-    result = oracle_runs(3)
-    full = result.to_dict()
-    assert full["count"] == 8
-    assert len(full["configurations"]) == 8
-    slim = result.to_dict(include_configurations=False)
-    assert "configurations" not in slim
 
 
 def test_bridge_graph_shape():

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pardiff.engine import fire_step, induced_orientation
+from pardiff.engine import fire_step
 from pardiff.errors import CeilingError, DomainError, IllegalOrientationError
 from pardiff.graphs import SENSE_ORDER, PathGraph, flipped, mirrored
 from pardiff.orientations import (
@@ -147,11 +147,6 @@ def test_recurrence_values():
     assert count_p2_orientations_recurrence(8) == 52
 
 
-def test_counts_agree_with_enumeration():
-    for n in range(1, 15):
-        assert len(enumerate_p2_orientations(n)) == count_p2_orientations_recurrence(n)
-
-
 def test_witness_examples():
     assert witness_configuration("RLRL").stacks == (0, 1, 0, 1, 0)
     assert witness_configuration("RFL").stacks == (0, 1, 1, 0)
@@ -169,14 +164,6 @@ def test_witness_rfl_is_two_periodic():
 def test_witness_rejects_illegal():
     with pytest.raises(IllegalOrientationError):
         witness_configuration("RRL")
-
-
-def test_witnesses_induce_their_orientation():
-    for n in range(2, 10):
-        g = PathGraph(n)
-        for o in enumerate_p2_orientations(n):
-            c = witness_configuration(o)
-            assert induced_orientation(g, c) == o
 
 
 sense_vectors = st.lists(st.sampled_from(SENSE_ORDER), min_size=1, max_size=12).map("".join)

@@ -115,7 +115,7 @@ def test_different_values_compare_unequal():
     assert _config(0, 1, 0) != Configuration((0, 1, 0), path_as_edges)
     assert PathGraph(3) != path_as_edges
     assert SimpleGraph(3, frozenset({(1, 2)})) != SimpleGraph(3, frozenset({(2, 3)}))
-    assert VerifyConfig() != VerifyConfig(rng_seed=1)
+    assert VerifyConfig() != VerifyConfig(max_n_oracle=9)
 
 
 def test_verify_defaults_read_from_the_class():
@@ -124,12 +124,10 @@ def test_verify_defaults_read_from_the_class():
         "max_n_witness": 14,
         "max_n_routes": 16,
         "max_n_structure": 12,
-        "random_trials": 150,
-        "rng_seed": 987,
     }
+    assert VerifyConfig._fields == tuple(defaults)
+    args = build_parser().parse_args(["verify"])
     for field, value in defaults.items():
         assert getattr(VerifyConfig, field) == value
         assert getattr(VerifyConfig(), field) == value
-    args = build_parser().parse_args(["verify"])
-    for field in ("max_n_oracle", "max_n_witness", "max_n_routes", "max_n_structure"):
-        assert getattr(args, field) == defaults[field]
+        assert getattr(args, field) == value

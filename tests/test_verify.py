@@ -13,7 +13,6 @@ SMALL = verify.VerifyConfig(
     max_n_witness=8,
     max_n_routes=9,
     max_n_structure=8,
-    random_trials=40,
 )
 
 
@@ -141,11 +140,28 @@ def test_duplicated_orientation_is_named(monkeypatch):
     assert details == {"count-matches-recurrence": "n=9: 1 orientations enumerated twice"}
 
 
+def test_wrong_transfer_count_past_the_ceiling_is_named(monkeypatch):
+    real = orientations.p2_completion_weights
+
+    def one_too_many_at_15(n, step_factor):
+        *entries, last = real(n, step_factor)
+        return [*entries, {"": last[""] + (n == 15)}]
+
+    monkeypatch.setenv("PARDIFF_ENUM_CEILING", "9")
+    monkeypatch.setattr(orientations, "p2_completion_weights", one_too_many_at_15)
+    results = verify.run_suites(SMALL, suites=["orientation"])
+    details = {r.name: r.detail for r in results if not r.passed}
+    r_15 = orientations.count_p2_orientations_recurrence(15)
+    assert details == {"count-matches-recurrence": f"n=15: transfer {r_15 + 1}, recurrence {r_15}"}
+
+
 def test_ceiling_inside_a_check_propagates(monkeypatch):
     monkeypatch.setenv("PARDIFF_ENUM_CEILING", "7")
     config = verify.VerifyConfig(max_n_oracle=5, max_n_witness=8)
-    with pytest.raises(CeilingError, match="asked for 8"):
+    with pytest.raises(CeilingError, match="asked for 8") as excinfo:
         verify.run_suites(config, suites=["orientation"])
+    # raised by the witness check, the first to list past the ceiling
+    assert "_chk_witness" in {entry.name for entry in excinfo.traceback}
 
 
 def test_other_exceptions_still_fail_their_check(monkeypatch):
