@@ -116,7 +116,7 @@ def _cmd_count(args) -> int:
             if len(result.configurations) != count:
                 raise InternalInconsistencyError(
                     f"the search lists {len(result.configurations)} configurations, "
-                    f"the window DP counts {count}"
+                    f"the path automaton counts {count}"
                 )
             payload["oracle_configurations"] = [list(c.stacks) for c in result.configurations]
     if args.ledger:

@@ -21,13 +21,14 @@ from pardiff.errors import (
 )
 from pardiff.graphs import Record, flipped
 from pardiff.orientations import (
+    _legal_arcs,
+    _listed,
     _may_follow,
     _require_legal,
     _require_senses,
     count_p2_orientations_recurrence,
-    grow_p2_orientations,
-    p2_completion_weights,
 )
+from pardiff.transfer import Automaton
 
 # Multiplier of v_k from the senses of (e_{k-2}, e_{k-1}, e_k), for interior
 # vertices where both v_k and v_{k-1} have two neighbours; direction-flipped
@@ -104,7 +105,7 @@ def vertex_multiplier(orient: str, k: int) -> int:
 
 def _vertex_factor(senses: str, k: int, n: int) -> int:
     """Multiplier of v_k on the n-path, read from ``senses``: the senses of e_{k-2},
-    e_{k-1} and e_k that exist. ``vertex_multiplier`` and the step factor both use it."""
+    e_{k-1} and e_k that exist. ``vertex_multiplier`` and ``_COUNTS`` both use it."""
     if k == 1 or n == 2:
         # v_1 is pinned; and both stacks of a 2-periodic pair on one edge are
         # forced once v_1 is, so the single leaf neighbour adds no freedom.
@@ -161,58 +162,56 @@ def count_T_recurrence(n: int) -> int:
     return d
 
 
-def _multiplier_step(n: int):
-    """The step factor of the n-path's configuration counts: placing e_p multiplies in the
-    multiplier of v_p, and placing the last edge also that of the leaf v_n. From p = 3 on
-    it reads only the window and whether e_p is last."""
-
-    def step_factor(window: str, p: int) -> int:
-        factor = _vertex_factor(window, p, n)
-        if p == n - 1:
-            factor *= _vertex_factor(window[-2:], n, n)
-        return factor
-
-    return step_factor
+def _count_arcs(tail: str) -> list[tuple[str, str, int]]:
+    """The arcs of _legal_arcs weighted by the multiplier of v_p, e_p being the edge
+    placed: v_p is no leaf, and from p = 3 on its multiplier reads senses alone."""
+    p = min(len(tail) + 1, 3)
+    return [(sense, target, _vertex_factor(tail + sense, p, p + 1))
+            for sense, target, _ in _legal_arcs(tail)]
 
 
-def _counted_orientations(n: int) -> tuple[list[str], list[int]]:
-    """Every legal orientation of the n-path and its configuration count, in no set order."""
-    return grow_p2_orientations(n, _multiplier_step(n))
+def _count_final(tail: str) -> int:
+    """The leaf v_n's multiplier where the path may end (a flat may follow), else 0."""
+    n = len(tail) + 1  # from n = 3 on, the multiplier reads the senses alone
+    return _vertex_factor(tail, n, n) if _may_follow(tail, "F") else 0
+
+
+# Every orientation of every path as a word over RLF, weighing its count (0 if illegal).
+_COUNTS = Automaton("", _count_arcs, _count_final)
 
 
 def count_T_direct(n: int) -> int:
-    """Sum of the configuration counts of every legal orientation, taken per
-    group of prefixes sharing their last two senses: none is listed, any n."""
-    for completions in p2_completion_weights(n, _multiplier_step(n)):
-        pass  # keep only the last entry, that of the empty prefix
-    return completions[""]
+    """Sum of the configuration counts of every legal orientation, listing none:
+    the total weight of the (n-1)-letter words of _COUNTS, at any n."""
+    if n < 1:
+        raise DomainError("n must be positive")
+    for total in _COUNTS.totals(n - 1):
+        pass  # keep only the last, that of n - 1 letters
+    return total
 
 
-def _first_hit_buckets(m: int, after: list[dict[str, int]]) -> list[int]:
+def _first_hit_buckets(m: int, after: list[list[int]]) -> list[int]:
     """Configuration totals on the m-path, bucketed by where the orientation
     first shows a flat edge or an agreeing pair.
 
     Bucket j (0-based edge index) collects the orientations whose first flat
     edge is e_{j+1}, or whose first agreeing pair is (e_j, e_{j+1}), whichever
     comes first; the alternating ones show neither and fill bucket m - 1.
-    Bucket j < m - 1 is an alternating prefix's weight, times the factor of
-    e_{j+1}, times the weight of its completions. Those start at e_3 or later
-    (e_{j+1} is never e_1), so they depend only on the tail and the edges
-    left, and ``after`` may list the ``p2_completion_weights`` entries of the
-    M-path for any M >= m.
+    Bucket j < m - 1 sums, over the arcs of _COUNTS that break an alternating
+    prefix at e_{j+1}, the prefix's weight times the arc's times the
+    completions where it leads, read from ``after`` = list(_COUNTS.completions(r)), r >= m - 2.
     """
     buckets = [0] * m
-    step_factor = _multiplier_step(m)
     for alternating in alternating_orientations(m):
-        weight = 1
-        for p in range(1, m):
-            tail = alternating[max(p - 3, 0) : p - 1]
-            for sense in "F" + tail[-1:]:  # a flat e_p, or one that agrees with e_{p-1}
-                if _may_follow(tail, sense, p, m - 1):
-                    window = tail + sense
-                    buckets[p - 1] += weight * step_factor(window, p) * after[m - 1 - p][window[-2:]]
-            weight *= step_factor(alternating[max(p - 3, 0) : p], p)
-        buckets[m - 1] += weight
+        state, weight = 0, 1
+        for p, letter in enumerate(alternating, start=1):
+            for sense, target, factor in _COUNTS.arcs[state]:
+                if sense == letter:
+                    next_state, next_weight = target, weight * factor
+                elif p > 1:  # a flat or an agreeing pair; at e_1, the other alternation
+                    buckets[p - 1] += weight * factor * after[m - 1 - p][target]
+            state, weight = next_state, next_weight
+        buckets[m - 1] += weight * _COUNTS.final[state]
     return buckets
 
 
@@ -227,7 +226,7 @@ def stage(n: int, k: int) -> int:
         raise DomainError("stage needs n >= 2")
     if k < 0:
         raise DomainError("stage needs k >= 0")
-    return sum(_first_hit_buckets(n, list(p2_completion_weights(n, _multiplier_step(n))))[: k + 1])
+    return sum(_first_hit_buckets(n, list(_COUNTS.completions(n - 2)))[: k + 1])
 
 
 def count_T_summation(n: int, use_printed_limit: bool = False) -> int:
@@ -236,14 +235,14 @@ def count_T_summation(n: int, use_printed_limit: bool = False) -> int:
     T_2..T_n are built bottom-up, each from the earlier ones, so the route
     never consults the recurrence. The agreeing-first term of T_m adds
     T_{m-2} - stage(m-2, k-2) for k = 3..m-2, read as suffix sums of the
-    first-hit buckets of the (m-2)-path, all off the completion weights of
-    the (n-2)-path. The printed form of that upper limit is m-3, which
+    first-hit buckets of the (m-2)-path, all off one list of completion
+    vectors. The printed form of that upper limit is m-3, which
     undercounts (88 instead of 96 at n = 5); it is kept behind
     ``use_printed_limit``, applied to T_n alone, as a regression reference.
     """
     if n < 2:
         raise DomainError("summation route needs n >= 2")
-    after = list(p2_completion_weights(n - 2, _multiplier_step(n - 2))) if n >= 5 else []
+    after = list(_COUNTS.completions(n - 4)) if n >= 5 else []  # read up to n - 4 letters
     t = [0, 0]  # t[m] = T_m; t[0] and t[1] are never read
     for m in range(2, n + 1):
         total = alternating_count(m)
@@ -259,7 +258,7 @@ def count_T_summation(n: int, use_printed_limit: bool = False) -> int:
 
 def build_count_ledger(n: int) -> CountLedger:
     """All three total routes plus per-orientation products for one n."""
-    per = dict(zip(*_counted_orientations(n)))
+    per = dict(zip(*_listed(_COUNTS, n)))
     totals = {
         "R_n": len(per),
         "A_n": alternating_count(n),

@@ -11,10 +11,10 @@ periodicity at v is abandoned. That check is a direct consequence of the
 firing rule, which only reads a radius-two neighbourhood, so the pruned walk
 visits exactly the survivors of the full (2b+1)^(V-1) iteration.
 
-On paths the same locality makes the count a transfer-matrix sum over a
-sliding window of differences (count_p2_sequence), linear in n. The
-search stays as the producer of configuration lists and as the DP's
-small-n certificate.
+On paths the same locality lets one weighted automaton over the signs of
+the differences, built from the firing of windows of four differences,
+count every length (count_p2_sequence), linear in n. The search stays as
+the producer of configuration lists and the automaton's small-n certificate.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from pardiff.graphs import (
     is_connected,
 )
 from pardiff.engine import fire_step, orientation_of_stacks
+from pardiff.transfer import Automaton
 
 DEFAULT_CANDIDATE_CEILING = 7**10
 DEFAULT_BRIDGE_VERTEX_CEILING = 12
@@ -240,58 +241,40 @@ def _window_verdict(window: tuple, one_firing: _OneFiring) -> tuple[bool, bool]:
     return mid + one_firing[before, after] == 0, mid != 0
 
 
-def _path_transfer(diff_bound: int, steps: int):
-    """Transfer table over difference tails for one bound and ``steps``
-    appended differences.
+def _path_automaton(diff_bound: int) -> Automaton:
+    """Weighs each orientation by how many configurations
+    enumerate_p2_configurations(n, diff_bound) lists with it, at every n.
 
-    A tail is the last three differences, None-padded at the front until the
-    path has three edges; tail i is reachable from the first edge within
-    ``steps`` appends, and the first 2b+1 tails are those single edges.
-    ``stay[i]`` and ``move[i]`` list the successor tails whose newly settled
-    vertex passes fire^2 = id, split by whether one firing leaves it in
-    place or moves it; they stay empty for tails first reached at the last
-    step. ``close[i]`` is None if the path cannot end after tail i, else
-    whether settling its last two vertices moves one of them.
+    A state is the last three differences, None-padded at the front, and
+    whether a settled vertex moves under one firing. Appending d reads its
+    sign (R for d > 0, as in orientation_of_stacks) and settles the vertex two
+    back, which must pass fire^2 = id (the first append's window holds none).
+    The final weight settles the last two: 1 if both pass and a vertex moves.
     """
     diffs = range(-diff_bound, diff_bound + 1)
     one_firing = _OneFiring()
-    tails = [(None, None, d) for d in diffs]
-    index = {t: i for i, t in enumerate(tails)}
-    depth = [0] * len(tails)
-    stay: list[list[int]] = []
-    move: list[list[int]] = []
-    close: list[bool | None] = []
-    for i, tail in enumerate(tails):  # grows while it is walked, breadth first
-        stay.append([])
-        move.append([])
-        for d in diffs if depth[i] < steps else ():
-            stays, moves = _window_verdict(tail + (d,), one_firing)
+
+    def arcs_of(state):
+        tail, moved = state
+        for d in diffs:
+            stays, moves = _window_verdict((*tail, d), one_firing)
             if stays:
-                nxt = tail[1:] + (d,)
-                if nxt not in index:
-                    index[nxt] = len(tails)
-                    tails.append(nxt)
-                    depth.append(depth[i] + 1)
-                (move if moves else stay)[-1].append(index[nxt])
-        last_stays, last_moves = _window_verdict(tail + (None,), one_firing)
-        end_stays, end_moves = _window_verdict(tail[1:] + (None, None), one_firing)
-        close.append((last_moves or end_moves) if last_stays and end_stays else None)
-    return len(diffs), stay, move, close
+                yield "R" if d > 0 else "L" if d < 0 else "F", ((*tail[1:], d), moved or moves), 1
+
+    def final_of(state):
+        tail, moved = state
+        last_stays, last_moves = _window_verdict((*tail, None), one_firing)
+        end_stays, end_moves = _window_verdict((*tail[1:], None, None), one_firing)
+        return int(last_stays and end_stays and (moved or last_moves or end_moves))
+
+    return Automaton(((None, None, None), False), arcs_of, final_of)
 
 
 def count_p2_sequence(n: int, diff_bound: int = 3) -> list[int]:
     """How many configurations enumerate_p2_configurations(m, diff_bound) lists,
-    for every m = 2..n (entry m - 2), counted by a transfer DP over
-    difference windows instead of a search.
-
-    Whether v_i lies in a 2-period, and whether one firing moves it, depends
-    only on the four differences d_{i-2}..d_{i+1}, so appending a difference
-    settles the vertex two places back (_path_transfer). Each tail carries
-    two weights: configurations in which no vertex has moved yet, and those
-    in which one has. Only the moved weight is counted, since fire = id is
-    not a 2-period. One table and one forward pass serve every length: the
-    count at m closes the weights held after m - 2 appends. Work is at most
-    (n-1)(2b+1)^4 window steps, held to the oracle ceiling.
+    for every m = 2..n (entry m - 2): the totals of _path_automaton, with no
+    search. Work is at most (n-1)(2b+1)^4 window steps, held to the oracle
+    ceiling.
     """
     if n < 2:
         raise DomainError("the oracle needs n >= 2")
@@ -301,28 +284,7 @@ def count_p2_sequence(n: int, diff_bound: int = 3) -> list[int]:
     work = (n - 1) * (2 * diff_bound + 1) ** 4
     if work > ceiling:
         raise CeilingError(f"{work} window steps exceed the oracle ceiling {ceiling}")
-    starts, stay, move, close = _path_transfer(diff_bound, n - 2)
-    size = len(close)
-    closing = [(i, moves) for i, moves in enumerate(close) if moves is not None]
-    still = [1] * starts + [0] * (size - starts)
-    moved = [0] * size
-    counts = []
-    for step in range(n - 1):
-        if step:
-            next_still = [0] * size
-            next_moved = [0] * size
-            for i in range(size):
-                s, m = still[i], moved[i]
-                if not (s or m):
-                    continue
-                for k in stay[i]:
-                    next_still[k] += s
-                    next_moved[k] += m
-                for k in move[i]:
-                    next_moved[k] += s + m
-            still, moved = next_still, next_moved
-        counts.append(sum(moved[i] + (still[i] if moves else 0) for i, moves in closing))
-    return counts
+    return list(_path_automaton(diff_bound).totals(n - 1))[1:]  # from n = 2 on
 
 
 def count_p2_configurations(n: int, diff_bound: int = 3) -> int:
@@ -338,7 +300,7 @@ def enumerate_p2_configurations(
     stack differences within diff_bound, ordered by difference vector.
 
     This search materializes the list and certifies count_p2_configurations
-    at small n; counts alone should come from that DP. ``workers`` defaults
+    at small n; counts alone should come from there. ``workers`` defaults
     to every core and matters only from _POOL_THRESHOLD raw candidates on.
     No program caller sets it; it stays for perfbench/run.py's pool_probe,
     which times this function at workers = 1 and 2 and, if the parameter

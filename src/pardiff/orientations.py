@@ -15,8 +15,6 @@ bookended). Two pairs may share a bookend as long as each pair passes.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
-
 from pardiff.errors import (
     CeilingError,
     DomainError,
@@ -25,6 +23,7 @@ from pardiff.errors import (
     env_ceiling,
 )
 from pardiff.graphs import Configuration, PathGraph, Record, SENSE_ORDER
+from pardiff.transfer import Automaton
 
 RULE_ADJACENT_FLATS = "AdjacentFlats"
 RULE_FLAT_AT_LEAF = "FlatAtLeaf"
@@ -95,19 +94,21 @@ def _enum_ceiling() -> int:
     return env_ceiling(_ENUM_CEILING_ENV, DEFAULT_ENUM_CEILING)
 
 
-def _may_follow(tail: str, sense: str, p: int, edge_count: int) -> bool:
-    """Whether e_p may take ``sense`` after ``tail``, the senses of e_{p-2}, e_{p-1}.
+def _may_follow(tail: str, sense: str) -> bool:
+    """Whether the next edge may take ``sense`` after ``tail``, the senses of the
+    two edges before it: one at e_2, none at e_1.
 
-    This is the one legality rule the builder applies. Each side of each
-    pattern (a)-(d) is settled by a sense and the two before it, or by the
-    edge being a leaf edge, so a sense vector in which every sense passes
-    here avoids all four patterns.
+    This is the one legality rule of the automata. Each side of each pattern
+    (a)-(d) is settled by a sense and the two before it, or by the edge being
+    a leaf edge. A path's end acts as a flat edge would, so a legal prefix may
+    end where a flat may follow it, and a sense vector that passes here at
+    every edge and at its end avoids all four patterns.
     """
     if sense == "F":
-        if p == 1 or p == edge_count or tail[-1] == "F":
+        if not tail or tail[-1] == "F":
             return False
-        return p < 3 or tail[0] != tail[1]  # else a directed pair right-bookended by a flat
-    if p == 1:
+        return len(tail) < 2 or tail[0] != tail[1]  # else a directed pair right-bookended by a flat
+    if not tail:
         return True
     last = tail[-1]
     if last == "F":
@@ -115,97 +116,39 @@ def _may_follow(tail: str, sense: str, p: int, edge_count: int) -> bool:
         return tail[0] != sense  # else a flat straddled by agreeing directed edges
     if last == sense:
         # the agreeing pair (e_{p-1}, e_p) needs a disagreeing bookend on each side
-        return p != 2 and p != edge_count and tail[0] != "F" and tail[0] != sense
+        return len(tail) == 2 and tail[0] != "F" and tail[0] != sense
     return True
 
 
-def grow_p2_orientations(
-    n: int, step_factor: Callable[[str, int], int]
-) -> tuple[list[str], list[int]]:
-    """Every legal orientation of the n-vertex path with a weight, in no set order.
+def _legal_arcs(tail: str) -> list[tuple[str, str, int]]:
+    """The arcs, of weight 1, out of a legal prefix's state: its last two senses."""
+    return [(sense, (tail + sense)[-2:], 1) for sense in SENSE_ORDER if _may_follow(tail, sense)]
 
-    Returns parallel lists of sense strings and weights. A prefix's weight is
-    the product of ``step_factor(window, p)`` over its placements, where
-    ``window`` holds the senses of e_{p-2}, e_{p-1}, e_p (fewer at the start)
-    and e_p is the edge just placed. The prefixes are built one edge at a
-    time and kept grouped by their last two senses, which is all that
-    ``_may_follow`` and the factor read. So each sense is tested and its
-    factor taken once per group, and only the string and the weight are
-    extended per prefix. Each level is consumed group by group while the
-    next one is built, and the last level is returned ungrouped.
-    """
+
+# The legal orientations of every path as words of weight 1; one may end where a flat may follow.
+_LEGAL = Automaton("", _legal_arcs, lambda tail: int(_may_follow(tail, "F")))
+
+
+def _listed(automaton: Automaton, n: int) -> tuple[list[str], list[int]]:
+    """The n-vertex path's words of ``automaton`` and weights, within the ceiling."""
     if n < 1:
         raise DomainError("n must be positive")
     limit = _enum_ceiling()
     if n > limit:
         raise CeilingError(f"orientation enumeration capped at n = {limit} (asked for {n})")
-    if n == 1:
-        # A single vertex has only the empty orientation, which belongs to the
-        # all-equal fixed configuration, never to a 2-period.
-        return [], []
-    edge_count = n - 1
-    level: dict[str, tuple[list[str], list[int]]] = {"": ([""], [1])}
-    for p in range(1, edge_count + 1):
-        grown: dict[str, tuple[list[str], list[int]]] = {}
-        while level:
-            tail, (prefixes, weights) = level.popitem()
-            for sense in SENSE_ORDER:
-                if not _may_follow(tail, sense, p, edge_count):
-                    continue
-                window = tail + sense
-                factor = step_factor(window, p)
-                key = window[-2:] if p < edge_count else ""
-                grown_prefixes, grown_weights = grown.setdefault(key, ([], []))
-                grown_prefixes.extend([q + sense for q in prefixes])
-                grown_weights.extend(weights if factor == 1 else [w * factor for w in weights])
-        level = grown
-    return level[""]
-
-
-def p2_completion_weights(n: int, step_factor: Callable[[str, int], int]) -> Iterator[dict[str, int]]:
-    """The weights of ``grow_p2_orientations(n, step_factor)`` summed per group, listing nothing.
-
-    Yields, for r = 0, 1, ..., n - 1 in turn, a dict from each tail (last two
-    senses) of a legal prefix of n - 1 - r edges to the total weight of the
-    prefix's legal r-edge completions, ending with ``{"": total weight}``.
-    This is the builder's pass run backward with one integer per group, the
-    transfer-matrix method (Stanley, Enumerative Combinatorics I, section
-    4.7): O(n) steps, no ceiling, and two entries held at a time.
-    """
-    if n < 1:
-        raise DomainError("n must be positive")
-    if n == 1:
-        yield {"": 0}  # as in the builder, the empty orientation is no 2-period
-        return
-    edge_count = n - 1
-    tails = [{""}]  # tails[i]: the tails of the legal prefixes of i edges
-    for p in range(1, edge_count + 1):
-        grown = {(t + s)[-2:] for t in tails[-1] for s in SENSE_ORDER if _may_follow(t, s, p, edge_count)}
-        tails.append(tails[-1] if grown == tails[-1] else grown)  # one set for the long stable run
-    rest = dict.fromkeys(tails[edge_count], 1)
-    yield rest
-    for p in range(edge_count, 0, -1):
-        rest = {t: sum(step_factor(t + s, p) * rest[(t + s)[-2:]] for s in SENSE_ORDER
-                       if _may_follow(t, s, p, edge_count)) for t in tails[p - 1]}
-        yield rest
-
-
-def _unit_factor(window: str, p: int) -> int:
-    return 1
+    return automaton.words(n - 1)
 
 
 def enumerate_p2_orientations(n: int) -> list[str]:
     """All legal orientations of the n-vertex path, lexicographic with R < L < F.
 
-    Read off ``grow_p2_orientations`` with unit weights, then sorted, since
-    the builder's grouping by tail does not keep that order. All the strings
-    have n - 1 letters and "R" > "L" > "F" in code points, so descending
-    string order is R < L < F order. The builder makes each prefix that
-    passes ``_may_follow`` once, about 3.1 R_n of them over all levels
-    (371726 for the 119728 orientations at n = 20), instead of testing all
-    3^(n-1) sense vectors.
+    The words of _LEGAL, sorted, since its lister groups prefixes by state.
+    All have n - 1 letters and "R" > "L" > "F" in code points, so descending
+    string order is R < L < F order. The lister makes each legal prefix once,
+    about 3.1 R_n of them over all levels (371726 for the 119728
+    orientations at n = 20), instead of testing all 3^(n-1) sense vectors.
     """
-    senses, _ = grow_p2_orientations(n, _unit_factor)
+    senses, _ = _listed(_LEGAL, n)
     senses.sort(reverse=True)
     return senses
 
@@ -228,6 +171,11 @@ def witness_configuration(orient: str) -> Configuration:
     across a Right edge, one less across a Left edge, equal across a Flat edge.
     """
     _require_legal(orient)
+    return _witness(orient)
+
+
+def _witness(orient: str) -> Configuration:
+    """witness_configuration for an orientation already known to be legal."""
     stacks = [0]
     for sense in orient:
         stacks.append(stacks[-1] + _STEP[sense])

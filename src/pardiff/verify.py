@@ -5,7 +5,7 @@ first counterexample it finds. Checks call through module namespaces so a
 deliberately broken function (for testing the tester) is caught by name.
 Inputs that several checks read (orientation lists, the oracle's
 configuration lists, legality verdicts, per-orientation counts and the
-window-DP count sequences) are built at most once per run_suites call, in a
+path-automaton count sequences) are built at most once per run_suites call, in a
 _RunInputs object that the call creates and drops.
 """
 
@@ -82,7 +82,7 @@ class CheckResult(Record):
 
 _REGISTRY: dict[str, list[tuple[str, object]]] = {}
 
-# The count checks run the window DP at every path length 2.._DP_MAX.
+# The count checks read the path automaton's totals at every path length 2.._DP_MAX.
 _DP_MAX = 60
 
 # Each randomized check draws _RANDOM_TRIALS cases from a fixed seed of its own.
@@ -130,7 +130,7 @@ class _RunInputs:
         return self._counts[orient]
 
     def dp_counts(self, diff_bound: int) -> list[int]:
-        """Window-DP counts at n = 2.._DP_MAX (entry n - 2)."""
+        """Path-automaton counts at n = 2.._DP_MAX (entry n - 2)."""
         if diff_bound not in self._dp_counts:
             self._dp_counts[diff_bound] = oracle.count_p2_sequence(_DP_MAX, diff_bound)
         return self._dp_counts[diff_bound]
@@ -271,7 +271,7 @@ def _chk_period_reversal(cfg: VerifyConfig, inputs: _RunInputs):
     for n in range(3, 11):
         graph = PathGraph(n)
         for orient in inputs.orientations(n):
-            c = orientations.witness_configuration(orient)
+            c = orientations._witness(orient)  # enumerator output, legal already
             fired = engine.fire_step(graph, c)
             if engine.induced_orientation(graph, fired) != flipped(orient):
                 return f"orientation {orient} not reversed after firing"
@@ -324,17 +324,16 @@ def _chk_realized(cfg: VerifyConfig, inputs: _RunInputs):
 
 @_check("orientation", "count-matches-recurrence")
 def _chk_orientation_counts(cfg: VerifyConfig, inputs: _RunInputs):
-    """R_n against the transfer's unit-weight total for n = 1..18, and against
-    the listed orientations, checked distinct, for n up to the enumeration ceiling."""
+    """R_n against one totals pass of _LEGAL for n = 1..18, and against the
+    listed orientations, checked distinct, up to the enumeration ceiling."""
     listed = min(18, orientations._enum_ceiling())
-    for n in range(1, 19):
+    for n, total in enumerate(orientations._LEGAL.totals(17), start=1):
         want = orientations.count_p2_orientations_recurrence(n)
-        *_, total = orientations.p2_completion_weights(n, orientations._unit_factor)
-        if total[""] != want:
-            return f"n={n}: transfer {total['']}, recurrence {want}"
+        if total != want:
+            return f"n={n}: transfer {total}, recurrence {want}"
         if n > listed:
             continue
-        senses, _ = orientations.grow_p2_orientations(n, orientations._unit_factor)
+        senses, _ = orientations._LEGAL.words(n - 1)
         got = len(set(senses))
         if got != len(senses):
             return f"n={n}: {len(senses) - got} orientations enumerated twice"
@@ -348,7 +347,7 @@ def _chk_witness(cfg: VerifyConfig, inputs: _RunInputs):
     for n in range(2, cfg.max_n_witness + 1):
         graph = PathGraph(n)
         for orient in inputs.orientations(n):
-            c = orientations.witness_configuration(orient)
+            c = orientations._witness(orient)  # enumerator output, legal already
             once = engine.fire_step(graph, c)
             if once == c or engine.fire_step(graph, once) != c:
                 return f"witness for {orient} is not exactly 2-periodic"
@@ -488,7 +487,7 @@ def _chk_roots(cfg: VerifyConfig, inputs: _RunInputs):
 
 @_check("oracle", "count-vs-recurrence")
 def _chk_oracle_counts(cfg: VerifyConfig, inputs: _RunInputs):
-    """Window-DP count at b = 3 against T_n for every n = 2..60."""
+    """Path-automaton count at b = 3 against T_n for every n = 2..60."""
     for n, got in enumerate(inputs.dp_counts(3), start=2):
         want = counting.count_T_recurrence(n)
         if got != want:
@@ -526,7 +525,7 @@ def _chk_orbit_pairing(cfg: VerifyConfig, inputs: _RunInputs):
 
 @_check("oracle", "bound-stability")
 def _chk_bound_stability(cfg: VerifyConfig, inputs: _RunInputs):
-    """Window-DP counts at b = 3 and b = 4 agree for every n = 2..60."""
+    """Path-automaton counts at b = 3 and b = 4 agree for every n = 2..60."""
     for n, (at3, at4) in enumerate(zip(inputs.dp_counts(3), inputs.dp_counts(4)), start=2):
         if at3 != at4:
             return f"n={n}: counts differ between bounds 3 and 4"

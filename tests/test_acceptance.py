@@ -14,6 +14,7 @@ import time
 
 import pytest
 
+from pardiff import oracle
 from pardiff.cli import main
 from pardiff.counting import (
     alternating_count,
@@ -31,10 +32,17 @@ T_SMALL = {2: 2, 3: 8, 4: 26}
 
 
 @pytest.fixture(scope="module")
-def verify_checks():
-    """Every verify check at the acceptance depths, keyed "suite.name"."""
+def verify_checks(oracle_runs):
+    """Every verify check at the acceptance depths, keyed "suite.name".
+
+    The oracle's configuration lists come from the session's oracle_runs
+    memo, so the gate builds each of them once.
+    """
     depths = VerifyConfig(max_n_oracle=10, max_n_witness=14, max_n_routes=16, max_n_structure=12)
-    return {f"{r.suite}.{r.name}": r for r in run_suites(depths)}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "enumerate_p2_configurations", lambda n, diff_bound=3: oracle_runs(n, diff_bound))
+        results = run_suites(depths)
+    return {f"{r.suite}.{r.name}": r for r in results}
 
 
 def _assert_passed(checks, *names):

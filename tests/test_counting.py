@@ -3,9 +3,8 @@
 import pytest
 
 from pardiff.counting import (
-    _counted_orientations,
+    _COUNTS,
     _first_hit_buckets,
-    _multiplier_step,
     agreeing_pair_positions,
     alternating_count,
     alternating_orientations,
@@ -30,10 +29,10 @@ from pardiff.errors import (
     NotAnAgreeingPairError,
 )
 from pardiff.orientations import (
+    _listed,
     check_p2_orientation,
     count_p2_orientations_recurrence,
     enumerate_p2_orientations,
-    p2_completion_weights,
     witness_configuration,
 )
 
@@ -148,7 +147,7 @@ def test_direct_counts():
 def test_builder_counts_match_per_orientation_products():
     # count_configs_on_orientation re-checks legality and multiplies vertex by vertex
     for n in range(2, 17):
-        senses, counts = _counted_orientations(n)
+        senses, counts = _listed(_COUNTS, n)
         assert len(set(senses)) == len(senses) == count_p2_orientations_recurrence(n)
         for s, count in zip(senses, counts):
             assert count == count_configs_on_orientation(s), s
@@ -161,7 +160,7 @@ def test_direct_equals_recurrence_to_twenty():
 
 def test_direct_transfer_equals_listed_weights():
     for n in range(1, 19):
-        assert count_T_direct(n) == sum(_counted_orientations(n)[1]), n
+        assert count_T_direct(n) == sum(_listed(_COUNTS, n)[1]), n
 
 
 def test_direct_transfer_reaches_past_the_enumeration_ceiling():
@@ -172,7 +171,7 @@ def test_direct_transfer_reaches_past_the_enumeration_ceiling():
 def _scanned_buckets(m):
     """First-hit buckets by scanning every listed orientation: the reference."""
     buckets = [0] * m
-    for s, count in zip(*_counted_orientations(m)):
+    for s, count in zip(*_listed(_COUNTS, m)):
         j = 0
         while j < len(s) and s[j] != "F" and (j == 0 or s[j] != s[j - 1]):
             j += 1
@@ -181,15 +180,15 @@ def _scanned_buckets(m):
 
 
 def test_first_hit_buckets_match_the_string_scan():
-    tables = {size: list(p2_completion_weights(size, _multiplier_step(size))) for size in range(1, 19)}
+    table = list(_COUNTS.completions(17))
     for m in range(1, 17):
         want = _scanned_buckets(m)
-        for size in range(m, 19):  # a longer path's completion table serves too
-            assert _first_hit_buckets(m, tables[size]) == want, (m, size)
+        for size in range(max(m - 1, 0), 19):  # any table of at least m - 1 vectors serves
+            assert _first_hit_buckets(m, table[:size]) == want, (m, size)
 
 
 def test_first_hit_buckets_sum_to_T_from_one_table():
-    table = list(p2_completion_weights(400, _multiplier_step(400)))
+    table = list(_COUNTS.completions(400))
     for m in [*range(2, 121), 400]:
         assert sum(_first_hit_buckets(m, table)) == count_T_recurrence(m), m
 

@@ -107,7 +107,7 @@ def test_window_dp_equals_search(oracle_runs, diff_bound, n_max):
     for n in range(2, n_max + 1):
         assert count_p2_configurations(n, diff_bound) == oracle_runs(n, diff_bound).count
     if diff_bound == 2:
-        # b = 2 undercounts T_n, so agreement there shows the DP runs the
+        # b = 2 undercounts T_n, so agreement there shows the automaton counts the
         # same search rather than reproducing the recurrence
         assert count_p2_configurations(n_max, 2) < count_T_recurrence(n_max)
 

@@ -4,7 +4,6 @@ The pruned enumerator is certified against a plain filter over all 3^(n-1)
 sense vectors, and the recurrence against the enumeration.
 """
 
-import math
 from itertools import product
 
 import pytest
@@ -15,6 +14,7 @@ from pardiff.engine import fire_step
 from pardiff.errors import CeilingError, DomainError, IllegalOrientationError
 from pardiff.graphs import SENSE_ORDER, PathGraph, flipped, mirrored
 from pardiff.orientations import (
+    _LEGAL,
     RULE_ADJACENT_FLATS,
     RULE_FLAT_AT_LEAF,
     RULE_FLAT_NOT_BOOKENDED,
@@ -22,8 +22,6 @@ from pardiff.orientations import (
     check_p2_orientation,
     count_p2_orientations_recurrence,
     enumerate_p2_orientations,
-    grow_p2_orientations,
-    p2_completion_weights,
     witness_configuration,
 )
 
@@ -82,43 +80,20 @@ def test_enumerate_matches_plain_filter():
         assert enumerate_p2_orientations(n) == wanted
 
 
-def test_builder_weight_is_product_of_step_factors():
-    def factor(window, p):
-        return 1 + (7 * p + sum(map(ord, window))) % 4
-
-    senses, weights = grow_p2_orientations(9, factor)
-    for s, weight in zip(senses, weights):
-        # the factor for e_p sees the senses of e_{p-2}, e_{p-1}, e_p
-        assert weight == math.prod(factor(s[max(p - 3, 0) : p], p) for p in range(1, 9)), s
-
-
-def test_completion_weights_sum_the_builder_weights_per_group():
-    def factor(window, p):
-        return 1 + (7 * p + sum(map(ord, window))) % 4
-
-    for n in range(1, 12):
-        senses, weights = grow_p2_orientations(n, factor)
-        after = list(p2_completion_weights(n, factor))
-        assert len(after) == max(n, 1) and after[-1] == {"": sum(weights)}, n
-        for i in range(1, n):
-            # every listed prefix of i edges, grouped by tail: its weight times its completions
-            by_tail = {}
-            for s, weight in zip(senses, weights):
-                prefix = s[:i]
-                w = math.prod(factor(prefix[max(p - 3, 0) : p], p) for p in range(1, i + 1))
-                by_tail.setdefault(prefix[-2:], {})[prefix] = w
-            for tail, prefixes in by_tail.items():
-                assert sum(prefixes.values()) * after[n - 1 - i][tail] == sum(
-                    weight for s, weight in zip(senses, weights) if s[:i] in prefixes
-                ), (n, i, tail)
-
-
-def test_completion_weights_count_orientations_at_any_n():
+def test_legal_automaton_counts_orientations_at_any_n():
+    totals = list(_LEGAL.totals(499))
     for n in [*range(1, 80), 500]:
-        *_, total = p2_completion_weights(n, lambda window, p: 1)
-        assert total == {"": count_p2_orientations_recurrence(n)}, n
+        assert totals[n - 1] == count_p2_orientations_recurrence(n), n
     with pytest.raises(DomainError):
-        next(p2_completion_weights(0, lambda window, p: 1))
+        enumerate_p2_orientations(0)
+
+
+def test_legal_automaton_weighs_legal_words_one_and_others_zero():
+    for e in range(8):
+        for senses in product(SENSE_ORDER, repeat=e):
+            o = "".join(senses)
+            assert _LEGAL.weight(o) == (e > 0 and check_p2_orientation(o).legal), o
+    assert len(_LEGAL.states) == 11
 
 
 def test_enumerate_is_lexicographic():

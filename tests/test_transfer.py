@@ -1,0 +1,120 @@
+"""The weighted automaton: its four operations against brute force on a toy
+automaton, and the path automata of the oracle and of the theory against
+the multiplier products on every word."""
+
+from itertools import product
+
+from pardiff.counting import _COUNTS, count_configs_on_orientation
+from pardiff.graphs import SENSE_ORDER
+from pardiff.oracle import _path_automaton
+from pardiff.orientations import check_p2_orientation
+from pardiff.transfer import Automaton
+
+# A toy automaton: a state is (last letter, letters read mod 3). "FF" and
+# "LR" cannot be read, arc weights run 1..4, and final weights 0..2.
+
+
+def _toy_arcs(state):
+    last, m = state
+    return [
+        (a, (a, (m + 1) % 3), 1 + (7 * m + ord(a) + 3 * ord(last or "x")) % 4)
+        for a in SENSE_ORDER
+        if last + a not in ("FF", "LR")
+    ]
+
+
+def _toy_final(state):
+    last, m = state
+    return (m + ord(last or "x")) % 3
+
+
+TOY = Automaton(("", 0), _toy_arcs, _toy_final)
+
+
+def _toy_weight(word):
+    """The toy's weight of one word, read off its rules letter by letter."""
+    state, weight = ("", 0), 1
+    for a in word:
+        arcs = {letter: (target, w) for letter, target, w in _toy_arcs(state)}
+        if a not in arcs:
+            return 0
+        state, w = arcs[a]
+        weight *= w
+    return weight * _toy_final(state)
+
+
+def _all_words(length):
+    return ["".join(letters) for letters in product(SENSE_ORDER, repeat=length)]
+
+
+def test_toy_weight_of_every_word():
+    for length in range(8):
+        for word in _all_words(length):
+            assert TOY.weight(word) == _toy_weight(word), word
+
+
+def test_listed_weight_is_the_product_along_the_path():
+    for length in range(9):
+        words, weights = TOY.words(length)
+        assert len(set(words)) == len(words)
+        listed = dict(zip(words, weights))
+        assert listed == {w: _toy_weight(w) for w in _all_words(length) if _toy_weight(w)}, length
+
+
+def test_totals_sum_every_word_of_each_length():
+    want = [sum(map(_toy_weight, _all_words(length))) for length in range(9)]
+    assert list(TOY.totals(8)) == want
+
+
+def test_completions_sum_the_listed_weights_per_state():
+    after = list(TOY.completions(8))
+    assert len(after) == 9 and after[0] == TOY.final
+    state_of = {state: i for i, state in enumerate(TOY.states)}
+    for length in range(1, 9):
+        words, weights = TOY.words(length)
+        for i in range(length + 1):
+            # every prefix of i letters, grouped by state: its weight times its completions
+            by_state = {}
+            for word in words:
+                prefix = word[:i]
+                state, weight = ("", 0), 1
+                for a in prefix:
+                    state, w = {b: (t, w) for b, t, w in _toy_arcs(state)}[a]
+                    weight *= w
+                by_state.setdefault(state_of[state], {})[prefix] = weight
+            for s, prefixes in by_state.items():
+                assert sum(prefixes.values()) * after[length - i][s] == sum(
+                    weight for word, weight in zip(words, weights) if word[:i] in prefixes
+                ), (length, i, s)
+
+
+def test_a_word_read_along_two_paths_sums_them():
+    def arcs(state):
+        return [("R", "a", 2), ("R", "b", 3)] if state == "start" else []
+
+    nfa = Automaton("start", arcs, lambda state: 0 if state == "start" else 1)
+    assert nfa.weight("R") == 5 and nfa.weight("L") == 0
+    assert list(nfa.totals(2)) == [0, 5, 0]
+    words, weights = nfa.words(1)
+    assert words == ["R", "R"] and sorted(weights) == [2, 3]
+
+
+def test_exploration_follows_use():
+    at3 = _path_automaton(3)
+    assert list(at3.totals(1)) == [0, 2]  # explores the start and the 7 states one letter on
+    assert len(at3.arcs) == 8 < len(at3.states)
+    for automaton, size in ((_COUNTS, 11), (at3, 140), (_path_automaton(4), 180)):
+        list(automaton.completions(0))  # explores every state
+        assert len(automaton.states) == len(automaton.arcs) == len(automaton.final) == size
+
+
+def test_every_word_weighs_its_configuration_count():
+    # The firing-only automaton at two bounds, the multiplier automaton and
+    # the per-orientation product agree on every word over RLF, illegal
+    # ones weighing 0.
+    at3, at4 = _path_automaton(3), _path_automaton(4)
+    for n in range(2, 11):
+        for word in _all_words(n - 1):
+            want = count_configs_on_orientation(word) if check_p2_orientation(word).legal else 0
+            got = (at3.weight(word), at4.weight(word), _COUNTS.weight(word))
+            assert got == (want, want, want), word

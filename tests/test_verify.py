@@ -63,18 +63,18 @@ def test_results_serialize():
 
 def test_default_run_builds_each_shared_input_once(monkeypatch):
     enumerated, tables = Counter(), Counter()
-    real_enumerate, real_transfer = orientations.enumerate_p2_orientations, oracle._path_transfer
+    real_enumerate, real_automaton = orientations.enumerate_p2_orientations, oracle._path_automaton
 
     def spy_enumerate(n):
         enumerated[n] += 1
         return real_enumerate(n)
 
-    def spy_transfer(diff_bound, steps):
+    def spy_automaton(diff_bound):
         tables[diff_bound] += 1
-        return real_transfer(diff_bound, steps)
+        return real_automaton(diff_bound)
 
     monkeypatch.setattr(orientations, "enumerate_p2_orientations", spy_enumerate)
-    monkeypatch.setattr(oracle, "_path_transfer", spy_transfer)
+    monkeypatch.setattr(oracle, "_path_automaton", spy_automaton)
     results = verify.run_suites()
     assert all(r.passed for r in results)
     assert enumerated and set(enumerated.values()) == {1}
@@ -126,29 +126,35 @@ def test_fault_after_clean_run_is_caught(monkeypatch):
 
 
 def test_duplicated_orientation_is_named(monkeypatch):
-    real = orientations.grow_p2_orientations
+    real = orientations._LEGAL
 
-    def grow_with_duplicate(n, step_factor):
-        senses, weights = real(n, step_factor)
-        if n == 9:
-            senses[-1] = senses[0]
-        return senses, weights
+    class DuplicateAt9:
+        totals = real.totals
 
-    monkeypatch.setattr(orientations, "grow_p2_orientations", grow_with_duplicate)
+        def words(self, length):
+            senses, weights = real.words(length)
+            if length == 8:
+                senses[-1] = senses[0]
+            return senses, weights
+
+    monkeypatch.setattr(orientations, "_LEGAL", DuplicateAt9())
     results = verify.run_suites(SMALL, suites=["orientation"])
     details = {r.name: r.detail for r in results if not r.passed}
     assert details == {"count-matches-recurrence": "n=9: 1 orientations enumerated twice"}
 
 
 def test_wrong_transfer_count_past_the_ceiling_is_named(monkeypatch):
-    real = orientations.p2_completion_weights
+    real = orientations._LEGAL
 
-    def one_too_many_at_15(n, step_factor):
-        *entries, last = real(n, step_factor)
-        return [*entries, {"": last[""] + (n == 15)}]
+    class OneTooManyAt15:
+        words = real.words
+
+        def totals(self, length):
+            for letters, total in enumerate(real.totals(length)):
+                yield total + (letters == 14)
 
     monkeypatch.setenv("PARDIFF_ENUM_CEILING", "9")
-    monkeypatch.setattr(orientations, "p2_completion_weights", one_too_many_at_15)
+    monkeypatch.setattr(orientations, "_LEGAL", OneTooManyAt15())
     results = verify.run_suites(SMALL, suites=["orientation"])
     details = {r.name: r.detail for r in results if not r.passed}
     r_15 = orientations.count_p2_orientations_recurrence(15)
