@@ -16,8 +16,15 @@ import sys
 import time
 
 import pardiff
-from pardiff import counting, engine, oracle, orientations, verify
-from pardiff.errors import CeilingError, DomainError, InternalInconsistencyError, PardiffError
+from pardiff import counting, engine, oracle, verify
+from pardiff.errors import (
+    CeilingError,
+    DomainError,
+    InternalInconsistencyError,
+    PardiffError,
+    _candidate_ceiling,
+    _enum_ceiling,
+)
 from pardiff.graphs import config_from_string, parse_graph
 
 
@@ -103,8 +110,8 @@ def _cmd_count(args) -> int:
         "count": count,
         "provenance": {
             "artifact_version": pardiff.__version__,
-            "enum_ceiling": orientations._enum_ceiling(),
-            "oracle_candidate_ceiling": oracle._candidate_ceiling(),
+            "enum_ceiling": _enum_ceiling(),
+            "oracle_candidate_ceiling": _candidate_ceiling(),
             "summation_upper_limit_corrected": True,
         },
         "ledger": None,
@@ -134,12 +141,8 @@ def _cmd_count(args) -> int:
 
 def _cmd_verify(args) -> int:
     t0 = time.perf_counter()
-    config = verify.VerifyConfig(
-        max_n_oracle=args.max_n_oracle,
-        max_n_witness=args.max_n_witness,
-        max_n_routes=args.max_n_routes,
-        max_n_structure=args.max_n_structure,
-    )
+    given = {name: getattr(args, name) for name in verify.DEPTH_MINIMUMS}
+    config = verify.VerifyConfig(**{name: n for name, n in given.items() if n is not None})
     suites = args.suites.split(",") if args.suites else None
     results = verify.run_suites(config, suites)
     for r in results:
@@ -233,10 +236,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the invariant suites")
     p.add_argument("--suites", default=None, help="comma-separated subset, e.g. orientation,oracle")
-    p.add_argument("--max-n-oracle", type=int, default=verify.VerifyConfig.max_n_oracle)
-    p.add_argument("--max-n-witness", type=int, default=verify.VerifyConfig.max_n_witness)
-    p.add_argument("--max-n-routes", type=int, default=verify.VerifyConfig.max_n_routes)
-    p.add_argument("--max-n-structure", type=int, default=verify.VerifyConfig.max_n_structure)
+    # A depth left as None takes VerifyConfig's default, so building the parser loads no verify.
+    p.add_argument("--max-n-oracle", type=int, default=None)
+    p.add_argument("--max-n-witness", type=int, default=None)
+    p.add_argument("--max-n-routes", type=int, default=None)
+    p.add_argument("--max-n-structure", type=int, default=None)
     p.add_argument("--out", default="verify.json")
     p.set_defaults(fn=_cmd_verify)
 

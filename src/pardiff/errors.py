@@ -1,4 +1,4 @@
-"""Exception hierarchy for pardiff.
+"""Exception hierarchy for pardiff, and the resource ceilings read from the environment.
 
 Every error carries a stable ``slug`` used in CLI diagnostics. The CLI maps
 DomainError to exit code 1, CeilingError to exit code 2 and any other
@@ -92,3 +92,19 @@ def env_ceiling(variable: str, default: int) -> int:
         return int(raw)
     except ValueError:
         raise DomainError(f"{variable}={raw!r} is not an integer") from None
+
+
+DEFAULT_ENUM_CEILING = 20
+DEFAULT_CANDIDATE_CEILING = 7**10
+_ENUM_CEILING_ENV = "PARDIFF_ENUM_CEILING"
+_CANDIDATE_CEILING_ENV = "PARDIFF_ORACLE_CEILING"
+
+
+def _enum_ceiling() -> int:
+    """Largest n whose orientations may be listed."""
+    return env_ceiling(_ENUM_CEILING_ENV, DEFAULT_ENUM_CEILING)
+
+
+def _candidate_ceiling() -> int:
+    """Most raw candidates, or window steps, one path-oracle call may take."""
+    return env_ceiling(_CANDIDATE_CEILING_ENV, DEFAULT_CANDIDATE_CEILING)

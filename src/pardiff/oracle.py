@@ -22,7 +22,13 @@ from __future__ import annotations
 import os
 from collections import deque
 
-from pardiff.errors import CeilingError, DomainError, WindowNotStabilizedError, env_ceiling
+from pardiff.errors import (
+    CeilingError,
+    DomainError,
+    WindowNotStabilizedError,
+    _candidate_ceiling,
+    env_ceiling,
+)
 from pardiff.graphs import (
     Configuration,
     Graph,
@@ -35,9 +41,7 @@ from pardiff.graphs import (
 from pardiff.engine import fire_step, orientation_of_stacks
 from pardiff.transfer import Automaton
 
-DEFAULT_CANDIDATE_CEILING = 7**10
 DEFAULT_BRIDGE_VERTEX_CEILING = 12
-_CANDIDATE_CEILING_ENV = "PARDIFF_ORACLE_CEILING"
 _BRIDGE_CEILING_ENV = "PARDIFF_BRIDGE_CEILING"
 # Raw candidates (2b+1)^(V-1) from which a search is split over a process
 # pool: below it, starting the workers costs about what they save.
@@ -202,10 +206,6 @@ def _run_search(graph: Graph, root0: int, window: int, collect: bool, workers: i
     return count, configs
 
 
-def _candidate_ceiling() -> int:
-    return env_ceiling(_CANDIDATE_CEILING_ENV, DEFAULT_CANDIDATE_CEILING)
-
-
 class _OneFiring(dict):
     """Memo from (d_{i-1}, d_i) to the change one firing makes to v_i, where
     d_{i-1} = s_i - s_{i-1}, d_i = s_{i+1} - s_i and None stands for a
@@ -224,6 +224,10 @@ class _OneFiring(dict):
         fired = fire_step(graph, Configuration(tuple(stacks), graph))
         self[key] = change = fired.stacks[before is not None]
         return change
+
+
+# Read by every _path_automaton build: it holds nothing but the firing rule's answers.
+_ONE_FIRING = _OneFiring()
 
 
 def _window_verdict(window: tuple, one_firing: _OneFiring) -> tuple[bool, bool]:
@@ -252,7 +256,7 @@ def _path_automaton(diff_bound: int) -> Automaton:
     The final weight settles the last two: 1 if both pass and a vertex moves.
     """
     diffs = range(-diff_bound, diff_bound + 1)
-    one_firing = _OneFiring()
+    one_firing = _ONE_FIRING
 
     def arcs_of(state):
         tail, moved = state

@@ -20,7 +20,7 @@ from pardiff.errors import (
     DomainError,
     GraphFormatError,
     IllegalOrientationError,
-    env_ceiling,
+    _enum_ceiling,
 )
 from pardiff.graphs import Configuration, PathGraph, Record, SENSE_ORDER
 from pardiff.transfer import Automaton
@@ -29,9 +29,6 @@ RULE_ADJACENT_FLATS = "AdjacentFlats"
 RULE_FLAT_AT_LEAF = "FlatAtLeaf"
 RULE_FLAT_NOT_BOOKENDED = "FlatNotBookendedByDisagreeing"
 RULE_PAIR_NOT_BOOKENDED = "AgreeingPairNotBookended"
-
-DEFAULT_ENUM_CEILING = 20
-_ENUM_CEILING_ENV = "PARDIFF_ENUM_CEILING"
 
 _STEP = {"R": 1, "L": -1, "F": 0}  # witness stack change across each sense
 
@@ -88,10 +85,6 @@ def _require_legal(orient: str) -> None:
     report = check_p2_orientation(orient)
     if not report.legal:
         raise IllegalOrientationError(f"orientation {orient!r} violates {report.violations[0][0]}")
-
-
-def _enum_ceiling() -> int:
-    return env_ceiling(_ENUM_CEILING_ENV, DEFAULT_ENUM_CEILING)
 
 
 def _may_follow(tail: str, sense: str) -> bool:

@@ -16,7 +16,7 @@ import time
 from itertools import product
 
 from pardiff import counting, engine, oracle, orientations
-from pardiff.errors import CeilingError, DomainError
+from pardiff.errors import CeilingError, DomainError, _enum_ceiling
 from pardiff.graphs import (
     Configuration,
     PathGraph,
@@ -37,24 +37,16 @@ DEPTH_MINIMUMS = {"max_n_oracle": 2, "max_n_witness": 2, "max_n_routes": 2, "max
 
 
 class VerifyConfig(Record):
-    """The suites' depths, one per CLI option; defaults keep a full run under a minute.
+    """The suites' depths, one per CLI option; defaults keep a full run under a minute."""
 
-    The defaults stay readable on the class (the CLI's option defaults read
-    them there), so the fields live in the instance dict, not in slots.
-    """
-
-    _fields = ("max_n_oracle", "max_n_witness", "max_n_routes", "max_n_structure")
-    max_n_oracle = 8
-    max_n_witness = 14
-    max_n_routes = 16
-    max_n_structure = 12
+    __slots__ = _fields = ("max_n_oracle", "max_n_witness", "max_n_routes", "max_n_structure")
 
     def __init__(
         self,
-        max_n_oracle: int = max_n_oracle,
-        max_n_witness: int = max_n_witness,
-        max_n_routes: int = max_n_routes,
-        max_n_structure: int = max_n_structure,
+        max_n_oracle: int = 8,
+        max_n_witness: int = 14,
+        max_n_routes: int = 16,
+        max_n_structure: int = 12,
     ):
         object.__setattr__(self, "max_n_oracle", max_n_oracle)
         object.__setattr__(self, "max_n_witness", max_n_witness)
@@ -326,7 +318,7 @@ def _chk_realized(cfg: VerifyConfig, inputs: _RunInputs):
 def _chk_orientation_counts(cfg: VerifyConfig, inputs: _RunInputs):
     """R_n against one totals pass of _LEGAL for n = 1..18, and against the
     listed orientations, checked distinct, up to the enumeration ceiling."""
-    listed = min(18, orientations._enum_ceiling())
+    listed = min(18, _enum_ceiling())
     for n, total in enumerate(orientations._LEGAL.totals(17), start=1):
         want = orientations.count_p2_orientations_recurrence(n)
         if total != want:

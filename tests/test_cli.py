@@ -457,10 +457,14 @@ def test_probe_conjecture_script():
     assert proc.stdout.splitlines()[-1] == "order-4 recurrence residuals (k >= 6): [0]"
 
 
+SUBMODULES = ("errors", "graphs", "transfer", "engine", "orientations", "counting", "oracle", "verify")
+
+
 def test_cli_import_skips_dataclasses_and_loads_every_module():
     # Each command is a fresh interpreter, so the import path is paid per call.
-    # Every pardiff module stays eagerly loaded: perfbench's tracer wraps them
-    # straight from sys.modules after importing pardiff.cli.
+    # Every pardiff module is registered in sys.modules on import, though run
+    # only on first use: perfbench's tracer wraps them straight from
+    # sys.modules after importing pardiff.cli.
     proc = _run_child(
         [
             "-c",
@@ -470,5 +474,100 @@ def test_cli_import_skips_dataclasses_and_loads_every_module():
     assert proc.returncode == 0, proc.stderr
     loaded = set(json.loads(proc.stdout))
     assert not {"dataclasses", "inspect"} & loaded
-    for name in ("graphs", "engine", "orientations", "counting", "oracle", "verify"):
+    for name in SUBMODULES:
         assert f"pardiff.{name}" in loaded
+
+
+# Prints, after running main on its arguments, which pardiff submodules were
+# executed: a module still waiting for its first attribute access is not yet
+# a plain module.
+_EXECUTED = (
+    "import json, sys, types\n"
+    "from pardiff.cli import main\n"
+    "code = main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+    "print(json.dumps([code, sorted(name[8:] for name, m in sys.modules.items()\n"
+    "    if name.startswith('pardiff.') and type(m) is types.ModuleType)]))\n"
+)
+
+
+def _executed_modules(*argv) -> set[str]:
+    proc = _run_child(["-c", _EXECUTED, *argv])
+    assert proc.returncode == 0, proc.stderr
+    code, executed = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 0
+    return set(executed)
+
+
+def test_package_import_runs_no_submodule():
+    proc = _run_child(
+        [
+            "-c",
+            "import json, sys, types, pardiff; print(json.dumps(sorted("
+            "[name, type(m) is types.ModuleType] for name, m in sys.modules.items() if name.startswith('pardiff.'))))",
+        ]
+    )
+    assert proc.returncode == 0, proc.stderr
+    # every submodule is registered and none has run
+    assert json.loads(proc.stdout) == sorted([f"pardiff.{name}", False] for name in SUBMODULES)
+    assert _executed_modules() == {"cli", "errors", "graphs"}
+
+
+def test_oracle_count_never_runs_the_theory_or_verify(tmp_path):
+    executed = _executed_modules("count", "--n", "9", "--method", "oracle", "--out", str(tmp_path / "c.json"))
+    assert {"oracle", "engine", "transfer"} <= executed
+    assert not {"counting", "orientations", "verify"} & executed
+
+
+@pytest.mark.parametrize("method", ["direct", "summation", "recurrence"])
+def test_theory_count_never_runs_the_oracle_or_verify(tmp_path, method):
+    executed = _executed_modules("count", "--n", "9", "--method", method, "--out", str(tmp_path / "c.json"))
+    assert {"counting", "orientations"} <= executed
+    assert not {"oracle", "engine", "verify"} & executed
+
+
+def test_verify_runs_every_submodule(tmp_path):
+    depths = ["--max-n-oracle", "2", "--max-n-witness", "2", "--max-n-routes", "2", "--max-n-structure", "4"]
+    executed = _executed_modules("verify", *depths, "--out", str(tmp_path / "v.json"))
+    assert executed == {"cli", *SUBMODULES}
+
+
+# Every name the package re-exported when it imported its submodules eagerly.
+REEXPORTS = {
+    "counting": (
+        "AsymptoticModel CountLedger alternating_count characteristic_roots conjecture_recurrence_check "
+        "contract_agreeing count_T_direct count_T_recurrence count_T_summation "
+        "count_configs_on_orientation sever_at_flats stage vertex_multiplier"
+    ),
+    "engine": (
+        "PeriodReport SequenceTrace detect_period fire_step induced_orientation is_inside_period run_sequence"
+    ),
+    "graphs": (
+        "Configuration PathGraph SimpleGraph canonicalize config_from_string config_to_string "
+        "parse_graph render_graph shift"
+    ),
+    "oracle": (
+        "OracleResult count_p2_configurations count_p2_sequence enumerate_p2_configurations "
+        "enumerate_p2_on_bridge_graph orientations_realized"
+    ),
+    "orientations": (
+        "ForbiddenPatternReport check_p2_orientation count_p2_orientations_recurrence "
+        "enumerate_p2_orientations witness_configuration"
+    ),
+}
+
+
+def test_package_reexports_resolve_through_the_package():
+    import pardiff
+
+    listed = dir(pardiff)
+    names = [(module, name) for module, text in REEXPORTS.items() for name in text.split()]
+    assert len(names) == 40
+    for module, name in names:
+        home = getattr(sys.modules[f"pardiff.{module}"], name)
+        assert getattr(pardiff, name) is home
+        scope = {}
+        exec(f"from pardiff import {name}", scope)
+        assert scope[name] is home
+        assert name in listed
+    with pytest.raises(AttributeError, match="no attribute 'missing'"):
+        pardiff.missing

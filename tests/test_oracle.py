@@ -133,6 +133,26 @@ def test_window_dp_ceiling(monkeypatch):
         count_p2_configurations(5)
 
 
+def test_path_automaton_builds_share_one_firing_memo(monkeypatch):
+    calls = []
+
+    def counted(graph, config):
+        calls.append(config.stacks)
+        return fire_step(graph, config)
+
+    monkeypatch.setattr(oracle, "_ONE_FIRING", oracle._OneFiring())
+    monkeypatch.setattr(oracle, "fire_step", counted)
+    first = count_p2_sequence(12, 3)
+    held = len(oracle._ONE_FIRING)
+    assert len(calls) == held > 0
+    # a second build reads every key from the memo and fires nothing
+    assert count_p2_sequence(12, 3) == first
+    assert len(calls) == held
+    # b = 4 fires only the keys b = 3 did not need
+    count_p2_sequence(12, 4)
+    assert len(calls) == len(oracle._ONE_FIRING) > held
+
+
 def test_bridge_graph_shape():
     g = build_bridge_graph(TRIANGLE, 1, 3)
     assert g.vertex_count == 6

@@ -1,12 +1,13 @@
 """Value semantics of the record types: equality, hash, immutability, pickling, repr."""
 
 import inspect
+import json
 import pickle
 from types import SimpleNamespace
 
 import pytest
 
-from pardiff.cli import build_parser
+from pardiff.cli import main
 from pardiff.counting import AsymptoticModel, CountLedger
 from pardiff.engine import PeriodReport, SequenceTrace
 from pardiff.graphs import Configuration, PathGraph, SimpleGraph
@@ -118,7 +119,7 @@ def test_different_values_compare_unequal():
     assert VerifyConfig() != VerifyConfig(max_n_oracle=9)
 
 
-def test_verify_defaults_read_from_the_class():
+def test_verify_defaults_read_from_the_class(tmp_path):
     defaults = {
         "max_n_oracle": 8,
         "max_n_witness": 14,
@@ -126,8 +127,13 @@ def test_verify_defaults_read_from_the_class():
         "max_n_structure": 12,
     }
     assert VerifyConfig._fields == tuple(defaults)
-    args = build_parser().parse_args(["verify"])
     for field, value in defaults.items():
-        assert getattr(VerifyConfig, field) == value
         assert getattr(VerifyConfig(), field) == value
-        assert getattr(args, field) == value
+    # the CLI leaves an omitted depth to VerifyConfig, and its manifest records the depth run
+    out = tmp_path / "v.json"
+    assert main(["verify", "--suites", "graph", "--out", str(out)]) == 0
+    parameters = json.loads((tmp_path / "v.json.manifest.json").read_text())["parameters"]
+    assert parameters == {"suites": ["graph"], **defaults}
+    assert main(["verify", "--suites", "graph", "--max-n-routes", "5", "--out", str(out)]) == 0
+    parameters = json.loads((tmp_path / "v.json.manifest.json").read_text())["parameters"]
+    assert parameters == {"suites": ["graph"], **defaults, "max_n_routes": 5}
