@@ -2,9 +2,10 @@
 
 One step: every vertex simultaneously sends a chip to each strictly poorer
 neighbour, so the new stack is old - (#poorer neighbours) + (#richer
-neighbours), all comparisons against the OLD configuration. Every sequence
-eventually cycles with period 1 or 2; detection below leans on that fact
-instead of generic cycle finding.
+neighbours), all comparisons against the OLD configuration: one pass over
+the edges, each moving a chip from its richer end to its poorer end. Every
+sequence eventually cycles with period 1 or 2; detection below leans on
+that fact instead of generic cycle finding.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from pardiff.graphs import (
     Graph,
     PathGraph,
     Record,
-    frozen_adjacency,
+    frozen_edges,
 )
 
 
@@ -57,17 +58,16 @@ class SequenceTrace(Record):
         return [{"step": t, "stacks": list(c.stacks)} for t, c in enumerate(self.steps)]
 
 
-def _fire_raw(stacks: tuple[int, ...], adj: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
-    out = []
-    for v, sv in enumerate(stacks):
-        delta = 0
-        for w in adj[v]:
-            sw = stacks[w]
-            if sw > sv:
-                delta += 1
-            elif sw < sv:
-                delta -= 1
-        out.append(sv + delta)
+def _fire_raw(stacks: tuple[int, ...], edges: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
+    out = list(stacks)
+    for u, w in edges:
+        su, sw = stacks[u], stacks[w]
+        if su > sw:
+            out[u] -= 1
+            out[w] += 1
+        elif su < sw:
+            out[u] += 1
+            out[w] -= 1
     return tuple(out)
 
 
@@ -86,10 +86,19 @@ def _check_i64(stacks: tuple[int, ...]):
 
 
 def fire_step(graph: Graph, config: Configuration) -> Configuration:
-    """One simultaneous firing of every vertex."""
-    _require_fits(graph, config)
-    _check_i64(config.stacks)
-    new = _fire_raw(config.stacks, frozen_adjacency(graph))
+    """One simultaneous firing of every vertex.
+
+    A stack moves by at most its degree, below n, so only an input nearer
+    than n to a 64-bit limit needs the exact check on input and output.
+    """
+    stacks = config.stacks
+    n = len(stacks)
+    if n != graph.vertex_count:
+        raise ConfigMismatchError(f"{n} stacks for {graph.vertex_count} vertices")
+    if min(stacks) >= n - I64_MAX - 1 and max(stacks) <= I64_MAX - n:
+        return Configuration(_fire_raw(stacks, frozen_edges(graph)), graph)
+    _check_i64(stacks)
+    new = _fire_raw(stacks, frozen_edges(graph))
     _check_i64(new)
     return Configuration(new, graph)
 
@@ -125,11 +134,11 @@ def detect_period(graph: Graph, config: Configuration, max_steps: int) -> Period
         raise DomainError("max_steps must be >= 2")
     _require_fits(graph, config)
     _check_i64(config.stacks)
-    adj = frozen_adjacency(graph)
+    edges = frozen_edges(graph)
     seq = [config.stacks]
     seen = {config.stacks: 0}
     for t in range(1, max_steps + 1):
-        cur = _fire_raw(seq[-1], adj)
+        cur = _fire_raw(seq[-1], edges)
         _check_i64(cur)
         if cur == seq[t - 1]:
             preperiod, period = t - 1, 1
@@ -158,11 +167,9 @@ def induced_orientation(graph: PathGraph, config: Configuration) -> str:
 
 
 def orientation_of_stacks(stacks: tuple[int, ...]) -> str:
-    return "".join("R" if b > a else "L" if b < a else "F" for a, b in zip(stacks, stacks[1:]))
+    return "".join(["R" if b > a else "L" if b < a else "F" for a, b in zip(stacks, stacks[1:])])
 
 
 def is_inside_period(graph: Graph, config: Configuration) -> bool:
     """True iff two firings return the input exactly (covers periods 1 and 2)."""
-    adj = frozen_adjacency(graph)
-    _check_i64(config.stacks)
-    return _fire_raw(_fire_raw(config.stacks, adj), adj) == config.stacks
+    return fire_step(graph, fire_step(graph, config)).stacks == config.stacks

@@ -89,7 +89,7 @@ class Record:
 
 
 # SimpleGraph, PathGraph and Configuration are built and compared inside the
-# search and verify loops, and graphs key frozen_adjacency's cache, so each
+# search and verify loops, and graphs key frozen_edges' cache, so each
 # spells out its own __init__, __eq__ and __hash__.
 
 
@@ -185,13 +185,13 @@ def adjacency(graph: Graph) -> list[list[int]]:
 
 
 @lru_cache(maxsize=64)
-def frozen_adjacency(graph: Graph) -> tuple[tuple[int, ...], ...]:
-    """``adjacency(graph)`` as tuples, built once per distinct graph and shared.
+def frozen_edges(graph: Graph) -> tuple[tuple[int, int], ...]:
+    """Sorted 0-based ``(u, w)`` edge pairs, u < w, built once per distinct graph and shared.
 
     Graphs are frozen, so equal graphs share one entry; tuples keep any
     caller from changing what the others read.
     """
-    return tuple(map(tuple, adjacency(graph)))
+    return tuple(sorted((u - 1, w - 1) for u, w in graph.edges))
 
 
 def is_connected(graph: Graph) -> bool:
@@ -285,4 +285,4 @@ def shift(config: Configuration, k: int) -> Configuration:
 
 def canonicalize(config: Configuration) -> Configuration:
     """Shift so v_1 holds zero chips."""
-    return shift(config, -config.stack(1))
+    return shift(config, -config.stacks[0])

@@ -59,20 +59,21 @@ def test_fire_step_star_goes_into_debt():
 
 
 def test_fire_step_length_mismatch():
-    with pytest.raises(ConfigMismatchError):
-        fire_step(P5, Configuration((0, 1), PathGraph(2)))
+    for call in (fire_step, lambda g, c: detect_period(g, c, 10), is_inside_period):
+        with pytest.raises(ConfigMismatchError, match="2 stacks for 5 vertices"):
+            call(P5, Configuration((0, 1), PathGraph(2)))
 
 
-def test_adjacency_built_once_per_graph(monkeypatch):
+def test_edges_built_once_per_graph(monkeypatch):
     builds = []
-    build = graphs.adjacency
+    read = graphs.PathGraph.edges.fget
 
     def counted(graph):
         builds.append(graph)
-        return build(graph)
+        return read(graph)
 
-    monkeypatch.setattr(graphs, "adjacency", counted)
-    graphs.frozen_adjacency.cache_clear()
+    monkeypatch.setattr(graphs.PathGraph, "edges", property(counted))
+    graphs.frozen_edges.cache_clear()
     g = PathGraph(6)
     c = Configuration((0, 3, 1, 4, 1, 5), g)
     for _ in range(50):
@@ -80,7 +81,7 @@ def test_adjacency_built_once_per_graph(monkeypatch):
     detect_period(PathGraph(6), c, 100)
     is_inside_period(g, c)
     assert builds == [g]
-    assert graphs.frozen_adjacency(g) == ((1,), (0, 2), (1, 3), (2, 4), (3, 5), (4,))
+    assert graphs.frozen_edges(g) == ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5))
 
 
 def test_stack_limit_guard():
@@ -98,6 +99,56 @@ def test_stack_limit_guard():
     # the centre sends a chip to each of three poorer leaves and drops below the range
     with pytest.raises(StackLimitError, match=str(low - 2)):
         fire_step(star, Configuration((low + 1, low, low, low), star))
+    # the first of the two firings already leaves the range
+    with pytest.raises(StackLimitError, match=str(big + 2)):
+        is_inside_period(star, Configuration((big - 1, big, big, big), star))
+
+
+def _reference_step(graph, stacks):
+    """The per-vertex rule: each vertex compares itself with every neighbour."""
+    adj = graphs.adjacency(graph)
+    return tuple(
+        sv + sum((stacks[w] > sv) - (stacks[w] < sv) for w in adj[v])
+        for v, sv in enumerate(stacks)
+    )
+
+
+I64_LOW, I64_HIGH = -(2**63), 2**63 - 1
+STAR4 = SimpleGraph.from_edge_list([(1, 2), (1, 3), (1, 4)])
+
+
+def _limit_cases():
+    # offsets from a limit, centre (or v_1) first; n = 4 for both graphs
+    shapes = {
+        PathGraph(4): [(4, 4, 4, 4), (4, 5, 6, 7), (3, 4, 4, 4), (4, 3, 4, 3), (1, 0, 1, 0),
+                       (0, 1, 0, 1), (2, 0, 2, 0), (0, 0, 0, 0), (-1, 4, 4, 4)],
+        STAR4: [(4, 4, 4, 4), (4, 5, 6, 7), (3, 4, 4, 4), (3, 0, 0, 0), (2, 0, 0, 0),
+                (3, 1, 1, 1), (2, 1, 1, 1), (0, 3, 3, 3), (4, 4, 4, -1)],
+    }
+    for graph, offsets in shapes.items():
+        name = "path" if isinstance(graph, PathGraph) else "star"
+        for d in offsets:
+            tag = ",".join(map(str, d))
+            yield pytest.param(graph, tuple(I64_HIGH - x for x in d), id=f"{name}-high-{tag}")
+            yield pytest.param(graph, tuple(I64_LOW + x for x in d), id=f"{name}-low-{tag}")
+
+
+@pytest.mark.parametrize("graph,stacks", list(_limit_cases()))
+def test_stack_limit_boundary(graph, stacks):
+    # raised exactly when input or output leaves the range, naming the first
+    # offending value in the order input high, input low, output high, output low
+    out = _reference_step(graph, stacks)
+    offending = [
+        v
+        for v in (max(stacks), min(stacks), max(out), min(out))
+        if not I64_LOW <= v <= I64_HIGH
+    ]
+    config = Configuration(stacks, graph)
+    if offending:
+        with pytest.raises(StackLimitError, match=f"^stack size {offending[0]} outside"):
+            fire_step(graph, config)
+    else:
+        assert fire_step(graph, config).stacks == out
 
 
 def test_run_sequence_demo():
@@ -209,6 +260,30 @@ def graph_and_config(draw):
         )
     )
     return graph, Configuration(tuple(stacks), graph)
+
+
+@st.composite
+def branching_cyclic_configs(draw):
+    # a triangle with a pendant edge at one corner gives a cycle and a vertex
+    # of degree 3; the rest hangs off it as a random tree plus random chords,
+    # and a random relabelling moves the core around
+    m = draw(st.integers(4, 12))
+    edges = {(1, 2), (1, 3), (2, 3), (1, 4)}
+    for v in range(5, m + 1):
+        edges.add((draw(st.integers(1, v - 1)), v))
+    for a, b in draw(st.lists(st.tuples(st.integers(1, m), st.integers(1, m)), max_size=8)):
+        if a != b:
+            edges.add((min(a, b), max(a, b)))
+    label = [0] + draw(st.permutations(range(1, m + 1)))
+    graph = SimpleGraph.from_edge_list([(label[a], label[b]) for a, b in edges], m)
+    stacks = draw(st.lists(st.integers(-4, 4), min_size=m, max_size=m))
+    return graph, tuple(stacks)
+
+
+@given(branching_cyclic_configs())
+def test_fire_step_matches_per_vertex_rule(gs):
+    graph, stacks = gs
+    assert fire_step(graph, Configuration(stacks, graph)).stacks == _reference_step(graph, stacks)
 
 
 @given(graph_and_config())
