@@ -1,10 +1,12 @@
 """Command-line surface: simulate, period, count, verify, conjecture.
 
-Every command writes one machine-readable output file plus a manifest
-(<output>.manifest.json) and prints a one-line summary. Output bodies are
-deterministic; timing lives only in the manifest. Exit codes: 0 success,
-1 domain error, 2 resource ceiling, 3 verification failure or internal
-inconsistency.
+Each command handler returns what it produced as (body, manifest
+parameters, summary, check_seconds or None, exit code), and main alone
+writes it: one machine-readable output file plus a manifest
+(<output>.manifest.json), then the summary on stdout (verify puts a
+PASS/FAIL line per check before it). Output bodies are deterministic;
+timing lives only in the manifest. Exit codes: 0 success, 1 domain error,
+2 resource ceiling, 3 verification failure or internal inconsistency.
 """
 
 from __future__ import annotations
@@ -50,56 +52,29 @@ def _json_body(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _write_manifest(out_path: str, command: str, parameters: dict, wall_time: float, **extra):
-    manifest = {
-        "command": command,
-        "parameters": parameters,
-        "artifact_version": pardiff.__version__,
-        "wall_time_seconds": round(wall_time, 6),
-        "output_path": out_path,
-        **extra,
-    }
-    _write_text(out_path + ".manifest.json", _json_body(manifest))
-
-
-def _cmd_simulate(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_simulate(args) -> tuple:
     graph = _load_graph(args.graph)
     config = config_from_string(args.config, graph)
-    trace = engine.run_sequence(graph, config, args.steps)
-    lines = trace.to_json_lines()
+    lines = engine.run_sequence(graph, config, args.steps).to_json_lines()
     body = "".join(json.dumps(line, sort_keys=True) + "\n" for line in lines)
-    _write_text(args.out, body)
-    _write_manifest(
-        args.out,
-        "simulate",
-        {"graph": args.graph, "config": args.config, "steps": args.steps},
-        time.perf_counter() - t0,
-    )
-    print(f"simulate: {len(lines)} configurations -> {args.out}")
-    return 0
+    parameters = {"graph": args.graph, "config": args.config, "steps": args.steps}
+    return body, parameters, f"simulate: {len(lines)} configurations -> {args.out}", None, 0
 
 
-def _cmd_period(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_period(args) -> tuple:
     graph = _load_graph(args.graph)
     config = config_from_string(args.config, graph)
     max_steps = engine.default_max_steps(graph, config) if args.max_steps is None else args.max_steps
     report = engine.detect_period(graph, config, max_steps)
-    _write_text(args.out, _json_body(report.to_dict()))
-    _write_manifest(
-        args.out,
-        "period",
-        {"graph": args.graph, "config": args.config, "max_steps": max_steps},
-        time.perf_counter() - t0,
-    )
-    print(f"period: preperiod {report.preperiod}, period {report.period} -> {args.out}")
-    return 0
+    parameters = {"graph": args.graph, "config": args.config, "max_steps": max_steps}
+    summary = f"period: preperiod {report.preperiod}, period {report.period} -> {args.out}"
+    return _json_body(report.to_dict()), parameters, summary, None, 0
 
 
-def _cmd_count(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_count(args) -> tuple:
     n, method = args.n, args.method
+    if args.full_configurations and method != "oracle":
+        raise DomainError("--full-configurations needs --method oracle")
     if method == "oracle":
         count = oracle.count_p2_configurations(n, diff_bound=args.diff_bound)
     else:  # count_T_recurrence, count_T_summation or count_T_direct
@@ -128,80 +103,53 @@ def _cmd_count(args) -> int:
             payload["oracle_configurations"] = [list(c.stacks) for c in result.configurations]
     if args.ledger:
         payload["ledger"] = counting.build_count_ledger(n).to_dict()
-    _write_text(args.out, _json_body(payload))
-    _write_manifest(
-        args.out,
-        "count",
-        {"n": n, "method": method, "diff_bound": args.diff_bound},
-        time.perf_counter() - t0,
-    )
-    print(f"count[{method}]: n={n} -> {count} ({args.out})")
-    return 0
+    parameters = {"n": n, "method": method, "diff_bound": args.diff_bound}
+    return _json_body(payload), parameters, f"count[{method}]: n={n} -> {count} ({args.out})", None, 0
 
 
-def _cmd_verify(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_verify(args) -> tuple:
     given = {name: getattr(args, name) for name in verify.DEPTH_MINIMUMS}
     config = verify.VerifyConfig(**{name: n for name, n in given.items() if n is not None})
     suites = args.suites.split(",") if args.suites else None
     results = verify.run_suites(config, suites)
-    for r in results:
-        print(f"{'PASS' if r.passed else 'FAIL'} {r.suite}.{r.name}" + (f": {r.detail}" if r.detail else ""))
+    lines = [
+        f"{'PASS' if r.passed else 'FAIL'} {r.suite}.{r.name}" + (f": {r.detail}" if r.detail else "")
+        for r in results
+    ]
     failed = [r for r in results if not r.passed]
+    lines.append(f"verify: {len(results) - len(failed)}/{len(results)} checks passed ({args.out})")
     depths = {name: getattr(config, name) for name in verify.DEPTH_MINIMUMS}
-    _write_text(args.out, _json_body([r.to_dict() for r in results]))
-    _write_manifest(
-        args.out,
-        "verify",
+    return (
+        _json_body([r.to_dict() for r in results]),
         {"suites": suites or verify.suite_names(), **depths},
-        time.perf_counter() - t0,
-        check_seconds={f"{r.suite}.{r.name}": round(r.seconds, 6) for r in results},
+        "\n".join(lines),
+        {f"{r.suite}.{r.name}": round(r.seconds, 6) for r in results},
+        3 if failed else 0,
     )
-    print(f"verify: {len(results) - len(failed)}/{len(results)} checks passed ({args.out})")
-    return 3 if failed else 0
 
 
-def _cmd_conjecture(args) -> int:
-    import csv  # only this command writes CSV; the others skip the import
-    import io
-
-    t0 = time.perf_counter()
+def _cmd_conjecture(args) -> tuple:
     with open(args.g0_file, encoding="utf-8") as fh:
         g0 = parse_graph(fh.read())
     if args.k_min < 1 or args.k_max < args.k_min:
         raise DomainError("need 1 <= k-min <= k-max")
-    ks = list(range(args.k_min, args.k_max + 1))
+    ks = range(args.k_min, args.k_max + 1)
     counts = [
         oracle.enumerate_p2_on_bridge_graph(g0, args.base_vertex, k, diff_bound=args.diff_bound)
         for k in ks
     ]
     residuals = counting.conjecture_recurrence_check(counts) if len(counts) >= 5 else []
-    rows = []
-    for i, k in enumerate(ks):
-        residual = residuals[i - 4] if i >= 4 else ""
-        rows.append([k, g0.vertex_count + k, counts[i], residual, "exploratory"])
-    sink = io.StringIO()
-    writer = csv.writer(sink, lineterminator="\n")
-    writer.writerow(["k", "vertex_count", "count", "residual", "status"])
-    writer.writerows(rows)
-    _write_text(args.out, sink.getvalue())
-    _write_manifest(
-        args.out,
-        "conjecture",
-        {
-            "g0_file": args.g0_file,
-            "base_vertex": args.base_vertex,
-            "k_min": args.k_min,
-            "k_max": args.k_max,
-            "diff_bound": args.diff_bound,
-        },
-        time.perf_counter() - t0,
-    )
-    residuals = [r[3] for r in rows if r[3] != ""]
-    print(
-        f"conjecture (exploratory): k={args.k_min}..{args.k_max}, residuals {residuals} -> {args.out}"
-    )
-    return 0
+    column = [""] * (len(counts) - len(residuals)) + residuals  # the first four have none
+    rows = (f"{k},{g0.vertex_count + k},{c},{r},exploratory\n" for k, c, r in zip(ks, counts, column))
+    parameters = {
+        "g0_file": args.g0_file,
+        "base_vertex": args.base_vertex,
+        "k_min": args.k_min,
+        "k_max": args.k_max,
+        "diff_bound": args.diff_bound,
+    }
+    summary = f"conjecture (exploratory): k={args.k_min}..{args.k_max}, residuals {residuals} -> {args.out}"
+    return "k,vertex_count,count,residual,status\n" + "".join(rows), parameters, summary, None, 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -261,20 +209,27 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(0)  # T_n passes 4300 digits near n = 7700
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
-    except CeilingError as exc:
-        print(f"error [{exc.slug}]: {exc}", file=sys.stderr)
-        return 2
-    except DomainError as exc:
-        print(f"error [{exc.slug}]: {exc}", file=sys.stderr)
-        return 1
+        t0 = time.perf_counter()
+        body, parameters, summary, check_seconds, code = args.fn(args)
+        _write_text(args.out, body)
+        manifest = {
+            "command": args.command,
+            "parameters": parameters,
+            "artifact_version": pardiff.__version__,
+            "wall_time_seconds": round(time.perf_counter() - t0, 6),
+            "output_path": args.out,
+        }
+        if check_seconds is not None:
+            manifest["check_seconds"] = check_seconds
+        _write_text(args.out + ".manifest.json", _json_body(manifest))
+        print(summary)
+        return code
     except OSError as exc:
         print(f"error [file]: {exc}", file=sys.stderr)
         return 1
     except PardiffError as exc:
         print(f"error [{exc.slug}]: {exc}", file=sys.stderr)
-        return 3
-
+        return 1 if isinstance(exc, DomainError) else 2 if isinstance(exc, CeilingError) else 3
 
 if __name__ == "__main__":
     sys.exit(main())

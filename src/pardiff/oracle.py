@@ -365,6 +365,8 @@ def enumerate_p2_on_bridge_graph(
     returning a silently low count. ``workers`` is as in
     enumerate_p2_configurations, and kept for the same pool_probe.
     """
+    if diff_bound < 1:
+        raise DomainError("diff_bound must be positive")
     if not is_connected(g0):
         raise DomainError("g0 must be connected")
     ceiling = env_ceiling(_BRIDGE_CEILING_ENV, DEFAULT_BRIDGE_VERTEX_CEILING)

@@ -147,10 +147,13 @@ def run_suites(config: VerifyConfig = VerifyConfig(), suites=None) -> list[Check
     if suites is None:
         selected = list(_REGISTRY)
     else:
-        unknown = [s for s in suites if s not in _REGISTRY]
+        selected = list(suites)
+        unknown = [s for s in selected if s not in _REGISTRY]
         if unknown:
             raise DomainError(f"unknown suites {unknown}; available: {list(_REGISTRY)}")
-        selected = list(suites)
+        twice = [s for s in _REGISTRY if selected.count(s) > 1]
+        if twice:
+            raise DomainError(f"suite {twice[0]!r} named twice")
     inputs = _RunInputs(config)
     results = []
     for suite in selected:

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from jsonschema import validate
 
-from pardiff import oracle
+from pardiff import counting, oracle
 from pardiff.cli import main
 from pardiff.counting import alternating_count, count_T_recurrence
 from pardiff.orientations import count_p2_orientations_recurrence
@@ -207,6 +207,72 @@ def test_count_deterministic_bodies(tmp_path):
     assert m_a == m_b
 
 
+SIMULATE_DEMO = {"graph": "path:5", "config": "0,2,0,4,1"}
+
+
+@pytest.mark.parametrize(
+    "argv,parameters,summary",
+    [
+        (
+            ["simulate", "--graph", "path:5", "--config", "0,2,0,4,1", "--steps", "6"],
+            {**SIMULATE_DEMO, "steps": 6},
+            "simulate: 7 configurations -> {out}",
+        ),
+        (
+            ["period", "--graph", "path:5", "--config", "0,2,0,4,1"],
+            {**SIMULATE_DEMO, "max_steps": 250},
+            "period: preperiod 3, period 2 -> {out}",
+        ),
+        (
+            ["count", "--n", "4", "--method", "recurrence"],
+            {"n": 4, "method": "recurrence", "diff_bound": 3},
+            "count[recurrence]: n=4 -> 26 ({out})",
+        ),
+        (
+            ["verify", "--suites", "graph"],
+            {"suites": ["graph"], "max_n_oracle": 8, "max_n_witness": 14, "max_n_routes": 16, "max_n_structure": 12},
+            "verify: 3/3 checks passed ({out})",
+        ),
+        (
+            ["conjecture", "--k-min", "2", "--k-max", "3"],
+            {"base_vertex": 1, "k_min": 2, "k_max": 3, "diff_bound": 3},
+            "conjecture (exploratory): k=2..3, residuals [] -> {out}",
+        ),
+    ],
+)
+def test_each_command_writes_body_manifest_and_summary(tmp_path, capsys, argv, parameters, summary):
+    out = tmp_path / "out"
+    if argv[0] == "conjecture":
+        g0 = tmp_path / "g0.txt"
+        g0.write_text("1 2\n")
+        argv = argv + ["--g0-file", str(g0)]
+        parameters = {**parameters, "g0_file": str(g0)}
+    assert main(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == summary.format(out=out)
+    assert out.is_file()
+    manifest = read_manifest(out)
+    validate(manifest, load_schema("manifest.schema.json"))
+    assert manifest["command"] == argv[0]
+    assert manifest["parameters"] == parameters
+    assert manifest["output_path"] == str(out)
+
+
+def test_verify_failed_check_exits_three_and_writes_its_outputs(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(counting, "alternating_count", lambda n: 7)
+    out = tmp_path / "v.json"
+    assert main(["verify", "--suites", "counting", "--out", str(out)]) == 3
+    stdout = capsys.readouterr().out.splitlines()
+    results = json.loads(out.read_text())
+    failed = [r["name"] for r in results if not r["passed"]]
+    assert "alternating-sequence" in failed
+    assert any(line.startswith("FAIL counting.alternating-sequence: ") for line in stdout)
+    passed = len(results) - len(failed)
+    assert stdout[-1] == f"verify: {passed}/{len(results)} checks passed ({out})"
+    manifest = read_manifest(out)
+    assert manifest["command"] == "verify"
+    assert sorted(manifest["check_seconds"]) == sorted(f"counting.{r['name']}" for r in results)
+
+
 def test_verify_suite_filter(tmp_path, capsys):
     out = tmp_path / "v.json"
     code = main(["verify", "--suites", "graph", "--out", str(out)])
@@ -284,8 +350,9 @@ def test_verify_vacuous_depth_exits_one(tmp_path, capsys, option, value, minimum
     assert not captured.out
 
 
-def test_verify_unknown_suite_is_domain_error(tmp_path, capsys):
-    code = main(["verify", "--suites", "bogus", "--out", str(tmp_path / "v.json")])
+@pytest.mark.parametrize("suites", ["bogus", "graph,graph"])
+def test_verify_unknown_suite_is_domain_error(tmp_path, capsys, suites):
+    code = main(["verify", "--suites", suites, "--out", str(tmp_path / "v.json")])
     assert code == 1
 
 
@@ -299,13 +366,21 @@ def test_verify_unknown_suite_is_domain_error(tmp_path, capsys):
         ["simulate", "--graph", "path:3", "--config", "0,1,0", "--steps", "0"],
         ["period", "--graph", "path:3", "--config", "0,1,0", "--max-steps", "1"],
         ["period", "--graph", "path:3", "--config", "0,1,0", "--max-steps", "0"],
+        ["count", "--n", "5", "--method", "direct", "--full-configurations"],
+        ["conjecture", "--k-min", "2", "--k-max", "6", "--diff-bound", "-1"],
+        ["conjecture", "--k-min", "2", "--k-max", "6", "--diff-bound", "0"],
     ],
 )
 def test_out_of_domain_arguments_exit_one(tmp_path, capsys, argv):
+    if argv[0] == "conjecture":
+        g0 = tmp_path / "g0.txt"
+        g0.write_text("1 2\n")
+        argv = argv + ["--g0-file", str(g0)]
     assert main(argv + ["--out", str(tmp_path / "o.json")]) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert err.startswith("error [domain-error]: ")
+    assert not (tmp_path / "o.json").exists()
 
 
 def test_summation_passes_the_enumeration_ceiling(tmp_path):

@@ -220,6 +220,18 @@ def test_bridge_base_vertex_range():
         enumerate_p2_on_bridge_graph(TRIANGLE, 4, 3)
 
 
+@pytest.mark.parametrize("diff_bound", [0, -1])
+def test_bridge_rejects_nonpositive_diff_bound(monkeypatch, diff_bound):
+    # windows -1 and 0 both count 0, which the escalation would take as stable
+    monkeypatch.setattr(oracle, "_run_search", _no_search)
+    with pytest.raises(DomainError, match="diff_bound must be positive"):
+        enumerate_p2_on_bridge_graph(PathGraph(2), 1, 3, diff_bound=diff_bound)
+
+
+def _no_search(*args, **kwargs):
+    raise AssertionError("a search ran")
+
+
 def test_bridge_vertex_ceiling(monkeypatch):
     with pytest.raises(CeilingError):
         enumerate_p2_on_bridge_graph(TRIANGLE, 1, 10)

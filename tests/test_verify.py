@@ -28,9 +28,10 @@ def test_suite_filter():
     assert {r.suite for r in results} == {"orientation"}
 
 
-def test_unknown_suite_rejected():
+@pytest.mark.parametrize("suites", ["nonsense", "graph,graph"])
+def test_unknown_suite_rejected(suites):
     with pytest.raises(ValueError):
-        verify.run_suites(SMALL, suites=["nonsense"])
+        verify.run_suites(SMALL, suites=suites.split(","))
 
 
 def test_injected_fault_is_named(monkeypatch):
