@@ -26,6 +26,7 @@ from pardiff.errors import (
     PardiffError,
     _candidate_ceiling,
     _enum_ceiling,
+    _period_ceiling,
 )
 from pardiff.graphs import config_from_string, parse_graph
 
@@ -66,7 +67,12 @@ def _cmd_period(args) -> tuple:
     config = config_from_string(args.config, graph)
     max_steps = engine.default_max_steps(graph, config) if args.max_steps is None else args.max_steps
     report = engine.detect_period(graph, config, max_steps)
-    parameters = {"graph": args.graph, "config": args.config, "max_steps": max_steps}
+    parameters = {
+        "graph": args.graph,
+        "config": args.config,
+        "max_steps": max_steps,
+        "period_ceiling": _period_ceiling(),
+    }
     summary = f"period: preperiod {report.preperiod}, period {report.period} -> {args.out}"
     return _json_body(report.to_dict()), parameters, summary, None, 0
 

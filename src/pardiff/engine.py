@@ -11,11 +11,13 @@ that fact instead of generic cycle finding.
 from __future__ import annotations
 
 from pardiff.errors import (
+    CeilingError,
     ConfigMismatchError,
     DomainError,
     InternalInconsistencyError,
     PeriodNotFoundError,
     StackLimitError,
+    _period_ceiling,
 )
 from pardiff.graphs import (
     I64_MAX,
@@ -85,22 +87,35 @@ def _check_i64(stacks: tuple[int, ...]):
         raise StackLimitError(f"stack size {low} outside signed 64-bit range")
 
 
-def fire_step(graph: Graph, config: Configuration) -> Configuration:
-    """One simultaneous firing of every vertex.
+def fire_each(graph: Graph, batch) -> list[tuple[int, ...]]:
+    """The stacks one simultaneous firing makes of each stack tuple in ``batch``.
 
-    A stack moves by at most its degree, below n, so only an input nearer
-    than n to a 64-bit limit needs the exact check on input and output.
+    The graph's size and edges are read once for the whole batch; each tuple
+    is checked for length and against the 64-bit range as it comes, so the
+    first bad tuple raises. A stack moves by at most its degree, below n, so
+    only a tuple nearer than n to a 64-bit limit needs the exact check on
+    input and output.
     """
-    stacks = config.stacks
-    n = len(stacks)
-    if n != graph.vertex_count:
-        raise ConfigMismatchError(f"{n} stacks for {graph.vertex_count} vertices")
-    if min(stacks) >= n - I64_MAX - 1 and max(stacks) <= I64_MAX - n:
-        return Configuration(_fire_raw(stacks, frozen_edges(graph)), graph)
-    _check_i64(stacks)
-    new = _fire_raw(stacks, frozen_edges(graph))
-    _check_i64(new)
-    return Configuration(new, graph)
+    n = graph.vertex_count
+    edges = frozen_edges(graph)
+    low, high = n - I64_MAX - 1, I64_MAX - n
+    fired = []
+    for stacks in batch:
+        if len(stacks) != n:
+            raise ConfigMismatchError(f"{len(stacks)} stacks for {n} vertices")
+        if min(stacks) >= low and max(stacks) <= high:
+            fired.append(_fire_raw(stacks, edges))
+            continue
+        _check_i64(stacks)
+        new = _fire_raw(stacks, edges)
+        _check_i64(new)
+        fired.append(new)
+    return fired
+
+
+def fire_step(graph: Graph, config: Configuration) -> Configuration:
+    """One simultaneous firing of every vertex: fire_each on a batch of one."""
+    return Configuration(fire_each(graph, (config.stacks,))[0], graph)
 
 
 def run_sequence(graph: Graph, config: Configuration, max_steps: int) -> SequenceTrace:
@@ -117,7 +132,9 @@ def default_max_steps(graph: Graph, config: Configuration) -> int:
     """Heuristic step budget for period detection: 10 * n * (stack range + 1).
 
     No preperiod bound is known, so this is a documented guess; running out
-    raises a clean period-not-found error rather than looping forever.
+    raises a clean period-not-found error rather than looping forever. It
+    grows with the spread, so detect_period also holds it to the period
+    ceiling.
     """
     spread = max(config.stacks) - min(config.stacks) + 1
     return max(10 * graph.vertex_count * spread, 4)
@@ -129,15 +146,21 @@ def detect_period(graph: Graph, config: Configuration, max_steps: int) -> Period
     Only offsets 1 and 2 are accepted, which the period-1-or-2 guarantee makes
     complete. A repeat at any other offset is impossible for a correct engine,
     so it raises InternalInconsistencyError instead of being reported.
+
+    At most PARDIFF_PERIOD_CEILING // n firings are made, since every step
+    held costs memory; a budget cut short by that ceiling and spent without
+    a repeat raises CeilingError instead of PeriodNotFoundError.
     """
     if max_steps < 2:
         raise DomainError("max_steps must be >= 2")
     _require_fits(graph, config)
     _check_i64(config.stacks)
+    ceiling = _period_ceiling()
+    steps = min(max_steps, ceiling // graph.vertex_count)
     edges = frozen_edges(graph)
     seq = [config.stacks]
     seen = {config.stacks: 0}
-    for t in range(1, max_steps + 1):
+    for t in range(1, steps + 1):
         cur = _fire_raw(seq[-1], edges)
         _check_i64(cur)
         if cur == seq[t - 1]:
@@ -153,6 +176,11 @@ def detect_period(graph: Graph, config: Configuration, max_steps: int) -> Period
         seq.append(cur)
         seen[cur] = t
     else:
+        if steps < max_steps:
+            raise CeilingError(
+                f"no repeat within {steps} steps, all that the period ceiling of {ceiling} "
+                f"vertex-steps allows on {graph.vertex_count} vertices; raise PARDIFF_PERIOD_CEILING"
+            )
         raise PeriodNotFoundError(f"no repeat within {max_steps} steps; raise max_steps")
     orbit = tuple(
         Configuration(seq[preperiod + i], graph) for i in range(period)

@@ -159,7 +159,7 @@ class PathGraph(Record):
         return self.n == other.n
 
     def __hash__(self):
-        return hash((self.n,))
+        return hash(self.n)
 
     @property
     def vertex_count(self) -> int:
@@ -280,7 +280,7 @@ def config_to_string(config: Configuration) -> str:
 
 def shift(config: Configuration, k: int) -> Configuration:
     """Add k to every stack size."""
-    return Configuration(tuple(x + k for x in config.stacks), config.graph)
+    return Configuration(tuple([x + k for x in config.stacks]), config.graph)
 
 
 def canonicalize(config: Configuration) -> Configuration:

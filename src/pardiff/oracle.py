@@ -102,8 +102,9 @@ def _window_search(graph, root0, window, collect, prefix=()):
     """Count (and optionally collect) 2-periodic configurations with the root
     pinned at zero and every tree-edge stack difference in [-window, window].
 
-    ``prefix`` fixes the differences of the first BFS positions, which is how
-    the search space is split across worker processes.
+    ``prefix`` fixes the differences of the first BFS positions, each in
+    [-window, window], which is how the search space is split across worker
+    processes.
     """
     order, parent_pos, fires_at, checks_at = _bfs_plan(adjacency(graph), root0)
     V = graph.vertex_count
@@ -111,10 +112,42 @@ def _window_search(graph, root0, window, collect, prefix=()):
         return 0, []
     stacks = [0] * V
     f1 = [0] * V
-    lo, hi = -window, window
     out: list[tuple[int, ...]] = []
 
-    def apply_level(p: int) -> bool:
+    def record() -> int:
+        # fire^2 is the identity here; keep only genuine 2-periods.
+        for q in range(V):
+            if f1[q] != stacks[q]:
+                if collect:
+                    by_vertex = [0] * V
+                    for p in range(V):
+                        by_vertex[order[p]] = stacks[p]
+                    out.append(tuple(by_vertex))
+                return 1
+        return 0
+
+    # Position p takes its difference from the prefix below floor, and tries
+    # lo..hi from floor on; leaving a prefix position, by backtracking to it
+    # or by failing its check, ends the search.
+    lo, hi = -window, window
+    floor = len(prefix) + 1
+    pending = [lo] * V
+    pending[1:floor] = prefix
+    last = V - 1
+    count = 0
+    p = 1
+    while True:
+        d = pending[p]
+        if d > hi:
+            pending[p] = lo
+            p -= 1
+            if p < floor:
+                break
+            continue
+        pending[p] = d + 1 if p >= floor else hi + 1
+        stacks[p] = stacks[parent_pos[p]] + d
+        # Fix the one-step values that position p completes, then test the
+        # two-step value of every position it completes.
         for u, nbrs in fires_at[p]:
             su = stacks[u]
             f = su
@@ -135,46 +168,12 @@ def _window_search(graph, root0, window, collect, prefix=()):
                 elif fw < fx:
                     g -= 1
             if g != stacks[x]:
-                return False
-        return True
-
-    def record() -> int:
-        # fire^2 is the identity here; keep only genuine 2-periods.
-        for q in range(V):
-            if f1[q] != stacks[q]:
-                if collect:
-                    by_vertex = [0] * V
-                    for p in range(V):
-                        by_vertex[order[p]] = stacks[p]
-                    out.append(tuple(by_vertex))
-                return 1
-        return 0
-
-    for idx, d in enumerate(prefix, start=1):
-        stacks[idx] = stacks[parent_pos[idx]] + d
-        if not apply_level(idx):
-            return 0, []
-    floor = len(prefix) + 1
-    if floor > V - 1:
-        return record(), out
-
-    count = 0
-    pending = [lo] * V
-    p = floor
-    while p >= floor:
-        d = pending[p]
-        if d > hi:
-            pending[p] = lo
-            p -= 1
-            continue
-        pending[p] = d + 1
-        stacks[p] = stacks[parent_pos[p]] + d
-        if not apply_level(p):
-            continue
-        if p == V - 1:
-            count += record()
-            continue
-        p += 1
+                break
+        else:
+            if p == last:
+                count += record()
+            else:
+                p += 1
     return count, out
 
 

@@ -169,7 +169,13 @@ def witness_configuration(orient: str) -> Configuration:
 
 def _witness(orient: str) -> Configuration:
     """witness_configuration for an orientation already known to be legal."""
+    stacks = _witness_stacks(orient)
+    return Configuration(stacks, PathGraph(len(stacks)))
+
+
+def _witness_stacks(orient: str) -> tuple[int, ...]:
+    """The stacks of _witness(orient), without building the configuration."""
     stacks = [0]
     for sense in orient:
         stacks.append(stacks[-1] + _STEP[sense])
-    return Configuration(tuple(stacks), PathGraph(len(stacks)))
+    return tuple(stacks)

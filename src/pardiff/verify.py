@@ -341,12 +341,14 @@ def _chk_orientation_counts(cfg: VerifyConfig, inputs: _RunInputs):
 def _chk_witness(cfg: VerifyConfig, inputs: _RunInputs):
     for n in range(2, cfg.max_n_witness + 1):
         graph = PathGraph(n)
-        for orient in inputs.orientations(n):
-            c = orientations._witness(orient)  # enumerator output, legal already
-            once = engine.fire_step(graph, c)
-            if once == c or engine.fire_step(graph, once) != c:
+        listed = inputs.orientations(n)  # enumerator output, legal already
+        witnesses = [orientations._witness_stacks(orient) for orient in listed]
+        once = engine.fire_each(graph, witnesses)
+        twice = engine.fire_each(graph, once)
+        for orient, c, c1, c2 in zip(listed, witnesses, once, twice):
+            if c1 == c or c2 != c:
                 return f"witness for {orient} is not exactly 2-periodic"
-            if engine.induced_orientation(graph, c) != orient:
+            if engine.orientation_of_stacks(c) != orient:
                 return f"witness for {orient} induces a different orientation"
     return None
 
@@ -509,12 +511,12 @@ def _chk_refinement(cfg: VerifyConfig, inputs: _RunInputs):
 def _chk_orbit_pairing(cfg: VerifyConfig, inputs: _RunInputs):
     for result in inputs.oracle_lists():
         n = result.n
-        graph = PathGraph(n)
-        members = set(result.configurations)
-        for c in result.configurations:
-            partner = canonicalize(engine.fire_step(graph, c))
-            if partner not in members:
-                return f"n={n}: partner of {c.stacks} missing from the oracle set"
+        listed = [c.stacks for c in result.configurations]
+        members = set(listed)  # each with v_1 = 0, as the partner is shifted below
+        for stacks, fired in zip(listed, engine.fire_each(PathGraph(n), listed)):
+            base = fired[0]
+            if tuple([x - base for x in fired]) not in members:
+                return f"n={n}: partner of {stacks} missing from the oracle set"
     return None
 
 

@@ -12,13 +12,20 @@ from hypothesis import strategies as st
 from pardiff.engine import (
     default_max_steps,
     detect_period,
+    fire_each,
     fire_step,
     induced_orientation,
     is_inside_period,
     run_sequence,
 )
 from pardiff import graphs
-from pardiff.errors import ConfigMismatchError, PeriodNotFoundError, StackLimitError
+from pardiff.errors import (
+    CeilingError,
+    ConfigMismatchError,
+    DomainError,
+    PeriodNotFoundError,
+    StackLimitError,
+)
 from pardiff.graphs import (
     Configuration,
     PathGraph,
@@ -62,6 +69,14 @@ def test_fire_step_length_mismatch():
     for call in (fire_step, lambda g, c: detect_period(g, c, 10), is_inside_period):
         with pytest.raises(ConfigMismatchError, match="2 stacks for 5 vertices"):
             call(P5, Configuration((0, 1), PathGraph(2)))
+    # in a batch, the first tuple of the wrong length raises, wherever it stands
+    with pytest.raises(ConfigMismatchError, match="^2 stacks for 5 vertices$"):
+        fire_each(P5, [(0, 2, 0, 4, 1), (0, 1), (9, 9, 9)])
+
+
+def test_fire_each_fires_every_tuple_in_order():
+    assert fire_each(P5, []) == []
+    assert fire_each(P5, DEMO_TRACE[:3]) == DEMO_TRACE[1:4]
 
 
 def test_edges_built_once_per_graph(monkeypatch):
@@ -144,11 +159,16 @@ def test_stack_limit_boundary(graph, stacks):
         if not I64_LOW <= v <= I64_HIGH
     ]
     config = Configuration(stacks, graph)
+    # the batch kernel gives the same verdict on the tuple when it comes second
+    quiet = (0, 1, 0, 1)
     if offending:
         with pytest.raises(StackLimitError, match=f"^stack size {offending[0]} outside"):
             fire_step(graph, config)
+        with pytest.raises(StackLimitError, match=f"^stack size {offending[0]} outside"):
+            fire_each(graph, [quiet, stacks])
     else:
         assert fire_step(graph, config).stacks == out
+        assert fire_each(graph, [quiet, stacks]) == [_reference_step(graph, quiet), out]
 
 
 def test_run_sequence_demo():
@@ -196,6 +216,34 @@ def test_detect_period_budget_too_small():
         detect_period(g, Configuration((0, 3), g), 2)
     with pytest.raises(ValueError):
         detect_period(g, Configuration((0, 3), g), 1)
+
+
+def test_period_ceiling_caps_the_steps(monkeypatch):
+    # the demo repeats at its fifth step, so it needs 5 * 5 vertex-steps
+    monkeypatch.setenv("PARDIFF_PERIOD_CEILING", "25")
+    report = detect_period(P5, DEMO_START, 100)
+    assert (report.preperiod, report.period) == (3, 2)
+    monkeypatch.setenv("PARDIFF_PERIOD_CEILING", "24")
+    with pytest.raises(CeilingError, match="^no repeat within 4 steps, all that the period ceiling of 24 "):
+        detect_period(P5, DEMO_START, 100)
+    # a budget the ceiling does not cut short still ends in period-not-found
+    with pytest.raises(PeriodNotFoundError):
+        detect_period(P5, DEMO_START, 4)
+
+
+def test_period_ceiling_ends_a_huge_budget(monkeypatch):
+    g = PathGraph(3)
+    c = Configuration((10**5, 0, 0), g)
+    budget = default_max_steps(g, c)
+    assert budget == 10 * 3 * 100001
+    report = detect_period(g, c, budget)  # a preperiod of about 2/3 of the spread
+    assert 60000 < report.preperiod < 70000
+    monkeypatch.setenv("PARDIFF_PERIOD_CEILING", "1000")
+    with pytest.raises(CeilingError, match="no repeat within 333 steps"):
+        detect_period(g, c, budget)
+    monkeypatch.setenv("PARDIFF_PERIOD_CEILING", "1e7")
+    with pytest.raises(DomainError, match="PARDIFF_PERIOD_CEILING"):
+        detect_period(g, c, budget)
 
 
 def test_longer_cycles_flagged_as_engine_bug(monkeypatch):
@@ -284,6 +332,15 @@ def branching_cyclic_configs(draw):
 def test_fire_step_matches_per_vertex_rule(gs):
     graph, stacks = gs
     assert fire_step(graph, Configuration(stacks, graph)).stacks == _reference_step(graph, stacks)
+
+
+@given(branching_cyclic_configs(), st.data())
+def test_fire_each_matches_fire_step(gs, data):
+    graph, first = gs
+    m = graph.vertex_count
+    rest = data.draw(st.lists(st.tuples(*[st.integers(-4, 4)] * m), max_size=4))
+    batch = [first, *rest]
+    assert fire_each(graph, batch) == [fire_step(graph, Configuration(s, graph)).stacks for s in batch]
 
 
 @given(graph_and_config())

@@ -87,6 +87,30 @@ def test_parallel_matches_serial():
     assert parallel.configurations == serial.configurations
 
 
+@pytest.mark.parametrize(
+    "graph,root0",
+    [(PathGraph(8), 0), (build_bridge_graph(TRIANGLE, 1, 4), 6)],
+    ids=["path8", "triangle-bridge-k4"],
+)
+def test_prefix_split_search_adds_up(graph, root0):
+    # serial: the splits a pool would run, each through its own prefix
+    whole = oracle._window_search(graph, root0, 3, True)
+    parts = [oracle._window_search(graph, root0, 3, True, (d,)) for d in range(-3, 4)]
+    assert sum(count for count, _ in parts) == whole[0] > 0
+    assert [c for _, found in parts for c in found] == whole[1]
+
+
+def test_prefix_of_every_difference_is_one_candidate():
+    graph = PathGraph(4)
+    whole = oracle._window_search(graph, 0, 2, True)[1]
+    hits = []
+    for prefix in product(range(-2, 3), repeat=3):
+        count, found = oracle._window_search(graph, 0, 2, True, prefix)
+        assert count == len(found) <= 1
+        hits += found
+    assert hits == whole
+
+
 def test_candidate_ceiling():
     with pytest.raises(CeilingError):
         enumerate_p2_configurations(12)

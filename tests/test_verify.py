@@ -55,6 +55,36 @@ def test_injected_engine_fault_is_named(monkeypatch):
     assert "period-reversal" in failed
 
 
+def _fires_twice(real):
+    return lambda graph, batch: real(graph, real(graph, batch))
+
+
+def _leaks_a_chip(real):
+    return lambda graph, batch: [(*s[:-1], s[-1] + 1) for s in real(graph, batch)]
+
+
+@pytest.mark.parametrize(
+    "fault,named",
+    [
+        # two firings restore every member of a 2-cycle, so orbit-pairing,
+        # which only asks that the partner be a member, rightly passes
+        (_fires_twice, {"witness-valid"}),
+        (_leaks_a_chip, {"witness-valid", "orbit-pairing"}),
+    ],
+)
+def test_injected_batch_fault_is_named(monkeypatch, fault, named):
+    from pardiff import engine
+
+    # the path automaton's firing memo is filled through engine.fire_step,
+    # which fires through fire_each, so keep the faulty answers out of the shared one
+    monkeypatch.setattr(oracle, "_ONE_FIRING", oracle._OneFiring())
+    monkeypatch.setattr(engine, "fire_each", fault(engine.fire_each))
+    results = verify.run_suites(SMALL, suites=["orientation", "oracle"])
+    details = {r.name: r.detail for r in results if not r.passed}
+    assert named <= set(details)
+    assert all(details[name] for name in named)
+
+
 def test_results_serialize():
     results = verify.run_suites(SMALL, suites=["graph"])
     for r in results:
