@@ -24,9 +24,9 @@ from pardiff.errors import (
     DomainError,
     InternalInconsistencyError,
     PardiffError,
+    PeriodNotFoundError,
     _candidate_ceiling,
     _enum_ceiling,
-    _period_ceiling,
 )
 from pardiff.graphs import config_from_string, parse_graph
 
@@ -66,13 +66,17 @@ def _cmd_period(args) -> tuple:
     graph = _load_graph(args.graph)
     config = config_from_string(args.config, graph)
     max_steps = engine.default_max_steps(graph, config) if args.max_steps is None else args.max_steps
-    report = engine.detect_period(graph, config, max_steps)
-    parameters = {
-        "graph": args.graph,
-        "config": args.config,
-        "max_steps": max_steps,
-        "period_ceiling": _period_ceiling(),
-    }
+    try:
+        report = engine.detect_period(graph, config, max_steps)
+    except PeriodNotFoundError:
+        if args.max_steps is None and max_steps >= engine.PERIOD_STEP_CAP // graph.vertex_count:
+            raise CeilingError(
+                f"no repeat within {max_steps} steps, the default budget's cap of "
+                f"{engine.PERIOD_STEP_CAP} vertex-steps on {graph.vertex_count} vertices; "
+                "pass a larger --max-steps"
+            ) from None
+        raise
+    parameters = {"graph": args.graph, "config": args.config, "max_steps": max_steps}
     summary = f"period: preperiod {report.preperiod}, period {report.period} -> {args.out}"
     return _json_body(report.to_dict()), parameters, summary, None, 0
 
@@ -175,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("period", help="find the preperiod and period of a configuration")
     p.add_argument("--graph", required=True)
     p.add_argument("--config", required=True)
-    p.add_argument("--max-steps", type=int, default=None, help="default: 10*n*(stack range + 1)")
+    p.add_argument("--max-steps", type=int, default=None, help="default: 10*n*(stack range + 1), at most 10**6 // n")
     p.add_argument("--out", default="period.json")
     p.set_defaults(fn=_cmd_period)
 

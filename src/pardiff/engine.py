@@ -11,13 +11,11 @@ that fact instead of generic cycle finding.
 from __future__ import annotations
 
 from pardiff.errors import (
-    CeilingError,
     ConfigMismatchError,
     DomainError,
     InternalInconsistencyError,
     PeriodNotFoundError,
     StackLimitError,
-    _period_ceiling,
 )
 from pardiff.graphs import (
     I64_MAX,
@@ -128,16 +126,21 @@ def run_sequence(graph: Graph, config: Configuration, max_steps: int) -> Sequenc
     return SequenceTrace(initial=config, steps=tuple(steps))
 
 
+# Most vertex-steps (firings times vertices) the default period budget allows:
+# detect_period holds every step it has seen, about 80 bytes a vertex-step.
+PERIOD_STEP_CAP = 10**6
+
+
 def default_max_steps(graph: Graph, config: Configuration) -> int:
     """Heuristic step budget for period detection: 10 * n * (stack range + 1).
 
     No preperiod bound is known, so this is a documented guess; running out
     raises a clean period-not-found error rather than looping forever. It
-    grows with the spread, so detect_period also holds it to the period
-    ceiling.
+    grows with the spread, so it is capped at PERIOD_STEP_CAP // n steps.
     """
+    n = graph.vertex_count
     spread = max(config.stacks) - min(config.stacks) + 1
-    return max(10 * graph.vertex_count * spread, 4)
+    return max(min(10 * n * spread, PERIOD_STEP_CAP // n), 4)
 
 
 def detect_period(graph: Graph, config: Configuration, max_steps: int) -> PeriodReport:
@@ -146,21 +149,15 @@ def detect_period(graph: Graph, config: Configuration, max_steps: int) -> Period
     Only offsets 1 and 2 are accepted, which the period-1-or-2 guarantee makes
     complete. A repeat at any other offset is impossible for a correct engine,
     so it raises InternalInconsistencyError instead of being reported.
-
-    At most PARDIFF_PERIOD_CEILING // n firings are made, since every step
-    held costs memory; a budget cut short by that ceiling and spent without
-    a repeat raises CeilingError instead of PeriodNotFoundError.
     """
     if max_steps < 2:
         raise DomainError("max_steps must be >= 2")
     _require_fits(graph, config)
     _check_i64(config.stacks)
-    ceiling = _period_ceiling()
-    steps = min(max_steps, ceiling // graph.vertex_count)
     edges = frozen_edges(graph)
     seq = [config.stacks]
     seen = {config.stacks: 0}
-    for t in range(1, steps + 1):
+    for t in range(1, max_steps + 1):
         cur = _fire_raw(seq[-1], edges)
         _check_i64(cur)
         if cur == seq[t - 1]:
@@ -176,11 +173,6 @@ def detect_period(graph: Graph, config: Configuration, max_steps: int) -> Period
         seq.append(cur)
         seen[cur] = t
     else:
-        if steps < max_steps:
-            raise CeilingError(
-                f"no repeat within {steps} steps, all that the period ceiling of {ceiling} "
-                f"vertex-steps allows on {graph.vertex_count} vertices; raise PARDIFF_PERIOD_CEILING"
-            )
         raise PeriodNotFoundError(f"no repeat within {max_steps} steps; raise max_steps")
     orbit = tuple(
         Configuration(seq[preperiod + i], graph) for i in range(period)

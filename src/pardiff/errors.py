@@ -96,10 +96,8 @@ def env_ceiling(variable: str, default: int) -> int:
 
 DEFAULT_ENUM_CEILING = 20
 DEFAULT_CANDIDATE_CEILING = 7**10
-DEFAULT_PERIOD_CEILING = 10**7
 _ENUM_CEILING_ENV = "PARDIFF_ENUM_CEILING"
 _CANDIDATE_CEILING_ENV = "PARDIFF_ORACLE_CEILING"
-_PERIOD_CEILING_ENV = "PARDIFF_PERIOD_CEILING"
 
 
 def _enum_ceiling() -> int:
@@ -110,8 +108,3 @@ def _enum_ceiling() -> int:
 def _candidate_ceiling() -> int:
     """Most raw candidates, or window steps, one path-oracle call may take."""
     return env_ceiling(_CANDIDATE_CEILING_ENV, DEFAULT_CANDIDATE_CEILING)
-
-
-def _period_ceiling() -> int:
-    """Most vertex-steps (firings times vertices) one period detection may take."""
-    return env_ceiling(_PERIOD_CEILING_ENV, DEFAULT_PERIOD_CEILING)

@@ -280,9 +280,15 @@ def config_to_string(config: Configuration) -> str:
 
 def shift(config: Configuration, k: int) -> Configuration:
     """Add k to every stack size."""
-    return Configuration(tuple([x + k for x in config.stacks]), config.graph)
+    return Configuration(tuple(x + k for x in config.stacks), config.graph)
+
+
+def canonical_stacks(stacks: tuple[int, ...]) -> tuple[int, ...]:
+    """The stacks shifted so v_1 holds zero chips."""
+    base = stacks[0]
+    return tuple([x - base for x in stacks])
 
 
 def canonicalize(config: Configuration) -> Configuration:
     """Shift so v_1 holds zero chips."""
-    return shift(config, -config.stacks[0])
+    return Configuration(canonical_stacks(config.stacks), config.graph)

@@ -23,6 +23,7 @@ from pardiff.graphs import (
     SENSE_ORDER,
     Record,
     SimpleGraph,
+    canonical_stacks,
     canonicalize,
     flipped,
     mirrored,
@@ -512,10 +513,9 @@ def _chk_orbit_pairing(cfg: VerifyConfig, inputs: _RunInputs):
     for result in inputs.oracle_lists():
         n = result.n
         listed = [c.stacks for c in result.configurations]
-        members = set(listed)  # each with v_1 = 0, as the partner is shifted below
+        members = set(listed)  # the oracle lists each with v_1 = 0
         for stacks, fired in zip(listed, engine.fire_each(PathGraph(n), listed)):
-            base = fired[0]
-            if tuple([x - base for x in fired]) not in members:
+            if canonical_stacks(fired) not in members:
                 return f"n={n}: partner of {stacks} missing from the oracle set"
     return None
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from jsonschema import validate
 
-from pardiff import counting, oracle
+from pardiff import counting, engine, oracle
 from pardiff.cli import main
 from pardiff.counting import alternating_count, count_T_recurrence
 from pardiff.orientations import count_p2_orientations_recurrence
@@ -98,28 +98,21 @@ def test_period_budget_too_small(tmp_path, capsys):
     assert "period-not-found" in capsys.readouterr().err
 
 
-def test_period_ceiling_exits_two(tmp_path, monkeypatch, capsys):
-    # the default budget, 10 * 3 * 100001 steps, is far past 1000 // 3 firings
-    monkeypatch.setenv("PARDIFF_PERIOD_CEILING", "1000")
-    out = tmp_path / "p.json"
-    code = main(["period", "--graph", "path:3", "--config", "100000,0,0", "--out", str(out)])
-    assert code == 2
+def test_period_default_budget_cap_exits_two(tmp_path, monkeypatch, capsys):
+    # the uncapped default, 10 * 3 * 100001 steps, is far past 1000 // 3
+    monkeypatch.setattr(engine, "PERIOD_STEP_CAP", 1000)
+    argv = ["period", "--graph", "path:3", "--config", "100000,0,0", "--out", str(tmp_path / "p.json")]
+    assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert err.startswith("error [resource-ceiling]: no repeat within 333 steps")
-    assert "PARDIFF_PERIOD_CEILING" in err
-    assert not out.exists()
-
-
-def test_period_manifest_records_the_ceiling_in_force(tmp_path, monkeypatch):
-    argv = ["period", "--graph", "path:5", "--config", "0,2,0,4,1"]
-    assert main(argv + ["--out", str(tmp_path / "default.json")]) == 0
-    monkeypatch.setenv("PARDIFF_PERIOD_CEILING", "25")  # the demo's five steps on five vertices
-    out = tmp_path / "p.json"
-    assert main(argv + ["--out", str(out)]) == 0
-    assert read_manifest(out)["parameters"]["period_ceiling"] == 25
-    assert read_manifest(tmp_path / "default.json")["parameters"]["period_ceiling"] == 10**7
-    assert out.read_bytes() == (tmp_path / "default.json").read_bytes()
+    assert "--max-steps" in err
+    assert not (tmp_path / "p.json").exists()
+    # an explicit budget is never capped: too small, it is a domain error; large enough, it finds
+    assert main(argv + ["--max-steps", "333"]) == 1
+    assert "period-not-found" in capsys.readouterr().err
+    assert main(argv + ["--max-steps", "100000"]) == 0
+    assert read_manifest(tmp_path / "p.json")["parameters"]["max_steps"] == 100000
 
 
 @pytest.mark.parametrize("method,expected", [("oracle", 26), ("recurrence", 26), ("direct", 26), ("summation", 26)])
@@ -244,7 +237,7 @@ SIMULATE_DEMO = {"graph": "path:5", "config": "0,2,0,4,1"}
         ),
         (
             ["period", "--graph", "path:5", "--config", "0,2,0,4,1"],
-            {**SIMULATE_DEMO, "max_steps": 250, "period_ceiling": 10**7},
+            {**SIMULATE_DEMO, "max_steps": 250},
             "period: preperiod 3, period 2 -> {out}",
         ),
         (
@@ -468,7 +461,6 @@ def test_count_provenance_reports_ceilings_in_force(tmp_path, monkeypatch):
         ("PARDIFF_ENUM_CEILING", "abc", ["count", "--n", "5", "--method", "recurrence"]),
         ("PARDIFF_ORACLE_CEILING", "1e9", ["count", "--n", "5", "--method", "oracle"]),
         ("PARDIFF_BRIDGE_CEILING", "twelve", ["conjecture", "--k-min", "1", "--k-max", "1"]),
-        ("PARDIFF_PERIOD_CEILING", "10**7", ["period", "--graph", "path:3", "--config", "0,1,0"]),
     ],
 )
 def test_unparseable_ceiling_variable_exits_one(tmp_path, monkeypatch, capsys, variable, value, argv):

@@ -18,14 +18,8 @@ from pardiff.engine import (
     is_inside_period,
     run_sequence,
 )
-from pardiff import graphs
-from pardiff.errors import (
-    CeilingError,
-    ConfigMismatchError,
-    DomainError,
-    PeriodNotFoundError,
-    StackLimitError,
-)
+from pardiff import engine, graphs
+from pardiff.errors import ConfigMismatchError, PeriodNotFoundError, StackLimitError
 from pardiff.graphs import (
     Configuration,
     PathGraph,
@@ -218,32 +212,19 @@ def test_detect_period_budget_too_small():
         detect_period(g, Configuration((0, 3), g), 1)
 
 
-def test_period_ceiling_caps_the_steps(monkeypatch):
-    # the demo repeats at its fifth step, so it needs 5 * 5 vertex-steps
-    monkeypatch.setenv("PARDIFF_PERIOD_CEILING", "25")
-    report = detect_period(P5, DEMO_START, 100)
-    assert (report.preperiod, report.period) == (3, 2)
-    monkeypatch.setenv("PARDIFF_PERIOD_CEILING", "24")
-    with pytest.raises(CeilingError, match="^no repeat within 4 steps, all that the period ceiling of 24 "):
-        detect_period(P5, DEMO_START, 100)
-    # a budget the ceiling does not cut short still ends in period-not-found
-    with pytest.raises(PeriodNotFoundError):
-        detect_period(P5, DEMO_START, 4)
-
-
-def test_period_ceiling_ends_a_huge_budget(monkeypatch):
+def test_default_budget_is_capped(monkeypatch):
+    assert default_max_steps(P5, DEMO_START) == 10 * 5 * 5  # far below the cap
     g = PathGraph(3)
     c = Configuration((10**5, 0, 0), g)
-    budget = default_max_steps(g, c)
-    assert budget == 10 * 3 * 100001
-    report = detect_period(g, c, budget)  # a preperiod of about 2/3 of the spread
+    assert default_max_steps(g, c) == engine.PERIOD_STEP_CAP // 3 < 10 * 3 * 100001
+    report = detect_period(g, c, default_max_steps(g, c))  # a preperiod of about 2/3 of the spread
     assert 60000 < report.preperiod < 70000
-    monkeypatch.setenv("PARDIFF_PERIOD_CEILING", "1000")
-    with pytest.raises(CeilingError, match="no repeat within 333 steps"):
-        detect_period(g, c, budget)
-    monkeypatch.setenv("PARDIFF_PERIOD_CEILING", "1e7")
-    with pytest.raises(DomainError, match="PARDIFF_PERIOD_CEILING"):
-        detect_period(g, c, budget)
+    monkeypatch.setattr(engine, "PERIOD_STEP_CAP", 1000)
+    assert default_max_steps(g, c) == 333
+    with pytest.raises(PeriodNotFoundError, match="^no repeat within 333 steps"):
+        detect_period(g, c, default_max_steps(g, c))
+    monkeypatch.setattr(engine, "PERIOD_STEP_CAP", 3)  # the floor of four steps still holds
+    assert default_max_steps(g, c) == 4
 
 
 def test_longer_cycles_flagged_as_engine_bug(monkeypatch):
