@@ -5,7 +5,7 @@ neighbour, so the new stack is old - (#poorer neighbours) + (#richer
 neighbours), all comparisons against the OLD configuration: one pass over
 the edges, each moving a chip from its richer end to its poorer end. Every
 sequence eventually cycles with period 1 or 2; detection below leans on
-that fact instead of generic cycle finding.
+that fact and holds only the last two configurations.
 """
 
 from __future__ import annotations
@@ -71,11 +71,6 @@ def _fire_raw(stacks: tuple[int, ...], edges: tuple[tuple[int, int], ...]) -> tu
     return tuple(out)
 
 
-def _require_fits(graph: Graph, config: Configuration):
-    if len(config.stacks) != graph.vertex_count:
-        raise ConfigMismatchError(f"{len(config.stacks)} stacks for {graph.vertex_count} vertices")
-
-
 def _check_i64(stacks: tuple[int, ...]):
     high = max(stacks, default=0)
     if high > I64_MAX:
@@ -127,7 +122,7 @@ def run_sequence(graph: Graph, config: Configuration, max_steps: int) -> Sequenc
 
 
 # Most vertex-steps (firings times vertices) the default period budget allows:
-# detect_period holds every step it has seen, about 80 bytes a vertex-step.
+# detect_period's memory does not grow with its steps, so this bounds time, to about 1 s.
 PERIOD_STEP_CAP = 10**6
 
 
@@ -136,7 +131,7 @@ def default_max_steps(graph: Graph, config: Configuration) -> int:
 
     No preperiod bound is known, so this is a documented guess; running out
     raises a clean period-not-found error rather than looping forever. It
-    grows with the spread, so it is capped at PERIOD_STEP_CAP // n steps.
+    grows with the spread, so it is capped at PERIOD_STEP_CAP // n steps (about 1 s).
     """
     n = graph.vertex_count
     spread = max(config.stacks) - min(config.stacks) + 1
@@ -147,42 +142,40 @@ def detect_period(graph: Graph, config: Configuration, max_steps: int) -> Period
     """Find the least N and least p in {1, 2} with C_{N+p} = C_N (exact equality).
 
     Only offsets 1 and 2 are accepted, which the period-1-or-2 guarantee makes
-    complete. A repeat at any other offset is impossible for a correct engine,
-    so it raises InternalInconsistencyError instead of being reported.
+    complete, so only C_{t-2} and C_{t-1} are kept. A repeat at another offset
+    is impossible for a correct engine. Brent's mark (Brent, BIT 1980), C_0 and
+    then C_t at each power of two t, catches a cycle of length l > 2 after m
+    steps by step 3 * max(m, l) and raises InternalInconsistencyError at offset l.
     """
     if max_steps < 2:
         raise DomainError("max_steps must be >= 2")
-    _require_fits(graph, config)
-    _check_i64(config.stacks)
-    edges = frozen_edges(graph)
-    seq = [config.stacks]
-    seen = {config.stacks: 0}
+    before, last = None, config.stacks
+    mark, marked_at = last, 0
     for t in range(1, max_steps + 1):
-        cur = _fire_raw(seq[-1], edges)
-        _check_i64(cur)
-        if cur == seq[t - 1]:
-            preperiod, period = t - 1, 1
+        cur = fire_each(graph, (last,))[0]
+        if cur == last:
+            preperiod, orbit = t - 1, (last,)
             break
-        if t >= 2 and cur == seq[t - 2]:
-            preperiod, period = t - 2, 2
+        if cur == before:
+            preperiod, orbit = t - 2, (before, last)
             break
-        if cur in seen:
+        if cur == mark:
             raise InternalInconsistencyError(
-                f"repeat at offset {t - seen[cur]}; the firing rule admits only 1 or 2"
+                f"repeat at offset {t - marked_at}; the firing rule admits only 1 or 2"
             )
-        seq.append(cur)
-        seen[cur] = t
+        if t & (t - 1) == 0:
+            mark, marked_at = cur, t
+        before, last = last, cur
     else:
         raise PeriodNotFoundError(f"no repeat within {max_steps} steps; raise max_steps")
-    orbit = tuple(
-        Configuration(seq[preperiod + i], graph) for i in range(period)
-    )
-    return PeriodReport(preperiod=preperiod, period=period, orbit=orbit)
+    orbit = tuple(Configuration(stacks, graph) for stacks in orbit)
+    return PeriodReport(preperiod=preperiod, period=len(orbit), orbit=orbit)
 
 
 def induced_orientation(graph: PathGraph, config: Configuration) -> str:
     """Sense of e_i from the stacks: Right if v_{i+1} is richer than v_i."""
-    _require_fits(graph, config)
+    if len(config.stacks) != graph.vertex_count:
+        raise ConfigMismatchError(f"{len(config.stacks)} stacks for {graph.vertex_count} vertices")
     return orientation_of_stacks(config.stacks)
 
 

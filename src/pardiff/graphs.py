@@ -173,17 +173,6 @@ class PathGraph(Record):
 Graph = Union[SimpleGraph, PathGraph]
 
 
-def adjacency(graph: Graph) -> list[list[int]]:
-    """0-based adjacency lists, neighbour lists sorted."""
-    adj: list[list[int]] = [[] for _ in range(graph.vertex_count)]
-    for u, v in graph.edges:
-        adj[u - 1].append(v - 1)
-        adj[v - 1].append(u - 1)
-    for row in adj:
-        row.sort()
-    return adj
-
-
 @lru_cache(maxsize=64)
 def frozen_edges(graph: Graph) -> tuple[tuple[int, int], ...]:
     """Sorted 0-based ``(u, w)`` edge pairs, u < w, built once per distinct graph and shared.
@@ -192,18 +181,6 @@ def frozen_edges(graph: Graph) -> tuple[tuple[int, int], ...]:
     caller from changing what the others read.
     """
     return tuple(sorted((u - 1, w - 1) for u, w in graph.edges))
-
-
-def is_connected(graph: Graph) -> bool:
-    adj = adjacency(graph)
-    seen = {0}
-    stack = [0]
-    while stack:
-        for w in adj[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == graph.vertex_count
 
 
 class Configuration(Record):

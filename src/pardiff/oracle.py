@@ -35,8 +35,7 @@ from pardiff.graphs import (
     PathGraph,
     Record,
     SimpleGraph,
-    adjacency,
-    is_connected,
+    frozen_edges,
 )
 from pardiff.engine import fire_step, orientation_of_stacks
 from pardiff.transfer import Automaton
@@ -62,14 +61,18 @@ class OracleResult(Record):
         object.__setattr__(self, "count", count)
 
 
-def _bfs_plan(adj0: list[list[int]], root: int):
+def _bfs_plan(graph: Graph, root: int):
     """BFS order plus per-prefix-length firing and checking schedules.
 
     Everything is remapped into BFS-position space. ready1[p] is the prefix
     length at which the one-step value of the vertex at position p is fixed;
     ready2[p] the length at which its two-step value can be tested.
     """
-    V = len(adj0)
+    V = graph.vertex_count
+    adj0 = [[] for _ in range(V)]
+    for u, w in frozen_edges(graph):  # sorted pairs, so each list comes out sorted
+        adj0[u].append(w)
+        adj0[w].append(u)
     pos = [-1] * V
     order = [root]
     parent_pos = [0] * V
@@ -106,7 +109,7 @@ def _window_search(graph, root0, window, collect, prefix=()):
     [-window, window], which is how the search space is split across worker
     processes.
     """
-    order, parent_pos, fires_at, checks_at = _bfs_plan(adjacency(graph), root0)
+    order, parent_pos, fires_at, checks_at = _bfs_plan(graph, root0)
     V = graph.vertex_count
     if V == 1:
         return 0, []
@@ -366,8 +369,7 @@ def enumerate_p2_on_bridge_graph(
     """
     if diff_bound < 1:
         raise DomainError("diff_bound must be positive")
-    if not is_connected(g0):
-        raise DomainError("g0 must be connected")
+    _bfs_plan(g0, 0)  # raises DomainError if g0 is not connected
     ceiling = env_ceiling(_BRIDGE_CEILING_ENV, DEFAULT_BRIDGE_VERTEX_CEILING)
     graph = build_bridge_graph(g0, base_vertex, k)
     if graph.vertex_count > ceiling:

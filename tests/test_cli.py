@@ -508,6 +508,17 @@ def test_conjecture_missing_file_exits_one(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_conjecture_disconnected_g0_exits_one(tmp_path, capsys):
+    g0 = tmp_path / "g0.txt"
+    g0.write_text("1 2\n3 4\n")
+    out = tmp_path / "c.csv"
+    code = main(["conjecture", "--g0-file", str(g0), "--k-min", "2", "--k-max", "4", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == "error [domain-error]: graph is not connected\n"
+    assert not out.exists()
+
+
 def _run_child(args):
     """Run ``python *args`` importing the same pardiff as this process, installed or not."""
     src = str(Path(oracle.__file__).resolve().parents[1])

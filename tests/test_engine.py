@@ -5,6 +5,8 @@ a 2-cycle after three steps; its seven configurations are frozen here from a
 hand simulation of the firing rule.
 """
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,7 +21,12 @@ from pardiff.engine import (
     run_sequence,
 )
 from pardiff import engine, graphs
-from pardiff.errors import ConfigMismatchError, PeriodNotFoundError, StackLimitError
+from pardiff.errors import (
+    ConfigMismatchError,
+    InternalInconsistencyError,
+    PeriodNotFoundError,
+    StackLimitError,
+)
 from pardiff.graphs import (
     Configuration,
     PathGraph,
@@ -115,7 +122,10 @@ def test_stack_limit_guard():
 
 def _reference_step(graph, stacks):
     """The per-vertex rule: each vertex compares itself with every neighbour."""
-    adj = graphs.adjacency(graph)
+    adj = [[] for _ in stacks]
+    for u, w in graph.edges:
+        adj[u - 1].append(w - 1)
+        adj[w - 1].append(u - 1)
     return tuple(
         sv + sum((stacks[w] > sv) - (stacks[w] < sv) for w in adj[v])
         for v, sv in enumerate(stacks)
@@ -228,17 +238,35 @@ def test_default_budget_is_capped(monkeypatch):
 
 
 def test_longer_cycles_flagged_as_engine_bug(monkeypatch):
-    # a dynamics with a 3-cycle is impossible for the real rule; the detector
-    # must refuse to report it rather than return a wrong period
-    from pardiff import engine as engine_module
-    from pardiff.errors import InternalInconsistencyError
-
-    monkeypatch.setattr(
-        engine_module, "_fire_raw", lambda stacks, adj: stacks[1:] + stacks[:1]
-    )
+    # a dynamics with a cycle longer than 2 is impossible for the real rule;
+    # the detector must refuse to report it rather than return a wrong period
+    monkeypatch.setattr(engine, "_fire_raw", lambda stacks, adj: stacks[1:] + stacks[:1])
     g = PathGraph(3)
-    with pytest.raises(InternalInconsistencyError):
-        engine_module.detect_period(g, Configuration((0, 1, 2), g), 50)
+    with pytest.raises(InternalInconsistencyError, match="^repeat at offset 3;"):
+        detect_period(g, Configuration((0, 1, 2), g), 50)
+    # a tail of mu steps into a cycle of lam states; mu = 0 returns to C_0.
+    # Brent's mark catches the cycle by step 3 * max(mu, lam), at offset lam.
+    g = PathGraph(1)
+    for mu in (0, 3):
+        for lam in (3, 4, 5, 8):
+            step = lambda stacks, adj: (stacks[0] + 1 if stacks[0] < mu + lam - 1 else mu,)
+            monkeypatch.setattr(engine, "_fire_raw", step)
+            with pytest.raises(InternalInconsistencyError, match=f"^repeat at offset {lam};"):
+                detect_period(g, Configuration((0,), g), 3 * (mu + lam))
+
+
+def test_detect_period_memory_does_not_grow_with_steps():
+    g = PathGraph(3)
+    c = Configuration((30000, 0, 0), g)
+    budget = default_max_steps(g, c)
+    tracemalloc.start()
+    try:
+        report = detect_period(g, c, budget)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.preperiod > 19000  # about 2/3 of the spread
+    assert peak < 64 * 1024
 
 
 def test_period_report_json_shape():

@@ -233,10 +233,18 @@ def test_bridge_count_matches_naive_windowing():
     assert enumerate_p2_on_bridge_graph(TRIANGLE, 1, 2) == naive[4]
 
 
-def test_bridge_requires_connected_g0():
+def test_bridge_requires_connected_g0(monkeypatch):
     disconnected = SimpleGraph(vertex_count=3, edges=frozenset({(1, 2)}))
     with pytest.raises(DomainError):
         enumerate_p2_on_bridge_graph(disconnected, 1, 3)
+    two_edges = SimpleGraph.from_edge_list([(1, 2), (3, 4)])
+    with pytest.raises(DomainError, match="^graph is not connected$"):
+        enumerate_p2_on_bridge_graph(two_edges, 1, 3)
+    # connectivity is checked before the vertex ceiling, and before any search
+    monkeypatch.setenv("PARDIFF_BRIDGE_CEILING", "1")
+    monkeypatch.setattr(oracle, "_run_search", _no_search)
+    with pytest.raises(DomainError, match="^graph is not connected$"):
+        enumerate_p2_on_bridge_graph(two_edges, 1, 3)
 
 
 def test_bridge_base_vertex_range():
