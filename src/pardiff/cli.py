@@ -120,7 +120,7 @@ def _cmd_count(args) -> tuple:
 def _cmd_verify(args) -> tuple:
     given = {name: getattr(args, name) for name in verify.DEPTH_MINIMUMS}
     config = verify.VerifyConfig(**{name: n for name, n in given.items() if n is not None})
-    suites = args.suites.split(",") if args.suites else None
+    suites = args.suites.split(",") if args.suites is not None else None
     results = verify.run_suites(config, suites)
     lines = [
         f"{'PASS' if r.passed else 'FAIL'} {r.suite}.{r.name}" + (f": {r.detail}" if r.detail else "")

@@ -96,8 +96,10 @@ def env_ceiling(variable: str, default: int) -> int:
 
 DEFAULT_ENUM_CEILING = 20
 DEFAULT_CANDIDATE_CEILING = 7**10
+DEFAULT_BRIDGE_VERTEX_CEILING = 12
 _ENUM_CEILING_ENV = "PARDIFF_ENUM_CEILING"
 _CANDIDATE_CEILING_ENV = "PARDIFF_ORACLE_CEILING"
+_BRIDGE_CEILING_ENV = "PARDIFF_BRIDGE_CEILING"
 
 
 def _enum_ceiling() -> int:
@@ -108,3 +110,8 @@ def _enum_ceiling() -> int:
 def _candidate_ceiling() -> int:
     """Most raw candidates, or window steps, one path-oracle call may take."""
     return env_ceiling(_CANDIDATE_CEILING_ENV, DEFAULT_CANDIDATE_CEILING)
+
+
+def _bridge_ceiling() -> int:
+    """Most vertices, G_0 plus the bridged path, one bridge-oracle call may take."""
+    return env_ceiling(_BRIDGE_CEILING_ENV, DEFAULT_BRIDGE_VERTEX_CEILING)

@@ -26,8 +26,8 @@ from pardiff.errors import (
     CeilingError,
     DomainError,
     WindowNotStabilizedError,
+    _bridge_ceiling,
     _candidate_ceiling,
-    env_ceiling,
 )
 from pardiff.graphs import (
     Configuration,
@@ -40,8 +40,6 @@ from pardiff.graphs import (
 from pardiff.engine import fire_step, orientation_of_stacks
 from pardiff.transfer import Automaton
 
-DEFAULT_BRIDGE_VERTEX_CEILING = 12
-_BRIDGE_CEILING_ENV = "PARDIFF_BRIDGE_CEILING"
 # Raw candidates (2b+1)^(V-1) from which a search is split over a process
 # pool: below it, starting the workers costs about what they save.
 _POOL_THRESHOLD = 10**6
@@ -370,7 +368,7 @@ def enumerate_p2_on_bridge_graph(
     if diff_bound < 1:
         raise DomainError("diff_bound must be positive")
     _bfs_plan(g0, 0)  # raises DomainError if g0 is not connected
-    ceiling = env_ceiling(_BRIDGE_CEILING_ENV, DEFAULT_BRIDGE_VERTEX_CEILING)
+    ceiling = _bridge_ceiling()
     graph = build_bridge_graph(g0, base_vertex, k)
     if graph.vertex_count > ceiling:
         raise CeilingError(

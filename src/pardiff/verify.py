@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 import time
+from functools import cache
 from itertools import product
 
 from pardiff import counting, engine, oracle, orientations
@@ -81,6 +82,8 @@ _DP_MAX = 60
 # Each randomized check draws _RANDOM_TRIALS cases from a fixed seed of its own.
 _RANDOM_TRIALS = 150
 _RNG_SEED = 987
+# Random connected graphs have 2.._RANDOM_MAX_VERTICES vertices.
+_RANDOM_MAX_VERTICES = 10
 
 
 class _RunInputs:
@@ -91,42 +94,15 @@ class _RunInputs:
     """
 
     def __init__(self, config: VerifyConfig):
-        self._config = config
-        self._orientations: dict[int, list[str]] = {}
-        self._oracle_lists = None
-        self._legal: dict[str, bool] = {}
-        self._counts: dict[str, int] = {}
-        self._dp_counts: dict[int, list[int]] = {}
-
-    def orientations(self, n: int) -> list[str]:
-        if n not in self._orientations:
-            self._orientations[n] = orientations.enumerate_p2_orientations(n)
-        return self._orientations[n]
-
-    def oracle_lists(self) -> list[oracle.OracleResult]:
-        """The path oracle's configuration lists for n = 2..max_n_oracle."""
-        if self._oracle_lists is None:
-            self._oracle_lists = [
-                oracle.enumerate_p2_configurations(n)
-                for n in range(2, self._config.max_n_oracle + 1)
-            ]
-        return self._oracle_lists
-
-    def legal(self, orient: str) -> bool:
-        if orient not in self._legal:
-            self._legal[orient] = orientations.check_p2_orientation(orient).legal
-        return self._legal[orient]
-
-    def count(self, orient: str) -> int:
-        if orient not in self._counts:
-            self._counts[orient] = counting.count_configs_on_orientation(orient)
-        return self._counts[orient]
-
-    def dp_counts(self, diff_bound: int) -> list[int]:
-        """Path-automaton counts at n = 2.._DP_MAX (entry n - 2)."""
-        if diff_bound not in self._dp_counts:
-            self._dp_counts[diff_bound] = oracle.count_p2_sequence(_DP_MAX, diff_bound)
-        return self._dp_counts[diff_bound]
+        self.orientations = cache(lambda n: orientations.enumerate_p2_orientations(n))
+        # The path oracle's configuration lists for n = 2..max_n_oracle.
+        self.oracle_lists = cache(
+            lambda: [oracle.enumerate_p2_configurations(n) for n in range(2, config.max_n_oracle + 1)]
+        )
+        self.legal = cache(lambda orient: orientations.check_p2_orientation(orient).legal)
+        self.count = cache(lambda orient: counting.count_configs_on_orientation(orient))
+        # Path-automaton counts at n = 2.._DP_MAX (entry n - 2).
+        self.dp_counts = cache(lambda diff_bound: oracle.count_p2_sequence(_DP_MAX, diff_bound))
 
 
 def _check(suite: str, name: str):
@@ -175,8 +151,8 @@ def run_suites(config: VerifyConfig = VerifyConfig(), suites=None) -> list[Check
 # helpers
 
 
-def _random_connected_graph(rng: random.Random, max_vertices: int = 10) -> SimpleGraph:
-    m = rng.randint(2, max_vertices)
+def _random_connected_graph(rng: random.Random) -> SimpleGraph:
+    m = rng.randint(2, _RANDOM_MAX_VERTICES)
     edges = set()
     for v in range(2, m + 1):
         u = rng.randint(1, v - 1)

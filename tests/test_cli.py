@@ -367,7 +367,7 @@ def test_verify_vacuous_depth_exits_one(tmp_path, capsys, option, value, minimum
     assert not captured.out
 
 
-@pytest.mark.parametrize("suites", ["bogus", "graph,graph"])
+@pytest.mark.parametrize("suites", ["bogus", "graph,graph", ""])
 def test_verify_unknown_suite_is_domain_error(tmp_path, capsys, suites):
     code = main(["verify", "--suites", suites, "--out", str(tmp_path / "v.json")])
     assert code == 1
@@ -634,43 +634,22 @@ def test_verify_runs_every_submodule(tmp_path):
     assert executed == {"cli", *SUBMODULES}
 
 
-# Every name the package re-exported when it imported its submodules eagerly.
-REEXPORTS = {
-    "counting": (
-        "AsymptoticModel CountLedger alternating_count characteristic_roots conjecture_recurrence_check "
-        "contract_agreeing count_T_direct count_T_recurrence count_T_summation "
-        "count_configs_on_orientation sever_at_flats stage vertex_multiplier"
-    ),
-    "engine": (
-        "PeriodReport SequenceTrace detect_period fire_step induced_orientation is_inside_period run_sequence"
-    ),
-    "graphs": (
-        "Configuration PathGraph SimpleGraph canonicalize config_from_string config_to_string "
-        "parse_graph render_graph shift"
-    ),
-    "oracle": (
-        "OracleResult count_p2_configurations count_p2_sequence enumerate_p2_configurations "
-        "enumerate_p2_on_bridge_graph orientations_realized"
-    ),
-    "orientations": (
-        "ForbiddenPatternReport check_p2_orientation count_p2_orientations_recurrence "
-        "enumerate_p2_orientations witness_configuration"
-    ),
-}
-
-
-def test_package_reexports_resolve_through_the_package():
-    import pardiff
-
-    listed = dir(pardiff)
-    names = [(module, name) for module, text in REEXPORTS.items() for name in text.split()]
-    assert len(names) == 40
-    for module, name in names:
-        home = getattr(sys.modules[f"pardiff.{module}"], name)
-        assert getattr(pardiff, name) is home
-        scope = {}
-        exec(f"from pardiff import {name}", scope)
-        assert scope[name] is home
-        assert name in listed
-    with pytest.raises(AttributeError, match="no attribute 'missing'"):
-        pardiff.missing
+def test_star_import_binds_the_submodules_and_runs_none():
+    proc = _run_child(
+        [
+            "-c",
+            "import json, sys, types\n"
+            "scope = {}\n"
+            "exec('from pardiff import *', scope)\n"
+            "import pardiff\n"
+            "print(json.dumps([sorted(set(scope) - {'__builtins__'}),\n"
+            "    sorted(name for name, m in sys.modules.items()\n"
+            "        if name.startswith('pardiff.') and type(m) is types.ModuleType),\n"
+            "    hasattr(pardiff, 'count_T_direct')]))",
+        ]
+    )
+    assert proc.returncode == 0, proc.stderr
+    bound, executed, aliased = json.loads(proc.stdout)
+    assert bound == sorted(SUBMODULES)
+    assert executed == []
+    assert not aliased
