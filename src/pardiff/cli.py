@@ -4,7 +4,9 @@ Each command handler returns what it produced as (body, manifest
 parameters, summary, check_seconds or None, exit code), and main alone
 writes it: one machine-readable output file plus a manifest
 (<output>.manifest.json), then the summary on stdout (verify puts a
-PASS/FAIL line per check before it). Output bodies are deterministic;
+PASS/FAIL line per check before it). The handlers are the only code that
+shapes a body, to the specs in docs/schemas/; the library returns records
+and plain values. Output bodies are deterministic;
 timing lives only in the manifest. Exit codes: 0 success, 1 domain error,
 2 resource ceiling, 3 verification failure or internal inconsistency.
 """
@@ -31,13 +33,22 @@ from pardiff.errors import (
 from pardiff.graphs import config_from_string, parse_graph
 
 
+def _read_graph_file(path: str):
+    """Graph from the file at ``path``; a file that is not UTF-8 is a file error."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise OSError(f"{path}: {exc}") from None
+    return parse_graph(text)
+
+
 def _load_graph(text: str):
     """Graph from a literal ``path:<n>``, a file path, or inline edge text."""
     if text.startswith("path:"):
         return parse_graph(text)
     if os.path.exists(text):
-        with open(text, encoding="utf-8") as fh:
-            return parse_graph(fh.read())
+        return _read_graph_file(text)
     return parse_graph(text.replace(",", "\n"))
 
 
@@ -56,10 +67,11 @@ def _json_body(obj) -> str:
 def _cmd_simulate(args) -> tuple:
     graph = _load_graph(args.graph)
     config = config_from_string(args.config, graph)
-    lines = engine.run_sequence(graph, config, args.steps).to_json_lines()
+    trace = engine.run_sequence(graph, config, args.steps)
+    lines = ({"step": t, "stacks": list(c.stacks)} for t, c in enumerate(trace))
     body = "".join(json.dumps(line, sort_keys=True) + "\n" for line in lines)
     parameters = {"graph": args.graph, "config": args.config, "steps": args.steps}
-    return body, parameters, f"simulate: {len(lines)} configurations -> {args.out}", None, 0
+    return body, parameters, f"simulate: {len(trace)} configurations -> {args.out}", None, 0
 
 
 def _cmd_period(args) -> tuple:
@@ -77,8 +89,13 @@ def _cmd_period(args) -> tuple:
             ) from None
         raise
     parameters = {"graph": args.graph, "config": args.config, "max_steps": max_steps}
+    body = {
+        "preperiod": report.preperiod,
+        "period": report.period,
+        "orbit": [list(c.stacks) for c in report.orbit],
+    }
     summary = f"period: preperiod {report.preperiod}, period {report.period} -> {args.out}"
-    return _json_body(report.to_dict()), parameters, summary, None, 0
+    return _json_body(body), parameters, summary, None, 0
 
 
 def _cmd_count(args) -> tuple:
@@ -112,7 +129,7 @@ def _cmd_count(args) -> tuple:
                 )
             payload["oracle_configurations"] = [list(c.stacks) for c in result.configurations]
     if args.ledger:
-        payload["ledger"] = counting.build_count_ledger(n).to_dict()
+        payload["ledger"] = counting.build_count_ledger(n)
     parameters = {"n": n, "method": method, "diff_bound": args.diff_bound}
     return _json_body(payload), parameters, f"count[{method}]: n={n} -> {count} ({args.out})", None, 0
 
@@ -129,8 +146,9 @@ def _cmd_verify(args) -> tuple:
     failed = [r for r in results if not r.passed]
     lines.append(f"verify: {len(results) - len(failed)}/{len(results)} checks passed ({args.out})")
     depths = {name: getattr(config, name) for name in verify.DEPTH_MINIMUMS}
+    body = [{"suite": r.suite, "name": r.name, "passed": r.passed, "detail": r.detail} for r in results]
     return (
-        _json_body([r.to_dict() for r in results]),
+        _json_body(body),
         {"suites": suites or verify.suite_names(), **depths},
         "\n".join(lines),
         {f"{r.suite}.{r.name}": round(r.seconds, 6) for r in results},
@@ -139,8 +157,7 @@ def _cmd_verify(args) -> tuple:
 
 
 def _cmd_conjecture(args) -> tuple:
-    with open(args.g0_file, encoding="utf-8") as fh:
-        g0 = parse_graph(fh.read())
+    g0 = _read_graph_file(args.g0_file)
     if args.k_min < 1 or args.k_max < args.k_min:
         raise DomainError("need 1 <= k-min <= k-max")
     ks = range(args.k_min, args.k_max + 1)

@@ -58,23 +58,6 @@ MULTIPLIER_TABLE: dict[str, int] = {
 }
 
 
-class CountLedger(Record):
-    """Per-orientation products and the aggregate counts for one path length.
-
-    Its dict fields make it unhashable.
-    """
-
-    __slots__ = _fields = ("n", "per_orientation", "totals")
-
-    def __init__(self, n: int, per_orientation: dict[str, int], totals: dict[str, int]):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "per_orientation", per_orientation)
-        object.__setattr__(self, "totals", totals)
-
-    def to_dict(self) -> dict:
-        return {"n": self.n, "per_orientation": dict(self.per_orientation), "totals": dict(self.totals)}
-
-
 class AsymptoticModel(Record):
     """Roots of x^4 - 3x^3 - 2x^2 - x + 1 and the fitted dominant term."""
 
@@ -256,8 +239,10 @@ def count_T_summation(n: int, use_printed_limit: bool = False) -> int:
     return t[n]
 
 
-def build_count_ledger(n: int) -> CountLedger:
-    """All three total routes plus per-orientation products for one n."""
+def build_count_ledger(n: int) -> dict:
+    """All three total routes plus per-orientation products for one n, as the
+    count body's ledger: {"n", "per_orientation", "totals"}.
+    """
     per = dict(zip(*_listed(_COUNTS, n)))
     totals = {
         "R_n": len(per),
@@ -266,7 +251,7 @@ def build_count_ledger(n: int) -> CountLedger:
         "T_summation": count_T_summation(n) if n >= 2 else 0,
         "T_direct": sum(per.values()),
     }
-    return CountLedger(n=n, per_orientation=per, totals=totals)
+    return {"n": n, "per_orientation": per, "totals": totals}
 
 
 def sever_at_flats(orient: str) -> list[str]:

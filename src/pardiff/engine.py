@@ -37,26 +37,6 @@ class PeriodReport(Record):
         object.__setattr__(self, "period", period)
         object.__setattr__(self, "orbit", orbit)
 
-    def to_dict(self) -> dict:
-        return {
-            "preperiod": self.preperiod,
-            "period": self.period,
-            "orbit": [list(c.stacks) for c in self.orbit],
-        }
-
-
-class SequenceTrace(Record):
-    """Configurations C_0, C_1, ... produced by repeated firing; steps[0] is C_0."""
-
-    __slots__ = _fields = ("initial", "steps")
-
-    def __init__(self, initial: Configuration, steps: tuple[Configuration, ...]):
-        object.__setattr__(self, "initial", initial)
-        object.__setattr__(self, "steps", steps)
-
-    def to_json_lines(self) -> list[dict]:
-        return [{"step": t, "stacks": list(c.stacks)} for t, c in enumerate(self.steps)]
-
 
 def _fire_raw(stacks: tuple[int, ...], edges: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
     out = list(stacks)
@@ -111,14 +91,14 @@ def fire_step(graph: Graph, config: Configuration) -> Configuration:
     return Configuration(fire_each(graph, (config.stacks,))[0], graph)
 
 
-def run_sequence(graph: Graph, config: Configuration, max_steps: int) -> SequenceTrace:
-    """Trace of max_steps firings, so max_steps + 1 configurations."""
-    if max_steps < 1:
-        raise DomainError("max_steps must be >= 1")
-    steps = [config]
-    for _ in range(max_steps):
-        steps.append(fire_step(graph, steps[-1]))
-    return SequenceTrace(initial=config, steps=tuple(steps))
+def run_sequence(graph: Graph, config: Configuration, steps: int) -> tuple[Configuration, ...]:
+    """C_0 = config, C_1, ..., C_steps: steps firings, so steps + 1 configurations."""
+    if steps < 1:
+        raise DomainError("steps must be >= 1")
+    trace = [config]
+    for _ in range(steps):
+        trace.append(fire_step(graph, trace[-1]))
+    return tuple(trace)
 
 
 # Most vertex-steps (firings times vertices) the default period budget allows:

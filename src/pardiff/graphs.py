@@ -251,10 +251,6 @@ def config_from_string(text: str, graph: Graph) -> Configuration:
     return Configuration(stacks, graph)
 
 
-def config_to_string(config: Configuration) -> str:
-    return ",".join(str(x) for x in config.stacks)
-
-
 def shift(config: Configuration, k: int) -> Configuration:
     """Add k to every stack size."""
     return Configuration(tuple(x + k for x in config.stacks), config.graph)

@@ -22,7 +22,7 @@ from pardiff.errors import (
     IllegalOrientationError,
     _enum_ceiling,
 )
-from pardiff.graphs import Configuration, PathGraph, Record, SENSE_ORDER
+from pardiff.graphs import Configuration, PathGraph, SENSE_ORDER
 from pardiff.transfer import Automaton
 
 RULE_ADJACENT_FLATS = "AdjacentFlats"
@@ -33,16 +33,6 @@ RULE_PAIR_NOT_BOOKENDED = "AgreeingPairNotBookended"
 _STEP = {"R": 1, "L": -1, "F": 0}  # witness stack change across each sense
 
 
-class ForbiddenPatternReport(Record):
-    """Checker verdict; each violation is (rule id, inclusive 1-based edge span)."""
-
-    __slots__ = _fields = ("legal", "violations")
-
-    def __init__(self, legal: bool, violations: tuple[tuple[str, tuple[int, int]], ...]):
-        object.__setattr__(self, "legal", legal)
-        object.__setattr__(self, "violations", violations)
-
-
 def _require_senses(orient: str) -> None:
     """Raise GraphFormatError naming the first letter outside "RLF", if there is one."""
     bad = orient.lstrip(SENSE_ORDER)
@@ -50,8 +40,9 @@ def _require_senses(orient: str) -> None:
         raise GraphFormatError(f"unknown sense letter {bad[0]!r}")
 
 
-def check_p2_orientation(s: str) -> ForbiddenPatternReport:
-    """Report every forbidden-pattern violation in the orientation (n >= 2).
+def check_p2_orientation(s: str) -> tuple[tuple[str, tuple[int, int]], ...]:
+    """Every forbidden-pattern violation in the orientation (n >= 2), each as
+    (rule id, inclusive 1-based edge span); empty iff the orientation is legal.
 
     Raises GraphFormatError on the first letter outside "RLF".
     """
@@ -77,14 +68,14 @@ def check_p2_orientation(s: str) -> ForbiddenPatternReport:
         right_ok = i + 2 < e and s[i + 2] != "F" and s[i + 2] != s[i]
         if not (left_ok and right_ok):
             violations.append((RULE_PAIR_NOT_BOOKENDED, (i + 1, i + 2)))
-    return ForbiddenPatternReport(legal=not violations, violations=tuple(violations))
+    return tuple(violations)
 
 
 def _require_legal(orient: str) -> None:
     """Raise IllegalOrientationError naming the first violation, if there is one."""
-    report = check_p2_orientation(orient)
-    if not report.legal:
-        raise IllegalOrientationError(f"orientation {orient!r} violates {report.violations[0][0]}")
+    violations = check_p2_orientation(orient)
+    if violations:
+        raise IllegalOrientationError(f"orientation {orient!r} violates {violations[0][0]}")
 
 
 def _may_follow(tail: str, sense: str) -> bool:

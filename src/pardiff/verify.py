@@ -70,9 +70,6 @@ class CheckResult(Record):
         # Wall time of the check, including any shared input it was first to read.
         object.__setattr__(self, "seconds", seconds)
 
-    def to_dict(self) -> dict:
-        return {"suite": self.suite, "name": self.name, "passed": self.passed, "detail": self.detail}
-
 
 _REGISTRY: dict[str, list[tuple[str, object]]] = {}
 
@@ -99,7 +96,7 @@ class _RunInputs:
         self.oracle_lists = cache(
             lambda: [oracle.enumerate_p2_configurations(n) for n in range(2, config.max_n_oracle + 1)]
         )
-        self.legal = cache(lambda orient: orientations.check_p2_orientation(orient).legal)
+        self.legal = cache(lambda orient: not orientations.check_p2_orientation(orient))
         self.count = cache(lambda orient: counting.count_configs_on_orientation(orient))
         # Path-automaton counts at n = 2.._DP_MAX (entry n - 2).
         self.dp_counts = cache(lambda diff_bound: oracle.count_p2_sequence(_DP_MAX, diff_bound))

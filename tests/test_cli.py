@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import csv
+import hashlib
 import json
 import os
 import re
@@ -67,6 +68,33 @@ def test_simulate_length_mismatch_exits_one(tmp_path, capsys):
     assert "length-mismatch" in err
 
 
+def test_simulate_zero_steps_names_the_option(tmp_path, capsys):
+    out = tmp_path / "t.jsonl"
+    code = main(["simulate", "--graph", "path:3", "--config", "0,1,0", "--steps", "0", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == "error [domain-error]: steps must be >= 1\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--config", "0,1", "--steps", "1", "--graph"],
+        ["conjecture", "--k-min", "1", "--k-max", "2", "--g0-file"],
+    ],
+)
+def test_graph_file_not_utf8_is_a_file_error(tmp_path, capsys, argv):
+    graph = tmp_path / "g.txt"
+    graph.write_bytes(b"\xff\xfe1 2\n")
+    out = tmp_path / "o.txt"
+    assert main(argv + [str(graph), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(f"error [file]: {graph}: ")
+    assert not captured.out
+    assert not out.exists()
+
+
 def test_simulate_inline_edge_list(tmp_path):
     out = tmp_path / "t.jsonl"
     code = main(["simulate", "--graph", "1 2,2 3,3 1", "--config", "3,0,0", "--steps", "1", "--out", str(out)])
@@ -81,6 +109,7 @@ def test_period_demo(tmp_path):
     report = json.loads(out.read_text())
     assert report["preperiod"] == 3
     assert report["period"] == 2
+    assert report["orbit"] == [[1, 0, 3, 1, 2], [0, 2, 1, 3, 1]]
     validate(report, load_schema("period_report.schema.json"))
 
 
@@ -222,6 +251,70 @@ def test_count_deterministic_bodies(tmp_path):
         m.pop("wall_time_seconds")
         m.pop("output_path")
     assert m_a == m_b
+
+
+# SHA-256 of each command's body with no ceiling variable set; a change to any
+# byte of a body, its key order or its trailing newline shows here.
+BODY_DIGESTS = [
+    (
+        ["simulate", "--graph", "path:5", "--config", "0,2,0,4,1", "--steps", "6"],
+        "14508c33821f8a708ea57e023b7bd4eccaf80bc7bc95c95ec3998e84b5a565c7",
+    ),
+    (
+        ["period", "--graph", "path:5", "--config", "0,2,0,4,1"],
+        "af96d9c32d09f5ae6f3c9c00e09050b6e35ebe015d18db891dfefc0a988d6350",
+    ),
+    (
+        ["count", "--n", "12", "--method", "recurrence"],
+        "5ab4e5ca91836d28fbe8c60eeafee6678b3084f85b60ef9b336948c861b2be2d",
+    ),
+    (
+        ["count", "--n", "12", "--method", "summation"],
+        "20d7777f61a830477574d3a18a2110ffbd871aad5ff60f10ca43525bc68b7e88",
+    ),
+    (
+        ["count", "--n", "12", "--method", "direct"],
+        "10fdca154cfbbd8e9b344a583f191dbbbfdc4eab4966b4c1675d521fb96dc2ab",
+    ),
+    (
+        ["count", "--n", "12", "--method", "oracle"],
+        "74fb3057b13a4d1506c58453e17ca01acf483dfab757aad80c501e11148d3d12",
+    ),
+    (
+        ["count", "--n", "10", "--method", "direct", "--ledger"],
+        "c8910e0088ca46aeae2ef95901b7be3f1f2e1821980c903304bf7a48b8790c81",
+    ),
+    (
+        ["count", "--n", "16", "--method", "summation", "--ledger"],
+        "a42dcd988d2900501194cccdf437eeed8dbe84c8cada9bd6543f7cdda4c2b2a1",
+    ),
+    (
+        ["count", "--n", "8", "--method", "oracle", "--full-configurations"],
+        "f3b7b347326c6a2046da73707c97ac341de36e1f180fe3aa74b08ecd8302fb7d",
+    ),
+    (
+        ["count", "--n", "9", "--method", "oracle", "--diff-bound", "4"],
+        "18c274435fb0eba67dfdfc7c7f8b7b9f9259fd58017df6ba3448e76e565d6a31",
+    ),
+    (["verify"], "9c34b6f8084200cd95c47f7b698ee085dc350f752695db2e0f7625d2d4a5ed79"),
+    (
+        ["conjecture", "--k-min", "2", "--k-max", "5"],
+        "c9f5926c42a12b86a17d13f5e706001eaa729f4da6dcd2726d704c40d0a9f10e",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,digest", BODY_DIGESTS, ids=[" ".join(argv) for argv, _ in BODY_DIGESTS])
+def test_body_bytes_are_pinned(tmp_path, monkeypatch, argv, digest):
+    for variable in ("PARDIFF_ENUM_CEILING", "PARDIFF_ORACLE_CEILING", "PARDIFF_BRIDGE_CEILING"):
+        monkeypatch.delenv(variable, raising=False)
+    if argv[0] == "conjecture":
+        g0 = tmp_path / "triangle.txt"
+        g0.write_text("1 2\n2 3\n3 1\n")
+        argv = argv + ["--g0-file", str(g0)]
+    out = tmp_path / "body"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 SIMULATE_DEMO = {"graph": "path:5", "config": "0,2,0,4,1"}

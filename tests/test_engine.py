@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pardiff.engine import (
+    PeriodReport,
     default_max_steps,
     detect_period,
     fire_each,
@@ -177,21 +178,20 @@ def test_stack_limit_boundary(graph, stacks):
 
 def test_run_sequence_demo():
     trace = run_sequence(P5, DEMO_START, 6)
-    assert [c.stacks for c in trace.steps] == DEMO_TRACE
-    assert trace.initial == DEMO_START
-    assert trace.to_json_lines()[3] == {"step": 3, "stacks": [1, 0, 3, 1, 2]}
+    assert [c.stacks for c in trace] == DEMO_TRACE
+    assert trace[0] == DEMO_START
 
 
 def test_run_sequence_constant():
     g = PathGraph(3)
     trace = run_sequence(g, Configuration((0, 0, 0), g), 4)
-    assert all(c.stacks == (0, 0, 0) for c in trace.steps)
+    assert len(trace) == 5 and all(c.stacks == (0, 0, 0) for c in trace)
 
 
 def test_run_sequence_two_cycle():
     g = PathGraph(2)
     trace = run_sequence(g, Configuration((0, 1), g), 2)
-    assert [c.stacks for c in trace.steps] == [(0, 1), (1, 0), (0, 1)]
+    assert [c.stacks for c in trace] == [(0, 1), (1, 0), (0, 1)]
 
 
 def test_detect_period_demo():
@@ -271,11 +271,9 @@ def test_detect_period_memory_does_not_grow_with_steps():
 
 def test_period_report_json_shape():
     report = detect_period(P5, DEMO_START, 100)
-    assert report.to_dict() == {
-        "preperiod": 3,
-        "period": 2,
-        "orbit": [[1, 0, 3, 1, 2], [0, 2, 1, 3, 1]],
-    }
+    assert PeriodReport._fields == ("preperiod", "period", "orbit")
+    assert (report.preperiod, report.period) == (3, 2)
+    assert report.orbit == (Configuration((1, 0, 3, 1, 2), P5), Configuration((0, 2, 1, 3, 1), P5))
 
 
 def test_induced_orientation_examples():

@@ -30,7 +30,7 @@ R_PREFIX = [0, 2, 2, 4, 8, 14, 28, 52, 100, 190, 362]
 
 
 def test_alternating_is_legal():
-    assert check_p2_orientation("RLRL").legal
+    assert check_p2_orientation("RLRL") == ()
 
 
 @pytest.mark.parametrize(
@@ -45,22 +45,16 @@ def test_alternating_is_legal():
     ],
 )
 def test_forbidden_patterns_reported(text, rule):
-    report = check_p2_orientation(text)
-    assert not report.legal
-    assert rule in {v[0] for v in report.violations}
+    assert rule in {v[0] for v in check_p2_orientation(text)}
 
 
 def test_violation_spans_are_edge_indices():
-    report = check_p2_orientation("RFRL")
-    assert (RULE_FLAT_NOT_BOOKENDED, (1, 3)) in report.violations
+    assert (RULE_FLAT_NOT_BOOKENDED, (1, 3)) in check_p2_orientation("RFRL")
 
 
 def test_single_edge_path():
-    assert check_p2_orientation("R").legal
-    assert check_p2_orientation("L").legal
-    report = check_p2_orientation("F")
-    assert not report.legal
-    assert report.violations == ((RULE_FLAT_AT_LEAF, (1, 1)),)
+    assert check_p2_orientation("R") == check_p2_orientation("L") == ()
+    assert check_p2_orientation("F") == ((RULE_FLAT_AT_LEAF, (1, 1)),)
 
 
 def test_enumerate_smallest():
@@ -75,7 +69,7 @@ def test_enumerate_matches_plain_filter():
         wanted = [
             "".join(senses)
             for senses in product(SENSE_ORDER, repeat=n - 1)
-            if check_p2_orientation("".join(senses)).legal
+            if not check_p2_orientation("".join(senses))
         ]
         assert enumerate_p2_orientations(n) == wanted
 
@@ -92,7 +86,7 @@ def test_legal_automaton_weighs_legal_words_one_and_others_zero():
     for e in range(8):
         for senses in product(SENSE_ORDER, repeat=e):
             o = "".join(senses)
-            assert _LEGAL.weight(o) == (e > 0 and check_p2_orientation(o).legal), o
+            assert _LEGAL.weight(o) == (e > 0 and not check_p2_orientation(o)), o
     assert len(_LEGAL.states) == 11
 
 
@@ -146,15 +140,9 @@ sense_vectors = st.lists(st.sampled_from(SENSE_ORDER), min_size=1, max_size=12).
 
 @given(sense_vectors)
 def test_mirror_preserves_legality(o):
-    assert check_p2_orientation(mirrored(o)).legal == check_p2_orientation(o).legal
+    assert bool(check_p2_orientation(mirrored(o))) == bool(check_p2_orientation(o))
 
 
 @given(sense_vectors)
 def test_flip_preserves_legality(o):
-    assert check_p2_orientation(flipped(o)).legal == check_p2_orientation(o).legal
-
-
-@given(sense_vectors)
-def test_report_legal_iff_no_violations(o):
-    report = check_p2_orientation(o)
-    assert report.legal == (not report.violations)
+    assert bool(check_p2_orientation(flipped(o))) == bool(check_p2_orientation(o))

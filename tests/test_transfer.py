@@ -115,6 +115,6 @@ def test_every_word_weighs_its_configuration_count():
     at3, at4 = _path_automaton(3), _path_automaton(4)
     for n in range(2, 11):
         for word in _all_words(n - 1):
-            want = count_configs_on_orientation(word) if check_p2_orientation(word).legal else 0
+            want = count_configs_on_orientation(word) if not check_p2_orientation(word) else 0
             got = (at3.weight(word), at4.weight(word), _COUNTS.weight(word))
             assert got == (want, want, want), word
