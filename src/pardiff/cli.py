@@ -44,10 +44,14 @@ def _read_graph_file(path: str):
 
 
 def _load_graph(text: str):
-    """Graph from a literal ``path:<n>``, a file path, or inline edge text."""
+    """Graph from a literal ``path:<n>``, a file path, or inline edge text.
+
+    Inline edge text always holds whitespace, so a value without any names a
+    file, and one that names no file ends in a file error, not a parse error.
+    """
     if text.startswith("path:"):
         return parse_graph(text)
-    if os.path.exists(text):
+    if os.path.exists(text) or not any(ch.isspace() for ch in text):
         return _read_graph_file(text)
     return parse_graph(text.replace(",", "\n"))
 

@@ -110,9 +110,14 @@ def multiplier_vector(orient: str) -> tuple[int, ...]:
 
 
 def count_configs_on_orientation(orient: str) -> int:
-    """Product of the vertex multipliers; the orientation must be legal."""
+    """Product of the vertex multipliers; the orientation must be legal.
+
+    Once legal, the letters need no second look, so each vertex's factor is
+    read straight off its slice of senses, vertex by vertex.
+    """
     _require_legal(orient)
-    return math.prod(multiplier_vector(orient))
+    n = len(orient) + 1
+    return math.prod([_vertex_factor(orient[max(k - 3, 0) : k], k, n) for k in range(1, n + 1)])
 
 
 def alternating_count(n: int) -> int:

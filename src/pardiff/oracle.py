@@ -114,18 +114,9 @@ def _window_search(graph, root0, window, collect, prefix=()):
     stacks = [0] * V
     f1 = [0] * V
     out: list[tuple[int, ...]] = []
-
-    def record() -> int:
-        # fire^2 is the identity here; keep only genuine 2-periods.
-        for q in range(V):
-            if f1[q] != stacks[q]:
-                if collect:
-                    by_vertex = [0] * V
-                    for p in range(V):
-                        by_vertex[order[p]] = stacks[p]
-                    out.append(tuple(by_vertex))
-                return 1
-        return 0
+    at = [0] * V  # at[v] is the BFS position of vertex v
+    for p, v in enumerate(order):
+        at[v] = p
 
     # Position p takes its difference from the prefix below floor, and tries
     # lo..hi from floor on; leaving a prefix position, by backtracking to it
@@ -172,7 +163,10 @@ def _window_search(graph, root0, window, collect, prefix=()):
                 break
         else:
             if p == last:
-                count += record()
+                if f1 != stacks:  # fire^2 is the identity here; keep only genuine 2-periods
+                    count += 1
+                    if collect:
+                        out.append(tuple([stacks[q] for q in at]))
             else:
                 p += 1
     return count, out

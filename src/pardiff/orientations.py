@@ -15,6 +15,8 @@ bookended). Two pairs may share a bookend as long as each pair passes.
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 from pardiff.errors import (
     CeilingError,
     DomainError,
@@ -50,25 +52,24 @@ def check_p2_orientation(s: str) -> tuple[tuple[str, tuple[int, int]], ...]:
     if e < 1:
         raise DomainError("orientation checking needs a path with at least one edge")
     _require_senses(s)
-    violations = []
+    leaves, flats, straddled, pairs = [], [], [], []
     if s[0] == "F":
-        violations.append((RULE_FLAT_AT_LEAF, (1, 1)))
-    if e > 1 and s[e - 1] == "F":
-        violations.append((RULE_FLAT_AT_LEAF, (e, e)))
-    for i in range(e - 1):
-        if s[i] == "F" and s[i + 1] == "F":
-            violations.append((RULE_ADJACENT_FLATS, (i + 1, i + 2)))
-    for i in range(1, e - 1):
-        if s[i] == "F" and s[i - 1] != "F" and s[i - 1] == s[i + 1]:
-            violations.append((RULE_FLAT_NOT_BOOKENDED, (i, i + 2)))
-    for i in range(e - 1):
-        if s[i] == "F" or s[i] != s[i + 1]:
-            continue
-        left_ok = i >= 1 and s[i - 1] != "F" and s[i - 1] != s[i]
-        right_ok = i + 2 < e and s[i + 2] != "F" and s[i + 2] != s[i]
-        if not (left_ok and right_ok):
-            violations.append((RULE_PAIR_NOT_BOOKENDED, (i + 1, i + 2)))
-    return tuple(violations)
+        leaves.append((RULE_FLAT_AT_LEAF, (1, 1)))
+    if e > 1 and s[-1] == "F":
+        leaves.append((RULE_FLAT_AT_LEAF, (e, e)))
+    # One scan over the adjacent edges (e_k, e_{k+1}); a path's end reads as a flat.
+    padded = f"F{s}F"
+    for k in range(1, e):
+        a, b = padded[k], padded[k + 1]
+        if a == "F":
+            if b == "F":
+                flats.append((RULE_ADJACENT_FLATS, (k, k + 1)))
+        elif b == a:
+            if padded[k - 1] in ("F", a) or padded[k + 2] in ("F", a):
+                pairs.append((RULE_PAIR_NOT_BOOKENDED, (k, k + 1)))
+        elif b == "F" and padded[k + 2] == a:
+            straddled.append((RULE_FLAT_NOT_BOOKENDED, (k, k + 2)))
+    return (*leaves, *flats, *straddled, *pairs)
 
 
 def _require_legal(orient: str) -> None:
@@ -166,7 +167,4 @@ def _witness(orient: str) -> Configuration:
 
 def _witness_stacks(orient: str) -> tuple[int, ...]:
     """The stacks of _witness(orient), without building the configuration."""
-    stacks = [0]
-    for sense in orient:
-        stacks.append(stacks[-1] + _STEP[sense])
-    return tuple(stacks)
+    return tuple(accumulate(map(_STEP.__getitem__, orient), initial=0))

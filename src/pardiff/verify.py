@@ -294,15 +294,17 @@ def _chk_realized(cfg: VerifyConfig, inputs: _RunInputs):
 @_check("orientation", "count-matches-recurrence")
 def _chk_orientation_counts(cfg: VerifyConfig, inputs: _RunInputs):
     """R_n against one totals pass of _LEGAL for n = 1..18, and against the
-    listed orientations, checked distinct, up to the enumeration ceiling."""
+    orientations of one listing pass, checked distinct, up to the enumeration
+    ceiling."""
     listed = min(18, _enum_ceiling())
+    listings = orientations._LEGAL.listings(listed - 1)
     for n, total in enumerate(orientations._LEGAL.totals(17), start=1):
         want = orientations.count_p2_orientations_recurrence(n)
         if total != want:
             return f"n={n}: transfer {total}, recurrence {want}"
         if n > listed:
             continue
-        senses, _ = orientations._LEGAL.words(n - 1)
+        senses, _ = next(listings)
         got = len(set(senses))
         if got != len(senses):
             return f"n={n}: {len(senses) - got} orientations enumerated twice"

@@ -95,6 +95,26 @@ def test_graph_file_not_utf8_is_a_file_error(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+def test_graph_value_naming_no_file_is_a_file_error(tmp_path, capsys, monkeypatch):
+    # a value without whitespace is no inline edge text, so it names a file
+    monkeypatch.chdir(tmp_path)
+    argv = ["simulate", "--graph", "missing.txt", "--config", "0,1", "--steps", "1", "--out", "m.jsonl"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error [file]: ") and "missing.txt" in captured.err
+    assert not captured.out
+    assert not (tmp_path / "m.jsonl").exists()
+
+
+def test_graph_file_whose_name_holds_a_space_is_read(tmp_path):
+    graph = tmp_path / "my graph.txt"
+    graph.write_text("1 2\n2 3\n")
+    out = tmp_path / "t.jsonl"
+    assert main(["simulate", "--graph", str(graph), "--config", "0,1,0", "--steps", "1", "--out", str(out)]) == 0
+    assert json.loads(out.read_text().splitlines()[1])["stacks"] == [1, -1, 1]
+
+
 def test_simulate_inline_edge_list(tmp_path):
     out = tmp_path / "t.jsonl"
     code = main(["simulate", "--graph", "1 2,2 3,3 1", "--config", "3,0,0", "--steps", "1", "--out", str(out)])

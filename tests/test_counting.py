@@ -1,5 +1,8 @@
 """Multipliers, totals by three routes, structural reductions, asymptotics."""
 
+import math
+from itertools import product
+
 import pytest
 
 from pardiff.counting import (
@@ -23,11 +26,13 @@ from pardiff.counting import (
     vertex_multiplier,
 )
 from pardiff.errors import (
+    DomainError,
     GraphFormatError,
     IllegalLocalPatternError,
     IllegalOrientationError,
     NotAnAgreeingPairError,
 )
+from pardiff.graphs import SENSE_ORDER
 from pardiff.orientations import (
     _listed,
     check_p2_orientation,
@@ -112,6 +117,30 @@ def test_unknown_triple_is_an_illegal_local_pattern():
 def test_count_rejects_illegal_orientation():
     with pytest.raises(IllegalOrientationError):
         count_configs_on_orientation("RRL")
+
+
+def test_count_is_the_product_of_the_multiplier_vector():
+    for n in range(2, 15):
+        for orient in enumerate_p2_orientations(n):
+            assert count_configs_on_orientation(orient) == math.prod(multiplier_vector(orient)), orient
+
+
+@pytest.mark.parametrize(
+    "text,error",
+    [("", DomainError), ("X", GraphFormatError), ("RLXRL", GraphFormatError), ("RRFLx", GraphFormatError)],
+)
+def test_count_rejects_an_empty_word_and_a_bad_letter(text, error):
+    # a bad letter is a format error even after a violation, as in "RRFLx"
+    with pytest.raises(error):
+        count_configs_on_orientation(text)
+
+
+def test_count_rejects_every_illegal_word():
+    for e in range(1, 8):
+        for word in map("".join, product(SENSE_ORDER, repeat=e)):
+            if check_p2_orientation(word):
+                with pytest.raises(IllegalOrientationError):
+                    count_configs_on_orientation(word)
 
 
 def test_alternating_counts():

@@ -100,6 +100,18 @@ def test_prefix_split_search_adds_up(graph, root0):
     assert [c for _, found in parts for c in found] == whole[1]
 
 
+def test_search_off_a_path_lists_vertex_ordered_two_periods():
+    # the search runs in breadth-first positions; each configuration it lists,
+    # mapped back to vertex order, must fire to another one and back
+    graph = build_bridge_graph(TRIANGLE, 1, 4)
+    count, found = oracle._window_search(graph, 6, 3, True)
+    assert count == len(found) == len(set(found)) > 0
+    for stacks in found:
+        c = Configuration(stacks, graph)
+        once = fire_step(graph, c)
+        assert stacks[6] == 0 and once != c and fire_step(graph, once) == c, stacks
+
+
 def test_prefix_of_every_difference_is_one_candidate():
     graph = PathGraph(4)
     whole = oracle._window_search(graph, 0, 2, True)[1]

@@ -7,7 +7,7 @@ from itertools import product
 from pardiff.counting import _COUNTS, count_configs_on_orientation
 from pardiff.graphs import SENSE_ORDER
 from pardiff.oracle import _path_automaton
-from pardiff.orientations import check_p2_orientation
+from pardiff.orientations import _LEGAL, check_p2_orientation
 from pardiff.transfer import Automaton
 
 # A toy automaton: a state is (last letter, letters read mod 3). "FF" and
@@ -59,6 +59,18 @@ def test_listed_weight_is_the_product_along_the_path():
         assert len(set(words)) == len(words)
         listed = dict(zip(words, weights))
         assert listed == {w: _toy_weight(w) for w in _all_words(length) if _toy_weight(w)}, length
+
+
+def test_one_listing_pass_yields_every_length_as_a_fresh_listing_would():
+    # each length the pass goes through, unpruned, lists what a pass that ends there
+    # lists, in the same order
+    for automaton in (TOY, _LEGAL, _COUNTS):
+        listings = list(automaton.listings(15))
+        assert len(listings) == 16
+        for length, (words, weights) in enumerate(listings):
+            fresh_words, fresh_weights = automaton.words(length)
+            assert (words, weights) == (fresh_words, fresh_weights), length
+            assert all(len(w) == length for w in words), length
 
 
 def test_totals_sum_every_word_of_each_length():

@@ -153,13 +153,13 @@ def test_duplicated_orientation_is_named(monkeypatch):
     real = orientations._LEGAL
 
     class DuplicateAt9:
-        totals = real.totals
+        totals, words = real.totals, real.words
 
-        def words(self, length):
-            senses, weights = real.words(length)
-            if length == 8:
-                senses[-1] = senses[0]
-            return senses, weights
+        def listings(self, length):
+            for letters, (senses, weights) in enumerate(real.listings(length)):
+                if letters == 8:
+                    senses[-1] = senses[0]
+                yield senses, weights
 
     monkeypatch.setattr(orientations, "_LEGAL", DuplicateAt9())
     results = verify.run_suites(SMALL, suites=["orientation"])
@@ -171,7 +171,7 @@ def test_wrong_transfer_count_past_the_ceiling_is_named(monkeypatch):
     real = orientations._LEGAL
 
     class OneTooManyAt15:
-        words = real.words
+        words, listings = real.words, real.listings
 
         def totals(self, length):
             for letters, total in enumerate(real.totals(length)):
