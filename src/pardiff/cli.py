@@ -81,11 +81,11 @@ def _cmd_simulate(args) -> tuple:
 def _cmd_period(args) -> tuple:
     graph = _load_graph(args.graph)
     config = config_from_string(args.config, graph)
-    max_steps = engine.default_max_steps(graph, config) if args.max_steps is None else args.max_steps
+    max_steps = engine.default_max_steps(graph) if args.max_steps is None else args.max_steps
     try:
         report = engine.detect_period(graph, config, max_steps)
     except PeriodNotFoundError:
-        if args.max_steps is None and max_steps >= engine.PERIOD_STEP_CAP // graph.vertex_count:
+        if args.max_steps is None:
             raise CeilingError(
                 f"no repeat within {max_steps} steps, the default budget's cap of "
                 f"{engine.PERIOD_STEP_CAP} vertex-steps on {graph.vertex_count} vertices; "
@@ -164,6 +164,7 @@ def _cmd_conjecture(args) -> tuple:
     g0 = _read_graph_file(args.g0_file)
     if args.k_min < 1 or args.k_max < args.k_min:
         raise DomainError("need 1 <= k-min <= k-max")
+    oracle.checked_bridge_graph(g0, args.base_vertex, args.k_max, args.diff_bound)  # fail before searching
     ks = range(args.k_min, args.k_max + 1)
     counts = [
         oracle.enumerate_p2_on_bridge_graph(g0, args.base_vertex, k, diff_bound=args.diff_bound)
@@ -200,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("period", help="find the preperiod and period of a configuration")
     p.add_argument("--graph", required=True)
     p.add_argument("--config", required=True)
-    p.add_argument("--max-steps", type=int, default=None, help="default: 10*n*(stack range + 1), at most 10**6 // n")
+    p.add_argument("--max-steps", type=int, default=None, help="default: 10**6 // n, at least 4")
     p.add_argument("--out", default="period.json")
     p.set_defaults(fn=_cmd_period)
 

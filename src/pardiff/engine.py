@@ -101,21 +101,18 @@ def run_sequence(graph: Graph, config: Configuration, steps: int) -> tuple[Confi
     return tuple(trace)
 
 
-# Most vertex-steps (firings times vertices) the default period budget allows:
+# Vertex-steps (firings times vertices) in the default period budget:
 # detect_period's memory does not grow with its steps, so this bounds time, to about 1 s.
 PERIOD_STEP_CAP = 10**6
 
 
-def default_max_steps(graph: Graph, config: Configuration) -> int:
-    """Heuristic step budget for period detection: 10 * n * (stack range + 1).
+def default_max_steps(graph: Graph) -> int:
+    """Step budget for period detection: PERIOD_STEP_CAP // n firings, at least 4.
 
-    No preperiod bound is known, so this is a documented guess; running out
-    raises a clean period-not-found error rather than looping forever. It
-    grows with the spread, so it is capped at PERIOD_STEP_CAP // n steps (about 1 s).
+    No preperiod bound is known, so running out raises a clean error rather
+    than looping forever.
     """
-    n = graph.vertex_count
-    spread = max(config.stacks) - min(config.stacks) + 1
-    return max(min(10 * n * spread, PERIOD_STEP_CAP // n), 4)
+    return max(PERIOD_STEP_CAP // graph.vertex_count, 4)
 
 
 def detect_period(graph: Graph, config: Configuration, max_steps: int) -> PeriodReport:

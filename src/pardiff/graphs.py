@@ -88,11 +88,6 @@ class Record:
         return (self.__class__, self._values())
 
 
-# SimpleGraph, PathGraph and Configuration are built and compared inside the
-# search and verify loops, and graphs key frozen_edges' cache, so each
-# spells out its own __init__, __eq__ and __hash__.
-
-
 class SimpleGraph(Record):
     """Finite simple undirected graph; edges stored as (u, v) pairs with u < v."""
 
@@ -110,14 +105,6 @@ class SimpleGraph(Record):
                 raise VertexIndexError(f"edge ({u}, {v}) outside [1, {vertex_count}]")
         object.__setattr__(self, "vertex_count", vertex_count)
         object.__setattr__(self, "edges", edges)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.vertex_count == other.vertex_count and self.edges == other.edges
-
-    def __hash__(self):
-        return hash((self.vertex_count, self.edges))
 
     @classmethod
     def from_edge_list(cls, pairs, vertex_count=None) -> "SimpleGraph":
@@ -153,14 +140,6 @@ class PathGraph(Record):
             raise VertexIndexError("path needs at least one vertex")
         object.__setattr__(self, "n", n)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.n == other.n
-
-    def __hash__(self):
-        return hash(self.n)
-
     @property
     def vertex_count(self) -> int:
         return self.n
@@ -193,14 +172,6 @@ class Configuration(Record):
             raise ConfigMismatchError(f"{len(stacks)} stacks for {graph.vertex_count} vertices")
         object.__setattr__(self, "stacks", stacks)
         object.__setattr__(self, "graph", graph)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.stacks == other.stacks and self.graph == other.graph
-
-    def __hash__(self):
-        return hash((self.stacks, self.graph))
 
     def stack(self, vertex: int) -> int:
         """Stack size of 1-based vertex index."""

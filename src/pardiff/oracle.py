@@ -343,6 +343,24 @@ def build_bridge_graph(g0: Graph, base_vertex: int, k: int) -> SimpleGraph:
     return SimpleGraph(vertex_count=m + k, edges=frozenset(edges))
 
 
+def checked_bridge_graph(g0: Graph, base_vertex: int, k: int, diff_bound: int) -> SimpleGraph:
+    """The bridge graph of build_bridge_graph, after every check a bridge search makes.
+
+    In order: the diff bound, g0's connectivity, the base vertex and k, and
+    the vertex ceiling. Callers run it before any search starts.
+    """
+    if diff_bound < 1:
+        raise DomainError("diff_bound must be positive")
+    _bfs_plan(g0, 0)  # raises DomainError if g0 is not connected
+    ceiling = _bridge_ceiling()
+    graph = build_bridge_graph(g0, base_vertex, k)
+    if graph.vertex_count > ceiling:
+        raise CeilingError(
+            f"{graph.vertex_count} vertices exceed the bridge-oracle ceiling {ceiling}"
+        )
+    return graph
+
+
 def enumerate_p2_on_bridge_graph(
     g0: Graph,
     base_vertex: int,
@@ -359,15 +377,7 @@ def enumerate_p2_on_bridge_graph(
     returning a silently low count. ``workers`` is as in
     enumerate_p2_configurations, and kept for the same pool_probe.
     """
-    if diff_bound < 1:
-        raise DomainError("diff_bound must be positive")
-    _bfs_plan(g0, 0)  # raises DomainError if g0 is not connected
-    ceiling = _bridge_ceiling()
-    graph = build_bridge_graph(g0, base_vertex, k)
-    if graph.vertex_count > ceiling:
-        raise CeilingError(
-            f"{graph.vertex_count} vertices exceed the bridge-oracle ceiling {ceiling}"
-        )
+    graph = checked_bridge_graph(g0, base_vertex, k, diff_bound)
     root0 = graph.vertex_count - 1  # far-end leaf, 0-based
     window = diff_bound
     prev, _ = _run_search(graph, root0, window, collect=False, workers=workers)

@@ -252,7 +252,7 @@ def _chk_random_period(cfg: VerifyConfig, inputs: _RunInputs):
     rng = random.Random(_RNG_SEED + 5)
     for _ in range(_RANDOM_TRIALS):
         graph, c = _random_graph_and_config(rng)
-        report = engine.detect_period(graph, c, engine.default_max_steps(graph, c))
+        report = engine.detect_period(graph, c, engine.default_max_steps(graph))
         if report.period not in (1, 2):
             return f"period {report.period} on {render_graph(graph)!r} stacks {c.stacks}"
     return None
@@ -268,7 +268,7 @@ def _chk_fixed_points(cfg: VerifyConfig, inputs: _RunInputs):
         equal = len(set(c.stacks)) == 1
         if fixed != equal:
             return f"fixed={fixed} but all-equal={equal} on {render_graph(graph)!r} stacks {c.stacks}"
-        report = engine.detect_period(graph, c, engine.default_max_steps(graph, c))
+        report = engine.detect_period(graph, c, engine.default_max_steps(graph))
         if report.period == 1 and set(canonicalize(report.orbit[0]).stacks) != {0}:
             return f"period-1 orbit {report.orbit[0].stacks} does not canonicalize to zero"
     return None

@@ -148,7 +148,7 @@ def test_period_budget_too_small(tmp_path, capsys):
 
 
 def test_period_default_budget_cap_exits_two(tmp_path, monkeypatch, capsys):
-    # the uncapped default, 10 * 3 * 100001 steps, is far past 1000 // 3
+    # the preperiod, about 2/3 of the spread of 100000, is far past the default 1000 // 3 steps
     monkeypatch.setattr(engine, "PERIOD_STEP_CAP", 1000)
     argv = ["period", "--graph", "path:3", "--config", "100000,0,0", "--out", str(tmp_path / "p.json")]
     assert main(argv) == 2
@@ -162,6 +162,15 @@ def test_period_default_budget_cap_exits_two(tmp_path, monkeypatch, capsys):
     assert "period-not-found" in capsys.readouterr().err
     assert main(argv + ["--max-steps", "100000"]) == 0
     assert read_manifest(tmp_path / "p.json")["parameters"]["max_steps"] == 100000
+
+
+def test_period_default_budget_ignores_spread(tmp_path):
+    budgets = []
+    for config in ("0,0,0,0,1", "0,2,0,4,1", "90,0,0,0,-90"):
+        out = tmp_path / "p.json"
+        assert main(["period", "--graph", "path:5", "--config", config, "--out", str(out)]) == 0
+        budgets.append(read_manifest(out)["parameters"]["max_steps"])
+    assert budgets == [engine.PERIOD_STEP_CAP // 5] * 3
 
 
 @pytest.mark.parametrize("method,expected", [("oracle", 26), ("recurrence", 26), ("direct", 26), ("summation", 26)])
@@ -350,7 +359,7 @@ SIMULATE_DEMO = {"graph": "path:5", "config": "0,2,0,4,1"}
         ),
         (
             ["period", "--graph", "path:5", "--config", "0,2,0,4,1"],
-            {**SIMULATE_DEMO, "max_steps": 250},
+            {**SIMULATE_DEMO, "max_steps": 200000},
             "period: preperiod 3, period 2 -> {out}",
         ),
         (
@@ -629,6 +638,28 @@ def test_conjecture_disconnected_g0_exits_one(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert err == "error [domain-error]: graph is not connected\n"
+    assert not out.exists()
+
+
+def test_conjecture_checks_bridge_ceiling_before_searching(tmp_path, monkeypatch, capsys):
+    def no_search(*args, **kwargs):
+        raise AssertionError("searched before checking the ceiling")
+
+    monkeypatch.setattr(oracle, "_run_search", no_search)
+    g0 = tmp_path / "triangle.txt"
+    g0.write_text("1 2\n2 3\n1 3\n")
+    out = tmp_path / "c.csv"
+    code = main(["conjecture", "--g0-file", str(g0), "--k-min", "2", "--k-max", "10", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error [resource-ceiling]: 13 vertices exceed the bridge-oracle ceiling 12\n"
+    )
+    assert not out.exists()
+    # connectivity is checked before the ceiling, so a disconnected G_0 is still a domain error
+    g0.write_text("1 2\n3 4\n")
+    code = main(["conjecture", "--g0-file", str(g0), "--k-min", "2", "--k-max", "20", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == "error [domain-error]: graph is not connected\n"
     assert not out.exists()
 
 

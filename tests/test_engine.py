@@ -223,18 +223,18 @@ def test_detect_period_budget_too_small():
 
 
 def test_default_budget_is_capped(monkeypatch):
-    assert default_max_steps(P5, DEMO_START) == 10 * 5 * 5  # far below the cap
+    assert default_max_steps(P5) == engine.PERIOD_STEP_CAP // 5
     g = PathGraph(3)
     c = Configuration((10**5, 0, 0), g)
-    assert default_max_steps(g, c) == engine.PERIOD_STEP_CAP // 3 < 10 * 3 * 100001
-    report = detect_period(g, c, default_max_steps(g, c))  # a preperiod of about 2/3 of the spread
+    assert default_max_steps(g) == engine.PERIOD_STEP_CAP // 3
+    report = detect_period(g, c, default_max_steps(g))  # a preperiod of about 2/3 of the spread
     assert 60000 < report.preperiod < 70000
     monkeypatch.setattr(engine, "PERIOD_STEP_CAP", 1000)
-    assert default_max_steps(g, c) == 333
+    assert default_max_steps(g) == 333
     with pytest.raises(PeriodNotFoundError, match="^no repeat within 333 steps"):
-        detect_period(g, c, default_max_steps(g, c))
+        detect_period(g, c, default_max_steps(g))
     monkeypatch.setattr(engine, "PERIOD_STEP_CAP", 3)  # the floor of four steps still holds
-    assert default_max_steps(g, c) == 4
+    assert default_max_steps(g) == 4
 
 
 def test_longer_cycles_flagged_as_engine_bug(monkeypatch):
@@ -258,7 +258,7 @@ def test_longer_cycles_flagged_as_engine_bug(monkeypatch):
 def test_detect_period_memory_does_not_grow_with_steps():
     g = PathGraph(3)
     c = Configuration((30000, 0, 0), g)
-    budget = default_max_steps(g, c)
+    budget = default_max_steps(g)
     tracemalloc.start()
     try:
         report = detect_period(g, c, budget)
@@ -366,7 +366,7 @@ def test_shift_equivariance(gc, k):
 @settings(max_examples=60)
 def test_period_is_one_or_two(gc):
     graph, c = gc
-    report = detect_period(graph, c, default_max_steps(graph, c))
+    report = detect_period(graph, c, default_max_steps(graph))
     assert report.period in (1, 2)
     if report.period == 1:
         # the only fixed points on a connected graph are the flat configurations
@@ -383,7 +383,7 @@ def test_orbit_orientation_reverses_on_paths(gc):
     graph, c = gc
     if not isinstance(graph, PathGraph):
         return
-    report = detect_period(graph, c, default_max_steps(graph, c))
+    report = detect_period(graph, c, default_max_steps(graph))
     inside = report.orbit[0]
     fired = fire_step(graph, inside)
     assert induced_orientation(graph, fired) == flipped(induced_orientation(graph, inside))
