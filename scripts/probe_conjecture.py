@@ -1,8 +1,10 @@
 """Exploratory probe: does the path recurrence keep predicting counts when the
 path hangs off another graph by a bridge?
 
-Counts come from the windowed brute force only, so everything printed here is
-measurement, not proof. Alongside the order-4 residuals the script prints the
+Counts come from the bridge oracle's firing-only search, which is complete:
+its window of deg(u) + deg(v) - 1 on each tree edge holds for every
+2-periodic configuration (README, edge-reversal lemma). Only the recurrence
+is measured, not proved: alongside the order-4 residuals the script prints the
 step ratio F(G_k)/F(G_{k-1}) next to the dominant characteristic root, which
 is where agreement would show up first if the recurrence transfers.
 

@@ -164,12 +164,9 @@ def _cmd_conjecture(args) -> tuple:
     g0 = _read_graph_file(args.g0_file)
     if args.k_min < 1 or args.k_max < args.k_min:
         raise DomainError("need 1 <= k-min <= k-max")
-    oracle.checked_bridge_graph(g0, args.base_vertex, args.k_max, args.diff_bound)  # fail before searching
+    oracle.checked_bridge_graph(g0, args.base_vertex, args.k_max)  # fail before searching
     ks = range(args.k_min, args.k_max + 1)
-    counts = [
-        oracle.enumerate_p2_on_bridge_graph(g0, args.base_vertex, k, diff_bound=args.diff_bound)
-        for k in ks
-    ]
+    counts = [oracle.enumerate_p2_on_bridge_graph(g0, args.base_vertex, k) for k in ks]
     residuals = counting.conjecture_recurrence_check(counts) if len(counts) >= 5 else []
     column = [""] * (len(counts) - len(residuals)) + residuals  # the first four have none
     rows = (f"{k},{g0.vertex_count + k},{c},{r},exploratory\n" for k, c, r in zip(ks, counts, column))
@@ -178,7 +175,6 @@ def _cmd_conjecture(args) -> tuple:
         "base_vertex": args.base_vertex,
         "k_min": args.k_min,
         "k_max": args.k_max,
-        "diff_bound": args.diff_bound,
     }
     summary = f"conjecture (exploratory): k={args.k_min}..{args.k_max}, residuals {residuals} -> {args.out}"
     return "k,vertex_count,count,residual,status\n" + "".join(rows), parameters, summary, None, 0
@@ -229,7 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base-vertex", type=int, default=1)
     p.add_argument("--k-min", type=int, required=True)
     p.add_argument("--k-max", type=int, required=True)
-    p.add_argument("--diff-bound", type=int, default=3)
     p.add_argument("--out", default="conjecture.csv")
     p.set_defaults(fn=_cmd_conjecture)
 

@@ -79,10 +79,6 @@ class NotAnAgreeingPairError(DomainError):
     slug = "not-an-agreeing-pair"
 
 
-class WindowNotStabilizedError(CeilingError):
-    slug = "window-not-stabilized"
-
-
 def env_ceiling(variable: str, default: int) -> int:
     """Integer value of a ``PARDIFF_*_CEILING`` override, or ``default`` if unset."""
     raw = os.environ.get(variable)

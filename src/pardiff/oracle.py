@@ -9,7 +9,10 @@ The search prunes: once every vertex within distance two of v has a stack,
 the second-firing value at v is fixed, so a prefix that already breaks
 periodicity at v is abandoned. That check is a direct consequence of the
 firing rule, which only reads a radius-two neighbourhood, so the pruned walk
-visits exactly the survivors of the full (2b+1)^(V-1) iteration.
+visits exactly the survivors of the full iteration over every difference in
+its window. On a path the window is a uniform bound b; off the path each tree
+edge uv gets deg(u) + deg(v) - 1, which every configuration with fire^2 = id
+obeys (see _bfs_plan), so one search there is complete.
 
 On paths the same locality lets one weighted automaton over the signs of
 the differences, built from the firing of windows of four differences,
@@ -19,16 +22,11 @@ the producer of configuration lists and the automaton's small-n certificate.
 
 from __future__ import annotations
 
+import math
 import os
 from collections import deque
 
-from pardiff.errors import (
-    CeilingError,
-    DomainError,
-    WindowNotStabilizedError,
-    _bridge_ceiling,
-    _candidate_ceiling,
-)
+from pardiff.errors import CeilingError, DomainError, _bridge_ceiling, _candidate_ceiling
 from pardiff.graphs import (
     Configuration,
     Graph,
@@ -40,11 +38,10 @@ from pardiff.graphs import (
 from pardiff.engine import fire_step, orientation_of_stacks
 from pardiff.transfer import Automaton
 
-# Raw candidates (2b+1)^(V-1) from which a search is split over a process
-# pool: below it, starting the workers costs about what they save.
+# Raw candidates, the product of 2b+1 over the searched positions, from which
+# a search is split over a process pool: below it, starting the workers costs
+# about what they save.
 _POOL_THRESHOLD = 10**6
-# Window widenings the bridge oracle tries before giving up.
-_MAX_ESCALATIONS = 4
 
 
 class OracleResult(Record):
@@ -60,11 +57,17 @@ class OracleResult(Record):
 
 
 def _bfs_plan(graph: Graph, root: int):
-    """BFS order plus per-prefix-length firing and checking schedules.
+    """BFS order plus per-prefix-length firing and checking schedules, and
+    the proven difference bound of each tree edge.
 
     Everything is remapped into BFS-position space. ready1[p] is the prefix
     length at which the one-step value of the vertex at position p is fixed;
     ready2[p] the length at which its two-step value can be tested.
+    bounds[p], for p >= 1, is deg(u) + deg(v) - 1 for the tree edge uv that
+    reaches position p (bounds[0] = 0). In a configuration with fire^2 = id,
+    one firing reverses the sign of every edge's difference and keeps a flat
+    edge flat (README, "conjecture"); a firing moves s_u - s_v by at most
+    deg(u) + deg(v), so |s_u - s_v| <= deg(u) + deg(v) - 1.
     """
     V = graph.vertex_count
     adj0 = [[] for _ in range(V)]
@@ -96,18 +99,20 @@ def _bfs_plan(graph: Graph, root: int):
         checks_at[ready2[p]].append((p, adj_pos[p]))
     fires_at = [tuple(row) for row in fires_at]
     checks_at = [tuple(row) for row in checks_at]
-    return order, parent_pos, fires_at, checks_at
+    bounds = [0] + [len(adj_pos[p]) + len(adj_pos[parent_pos[p]]) - 1 for p in range(1, V)]
+    return order, parent_pos, fires_at, checks_at, bounds
 
 
-def _window_search(graph, root0, window, collect, prefix=()):
+def _window_search(graph, root0, bounds, collect, prefix=()):
     """Count (and optionally collect) 2-periodic configurations with the root
-    pinned at zero and every tree-edge stack difference in [-window, window].
+    pinned at zero and the stack difference along the tree edge into each BFS
+    position p >= 1 in [-bounds[p], bounds[p]].
 
-    ``prefix`` fixes the differences of the first BFS positions, each in
-    [-window, window], which is how the search space is split across worker
+    ``prefix`` fixes the differences of the first BFS positions, each within
+    its bound, which is how the search space is split across worker
     processes.
     """
-    order, parent_pos, fires_at, checks_at = _bfs_plan(graph, root0)
+    order, parent_pos, fires_at, checks_at, _ = _bfs_plan(graph, root0)
     V = graph.vertex_count
     if V == 1:
         return 0, []
@@ -119,19 +124,19 @@ def _window_search(graph, root0, window, collect, prefix=()):
         at[v] = p
 
     # Position p takes its difference from the prefix below floor, and tries
-    # lo..hi from floor on; leaving a prefix position, by backtracking to it
-    # or by failing its check, ends the search.
-    lo, hi = -window, window
+    # -bounds[p]..bounds[p] from floor on; leaving a prefix position, by
+    # backtracking to it or by failing its check, ends the search.
     floor = len(prefix) + 1
-    pending = [lo] * V
+    pending = [-b for b in bounds]
     pending[1:floor] = prefix
     last = V - 1
     count = 0
     p = 1
     while True:
         d = pending[p]
+        hi = bounds[p]
         if d > hi:
-            pending[p] = lo
+            pending[p] = -hi
             p -= 1
             if p < floor:
                 break
@@ -176,20 +181,17 @@ def _search_task(args):
     return _window_search(*args)
 
 
-def _run_search(graph: Graph, root0: int, window: int, collect: bool, workers: int | None):
+def _run_search(graph: Graph, root0: int, bounds, collect: bool, workers: int | None):
     """_window_search, split by first difference over ``workers`` processes
     (every core when None) once the raw candidates reach _POOL_THRESHOLD."""
     if workers is None:
         workers = os.cpu_count() or 1
     V = graph.vertex_count
-    branches = 2 * window + 1
-    if workers <= 1 or V < 3 or branches ** (V - 1) < _POOL_THRESHOLD:
-        return _window_search(graph, root0, window, collect)
+    if workers <= 1 or V < 3 or math.prod(2 * b + 1 for b in bounds[1:]) < _POOL_THRESHOLD:
+        return _window_search(graph, root0, bounds, collect)
     from concurrent.futures import ProcessPoolExecutor
 
-    tasks = [
-        (graph, root0, window, collect, (d,)) for d in range(-window, window + 1)
-    ]
+    tasks = [(graph, root0, bounds, collect, (d,)) for d in range(-bounds[1], bounds[1] + 1)]
     count = 0
     configs: list[tuple[int, ...]] = []
     with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
@@ -315,7 +317,7 @@ def enumerate_p2_configurations(
             f"{candidates} raw candidates exceed the oracle ceiling {ceiling}"
         )
     graph = PathGraph(n)
-    count, raw = _run_search(graph, 0, diff_bound, collect=True, workers=workers)
+    count, raw = _run_search(graph, 0, [diff_bound] * n, collect=True, workers=workers)
     configs = tuple(Configuration(s, graph) for s in raw)
     return OracleResult(n=n, diff_bound=diff_bound, configurations=configs, count=count)
 
@@ -343,14 +345,12 @@ def build_bridge_graph(g0: Graph, base_vertex: int, k: int) -> SimpleGraph:
     return SimpleGraph(vertex_count=m + k, edges=frozenset(edges))
 
 
-def checked_bridge_graph(g0: Graph, base_vertex: int, k: int, diff_bound: int) -> SimpleGraph:
+def checked_bridge_graph(g0: Graph, base_vertex: int, k: int) -> SimpleGraph:
     """The bridge graph of build_bridge_graph, after every check a bridge search makes.
 
-    In order: the diff bound, g0's connectivity, the base vertex and k, and
-    the vertex ceiling. Callers run it before any search starts.
+    In order: g0's connectivity, the base vertex and k, and the vertex
+    ceiling. Callers run it before any search starts.
     """
-    if diff_bound < 1:
-        raise DomainError("diff_bound must be positive")
     _bfs_plan(g0, 0)  # raises DomainError if g0 is not connected
     ceiling = _bridge_ceiling()
     graph = build_bridge_graph(g0, base_vertex, k)
@@ -368,25 +368,17 @@ def enumerate_p2_on_bridge_graph(
     diff_bound: int = 3,
     workers: int | None = None,
 ) -> int:
-    """Exploratory count of 2-periodic configurations on g0 plus a bridged path.
+    """Count of 2-periodic configurations on g0 plus a bridged path.
 
-    The far-end path leaf is pinned at zero and stacks are windowed along a
-    breadth-first spanning tree. Off the path no bound on stack differences
-    is proven, so the window is widened, up to _MAX_ESCALATIONS times, until
-    two consecutive sizes agree; failing to stabilize raises instead of
-    returning a silently low count. ``workers`` is as in
-    enumerate_p2_configurations, and kept for the same pool_probe.
+    The far-end path leaf is pinned at zero, and the difference along each
+    edge uv of a breadth-first spanning tree ranges over its proven bound
+    deg(u) + deg(v) - 1 (_bfs_plan), so one search finds every configuration.
+    ``diff_bound`` is ignored, and ``workers`` is as in
+    enumerate_p2_configurations. No program caller passes either; both stay
+    for perfbench/run.py's pool_probe, which passes them and would stop
+    every traced run with a TypeError without them.
     """
-    graph = checked_bridge_graph(g0, base_vertex, k, diff_bound)
+    graph = checked_bridge_graph(g0, base_vertex, k)
     root0 = graph.vertex_count - 1  # far-end leaf, 0-based
-    window = diff_bound
-    prev, _ = _run_search(graph, root0, window, collect=False, workers=workers)
-    for _ in range(_MAX_ESCALATIONS):
-        cur, _ = _run_search(graph, root0, window + 1, collect=False, workers=workers)
-        if cur == prev:
-            return cur
-        prev = cur
-        window += 1
-    raise WindowNotStabilizedError(
-        f"count still changing at window {window} after {_MAX_ESCALATIONS} widenings"
-    )
+    bounds = _bfs_plan(graph, root0)[-1]
+    return _run_search(graph, root0, bounds, collect=False, workers=workers)[0]

@@ -4,15 +4,17 @@ Each check exercises one documented invariant at desk scale and reports the
 first counterexample it finds. Checks call through module namespaces so a
 deliberately broken function (for testing the tester) is caught by name.
 Inputs that several checks read (orientation lists, the oracle's
-configuration lists, legality verdicts, per-orientation counts and the
-path-automaton count sequences) are built at most once per run_suites call, in a
-_RunInputs object that the call creates and drops.
+configuration lists, legality verdicts, per-orientation counts, the
+path-automaton count sequences and the period reports of random graphs) are
+built at most once per run_suites call, in a _RunInputs object that the call
+creates and drops.
 """
 
 from __future__ import annotations
 
 import random
 import time
+from collections import Counter
 from functools import cache
 from itertools import product
 
@@ -27,6 +29,7 @@ from pardiff.graphs import (
     canonical_stacks,
     canonicalize,
     flipped,
+    frozen_edges,
     mirrored,
     parse_graph,
     render_graph,
@@ -100,6 +103,8 @@ class _RunInputs:
         self.count = cache(lambda orient: counting.count_configs_on_orientation(orient))
         # Path-automaton counts at n = 2.._DP_MAX (entry n - 2).
         self.dp_counts = cache(lambda diff_bound: oracle.count_p2_sequence(_DP_MAX, diff_bound))
+        # (graph, configuration, detect_period report) for each random case.
+        self.random_periods = cache(_random_period_reports)
 
 
 def _check(suite: str, name: str):
@@ -171,6 +176,15 @@ def _random_graph_and_config(rng):
     else:
         graph = _random_connected_graph(rng)
     return graph, _random_config(rng, graph)
+
+
+def _random_period_reports():
+    rng = random.Random(_RNG_SEED + 5)
+    cases = []
+    for _ in range(_RANDOM_TRIALS):
+        graph, c = _random_graph_and_config(rng)
+        cases.append((graph, c, engine.detect_period(graph, c, engine.default_max_steps(graph))))
+    return cases
 
 
 # ---------------------------------------------------------------------------
@@ -249,12 +263,32 @@ def _chk_period_reversal(cfg: VerifyConfig, inputs: _RunInputs):
 
 @_check("engine", "random-period-detection")
 def _chk_random_period(cfg: VerifyConfig, inputs: _RunInputs):
-    rng = random.Random(_RNG_SEED + 5)
-    for _ in range(_RANDOM_TRIALS):
-        graph, c = _random_graph_and_config(rng)
-        report = engine.detect_period(graph, c, engine.default_max_steps(graph))
+    for graph, c, report in inputs.random_periods():
         if report.period not in (1, 2):
             return f"period {report.period} on {render_graph(graph)!r} stacks {c.stacks}"
+    return None
+
+
+@_check("engine", "edge-reversal")
+def _chk_edge_reversal(cfg: VerifyConfig, inputs: _RunInputs):
+    """In each period-2 orbit, one firing reverses the sign of every edge's
+    difference, a flat edge staying flat, and |s_u - s_v| <= deg(u) + deg(v) - 1:
+    the lemma behind the bridge oracle's window."""
+    for graph, _, report in inputs.random_periods():
+        if report.period != 2:
+            continue
+        edges = frozen_edges(graph)
+        degree = Counter(v for edge in edges for v in edge)
+        a, b = (c.stacks for c in report.orbit)
+        for u, w in edges:
+            before, after = a[u] - a[w], b[u] - b[w]
+            if (before > 0) - (before < 0) != (after < 0) - (after > 0):
+                fault = f"difference {before} became {after}"
+            elif max(abs(before), abs(after)) > degree[u] + degree[w] - 1:
+                fault = f"|difference| {max(abs(before), abs(after))} exceeds deg(u) + deg(v) - 1"
+            else:
+                continue
+            return f"{fault} on edge {u + 1}-{w + 1} of {render_graph(graph)!r}, orbit {a}"
     return None
 
 

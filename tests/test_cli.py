@@ -325,7 +325,7 @@ BODY_DIGESTS = [
         ["count", "--n", "9", "--method", "oracle", "--diff-bound", "4"],
         "18c274435fb0eba67dfdfc7c7f8b7b9f9259fd58017df6ba3448e76e565d6a31",
     ),
-    (["verify"], "9c34b6f8084200cd95c47f7b698ee085dc350f752695db2e0f7625d2d4a5ed79"),
+    (["verify"], "61fa995db4f1e0261e53433fa2b20677a6145aec8f64a4119e96b7ac03068740"),
     (
         ["conjecture", "--k-min", "2", "--k-max", "5"],
         "c9f5926c42a12b86a17d13f5e706001eaa729f4da6dcd2726d704c40d0a9f10e",
@@ -374,7 +374,7 @@ SIMULATE_DEMO = {"graph": "path:5", "config": "0,2,0,4,1"}
         ),
         (
             ["conjecture", "--k-min", "2", "--k-max", "3"],
-            {"base_vertex": 1, "k_min": 2, "k_max": 3, "diff_bound": 3},
+            {"base_vertex": 1, "k_min": 2, "k_max": 3},
             "conjecture (exploratory): k=2..3, residuals [] -> {out}",
         ),
     ],
@@ -506,8 +506,8 @@ def test_verify_unknown_suite_is_domain_error(tmp_path, capsys, suites):
         ["period", "--graph", "path:3", "--config", "0,1,0", "--max-steps", "1"],
         ["period", "--graph", "path:3", "--config", "0,1,0", "--max-steps", "0"],
         ["count", "--n", "5", "--method", "direct", "--full-configurations"],
-        ["conjecture", "--k-min", "2", "--k-max", "6", "--diff-bound", "-1"],
-        ["conjecture", "--k-min", "2", "--k-max", "6", "--diff-bound", "0"],
+        ["conjecture", "--k-min", "0", "--k-max", "6"],
+        ["conjecture", "--k-min", "6", "--k-max", "2"],
     ],
 )
 def test_out_of_domain_arguments_exit_one(tmp_path, capsys, argv):

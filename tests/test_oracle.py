@@ -7,8 +7,8 @@ import pytest
 
 from pardiff import oracle
 from pardiff.counting import count_T_recurrence
-from pardiff.engine import fire_step
-from pardiff.errors import CeilingError, DomainError, WindowNotStabilizedError
+from pardiff.engine import fire_each, fire_step
+from pardiff.errors import CeilingError, DomainError
 from pardiff.graphs import Configuration, PathGraph, SimpleGraph
 from pardiff.oracle import (
     build_bridge_graph,
@@ -23,6 +23,7 @@ from pardiff.orientations import enumerate_p2_orientations
 from conftest import naive_p2_path
 
 TRIANGLE = SimpleGraph.from_edge_list([(1, 2), (2, 3), (1, 3)])
+STAR4 = SimpleGraph.from_edge_list([(1, 2), (1, 3), (1, 4)])
 
 
 def test_pruned_search_equals_full_iteration():
@@ -94,8 +95,9 @@ def test_parallel_matches_serial():
 )
 def test_prefix_split_search_adds_up(graph, root0):
     # serial: the splits a pool would run, each through its own prefix
-    whole = oracle._window_search(graph, root0, 3, True)
-    parts = [oracle._window_search(graph, root0, 3, True, (d,)) for d in range(-3, 4)]
+    bounds = [3] * graph.vertex_count
+    whole = oracle._window_search(graph, root0, bounds, True)
+    parts = [oracle._window_search(graph, root0, bounds, True, (d,)) for d in range(-3, 4)]
     assert sum(count for count, _ in parts) == whole[0] > 0
     assert [c for _, found in parts for c in found] == whole[1]
 
@@ -104,7 +106,7 @@ def test_search_off_a_path_lists_vertex_ordered_two_periods():
     # the search runs in breadth-first positions; each configuration it lists,
     # mapped back to vertex order, must fire to another one and back
     graph = build_bridge_graph(TRIANGLE, 1, 4)
-    count, found = oracle._window_search(graph, 6, 3, True)
+    count, found = oracle._window_search(graph, 6, [3] * graph.vertex_count, True)
     assert count == len(found) == len(set(found)) > 0
     for stacks in found:
         c = Configuration(stacks, graph)
@@ -114,10 +116,10 @@ def test_search_off_a_path_lists_vertex_ordered_two_periods():
 
 def test_prefix_of_every_difference_is_one_candidate():
     graph = PathGraph(4)
-    whole = oracle._window_search(graph, 0, 2, True)[1]
+    whole = oracle._window_search(graph, 0, [2] * 4, True)[1]
     hits = []
     for prefix in product(range(-2, 3), repeat=3):
-        count, found = oracle._window_search(graph, 0, 2, True, prefix)
+        count, found = oracle._window_search(graph, 0, [2] * 4, True, prefix)
         assert count == len(found) <= 1
         hits += found
     assert hits == whole
@@ -226,23 +228,55 @@ def _naive_bridge_count(g0, base_vertex, k, window):
                 order.append(w)
                 dq.append(w)
     count = 0
-    for diffs in product(range(-window, window + 1), repeat=len(order) - 1):
-        stacks = {root: 0}
-        for v, d in zip(order[1:], diffs):
-            stacks[v] = stacks[parent[v]] + d
-        c = Configuration(tuple(stacks[v] for v in range(1, graph.vertex_count + 1)), graph)
-        once = fire_step(graph, c)
-        if once != c and fire_step(graph, once) == c:
-            count += 1
+    for first in range(-window, window + 1):  # one batch of candidates per first difference
+        batch = []
+        for rest in product(range(-window, window + 1), repeat=len(order) - 2):
+            stacks = {root: 0}
+            for v, d in zip(order[1:], (first, *rest)):
+                stacks[v] = stacks[parent[v]] + d
+            batch.append(tuple(stacks[v] for v in range(1, graph.vertex_count + 1)))
+        once = fire_each(graph, batch)
+        count += sum(a != b and c == a for a, b, c in zip(batch, once, fire_each(graph, once)))
     return count
 
 
 def test_bridge_count_matches_naive_windowing():
-    # window 3 misses configurations here (the triangle admits differences of 4
-    # along the tree), so the escalation to a stable window is load-bearing
+    # the proven bound of the bridge here is 4, and some configurations use
+    # it, so a uniform window of 3 undercounts while the proven one does not
     naive = {w: _naive_bridge_count(TRIANGLE, 1, 2, w) for w in (3, 4, 5)}
     assert naive[3] < naive[4] == naive[5]
     assert enumerate_p2_on_bridge_graph(TRIANGLE, 1, 2) == naive[4]
+
+
+def _proven_bounds(g0, k):
+    graph = build_bridge_graph(g0, 1, k)
+    root0 = graph.vertex_count - 1
+    order, parent_pos, _, _, bounds = oracle._bfs_plan(graph, root0)
+    return graph, root0, order, parent_pos, bounds
+
+
+@pytest.mark.parametrize(
+    "g0,k,short",
+    [(TRIANGLE, 3, {(1, 2), (1, 3)}), (STAR4, 2, set())],
+    ids=["triangle-k3", "star4-centre-k2"],
+)
+def test_bridge_bounds_are_reached(g0, k, short):
+    # some configuration meets the bound of every tree edge on the path, the
+    # bridge and the star, so a smaller bound there would undercount; the
+    # triangle's own edges stop one short of theirs
+    graph, root0, order, parent_pos, bounds = _proven_bounds(g0, k)
+    _, found = oracle._window_search(graph, root0, bounds, True)
+    for p in range(1, graph.vertex_count):
+        u, v = order[p], order[parent_pos[p]]
+        edge = (min(u, v) + 1, max(u, v) + 1)
+        assert max(abs(s[u] - s[v]) for s in found) == bounds[p] - (edge in short), edge
+
+
+@pytest.mark.parametrize("g0,k", [(TRIANGLE, 3), (STAR4, 2)], ids=["triangle-k3", "star4-centre-k2"])
+def test_bridge_count_matches_naive_window_past_the_bounds(g0, k):
+    # a uniform window one wider than the largest bound finds nothing more
+    widest = max(_proven_bounds(g0, k)[-1])
+    assert enumerate_p2_on_bridge_graph(g0, 1, k) == _naive_bridge_count(g0, 1, k, widest + 1)
 
 
 def test_bridge_requires_connected_g0(monkeypatch):
@@ -264,14 +298,6 @@ def test_bridge_base_vertex_range():
         enumerate_p2_on_bridge_graph(TRIANGLE, 4, 3)
 
 
-@pytest.mark.parametrize("diff_bound", [0, -1])
-def test_bridge_rejects_nonpositive_diff_bound(monkeypatch, diff_bound):
-    # windows -1 and 0 both count 0, which the escalation would take as stable
-    monkeypatch.setattr(oracle, "_run_search", _no_search)
-    with pytest.raises(DomainError, match="diff_bound must be positive"):
-        enumerate_p2_on_bridge_graph(PathGraph(2), 1, 3, diff_bound=diff_bound)
-
-
 def _no_search(*args, **kwargs):
     raise AssertionError("a search ran")
 
@@ -282,12 +308,6 @@ def test_bridge_vertex_ceiling(monkeypatch):
     monkeypatch.setenv("PARDIFF_BRIDGE_CEILING", "12")
     with pytest.raises(CeilingError):
         enumerate_p2_on_bridge_graph(TRIANGLE, 1, 10)
-
-
-def test_bridge_escalation_budget(monkeypatch):
-    monkeypatch.setattr(oracle, "_MAX_ESCALATIONS", 0)
-    with pytest.raises(WindowNotStabilizedError):
-        enumerate_p2_on_bridge_graph(TRIANGLE, 1, 2)
 
 
 def test_oracle_rejects_tiny_n():

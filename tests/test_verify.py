@@ -55,6 +55,35 @@ def test_injected_engine_fault_is_named(monkeypatch):
     assert "period-reversal" in failed
 
 
+def _moves_two_chips(stacks, edges):
+    out = list(stacks)
+    for u, w in edges:
+        step = 2 if stacks[u] > stacks[w] else -2 if stacks[u] < stacks[w] else 0
+        out[u] -= step
+        out[w] += step
+    return tuple(out)
+
+
+@pytest.mark.parametrize(
+    "name,fake,detail",
+    [
+        # still fire^2 = id on period-2 orbits, but a difference keeps its sign
+        ("fire_each", lambda graph, batch: [s[::-1] for s in batch], "difference "),
+        # differences still reverse, but grow past deg(u) + deg(v) - 1;
+        # no other engine check notices
+        ("_fire_raw", _moves_two_chips, "|difference| "),
+    ],
+    ids=["mirrors-stacks", "moves-two-chips"],
+)
+def test_fake_firing_is_named_by_edge_reversal(monkeypatch, name, fake, detail):
+    from pardiff import engine
+
+    monkeypatch.setattr(engine, name, fake)
+    results = verify.run_suites(SMALL, suites=["engine"])
+    details = {r.name: r.detail for r in results if not r.passed}
+    assert details["edge-reversal"].startswith(detail)
+
+
 def _fires_twice(real):
     return lambda graph, batch: real(graph, real(graph, batch))
 
@@ -97,12 +126,21 @@ def test_default_run_builds_each_shared_input_once(monkeypatch):
         tables[diff_bound] += 1
         return real_automaton(diff_bound)
 
+    reports, real_reports = 0, verify._random_period_reports
+
+    def spy_reports():
+        nonlocal reports
+        reports += 1
+        return real_reports()
+
     monkeypatch.setattr(orientations, "enumerate_p2_orientations", spy_enumerate)
     monkeypatch.setattr(oracle, "_path_automaton", spy_automaton)
+    monkeypatch.setattr(verify, "_random_period_reports", spy_reports)
     results = verify.run_suites()
     assert all(r.passed for r in results)
     assert enumerated and set(enumerated.values()) == {1}
     assert tables == {3: 1, 4: 1}
+    assert reports == 1
 
 
 def test_check_durations_are_recorded():
