@@ -504,8 +504,6 @@ def _chk_oracle_counts(cfg: VerifyConfig, inputs: _RunInputs):
 
 @_check("oracle", "per-orientation-refinement")
 def _chk_refinement(cfg: VerifyConfig, inputs: _RunInputs):
-    from collections import Counter
-
     for result in inputs.oracle_lists():
         n = result.n
         grouped = Counter(engine.orientation_of_stacks(c.stacks) for c in result.configurations)
