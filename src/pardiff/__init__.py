@@ -3,13 +3,13 @@
 Each submodule is registered in sys.modules when the package is imported, but
 compiled and run only on its first attribute access, so a CLI command pays
 only for the modules it uses. Import names from their modules, e.g.
-``from pardiff.oracle import count_p2_sequence``.
+``from pardiff.pathcount import count_p2_sequence``.
 """
 
 import sys
 from importlib.util import LazyLoader, find_spec, module_from_spec
 
-_SUBMODULES = ("errors", "graphs", "transfer", "engine", "orientations", "counting", "oracle", "verify")
+_SUBMODULES = ("errors", "graphs", "transfer", "engine", "orientations", "counting", "pathcount", "oracle", "verify")
 
 for _name in _SUBMODULES:
     _spec = find_spec(f"{__name__}.{_name}")

@@ -1,14 +1,15 @@
 """Command-line surface: simulate, period, count, verify, conjecture.
 
 Each command handler returns what it produced as (body, manifest
-parameters, summary, check_seconds or None, exit code), and main alone
-writes it: one machine-readable output file plus a manifest
+parameters, summary, extra manifest fields or None, exit code), and main
+alone writes it: one machine-readable output file plus a manifest
 (<output>.manifest.json), then the summary on stdout (verify puts a
 PASS/FAIL line per check before it). The handlers are the only code that
 shapes a body, to the specs in docs/schemas/; the library returns records
 and plain values. Output bodies are deterministic;
-timing lives only in the manifest. Exit codes: 0 success, 1 domain error,
-2 resource ceiling, 3 verification failure or internal inconsistency.
+timing lives only in the manifest. Exit codes: 0 success, 1 domain or
+usage error, 2 resource ceiling, 3 verification failure or internal
+inconsistency.
 """
 
 from __future__ import annotations
@@ -20,13 +21,14 @@ import sys
 import time
 
 import pardiff
-from pardiff import counting, engine, oracle, verify
+from pardiff import counting, engine, oracle, pathcount, verify
 from pardiff.errors import (
     CeilingError,
     DomainError,
     InternalInconsistencyError,
     PardiffError,
     PeriodNotFoundError,
+    UsageError,
     _candidate_ceiling,
     _enum_ceiling,
 )
@@ -99,7 +101,8 @@ def _cmd_period(args) -> tuple:
         "orbit": [list(c.stacks) for c in report.orbit],
     }
     summary = f"period: preperiod {report.preperiod}, period {report.period} -> {args.out}"
-    return _json_body(body), parameters, summary, None, 0
+    # detect_period stops at the firing that closes the orbit
+    return _json_body(body), parameters, summary, {"steps_used": report.preperiod + report.period}, 0
 
 
 def _cmd_count(args) -> tuple:
@@ -107,7 +110,7 @@ def _cmd_count(args) -> tuple:
     if args.full_configurations and method != "oracle":
         raise DomainError("--full-configurations needs --method oracle")
     if method == "oracle":
-        count = oracle.count_p2_configurations(n, diff_bound=args.diff_bound)
+        count = pathcount.count_p2_configurations(n, diff_bound=args.diff_bound)
     else:  # count_T_recurrence, count_T_summation or count_T_direct
         count = getattr(counting, f"count_T_{method}")(n)
     payload = {
@@ -155,7 +158,7 @@ def _cmd_verify(args) -> tuple:
         _json_body(body),
         {"suites": suites or verify.suite_names(), **depths},
         "\n".join(lines),
-        {f"{r.suite}.{r.name}": round(r.seconds, 6) for r in results},
+        {"check_seconds": {f"{r.suite}.{r.name}": round(r.seconds, 6) for r in results}},
         3 if failed else 0,
     )
 
@@ -180,8 +183,18 @@ def _cmd_conjecture(args) -> tuple:
     return "k,vertex_count,count,residual,status\n" + "".join(rows), parameters, summary, None, 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors raise UsageError, so that they end
+    in the one-line error contract with exit code 1, not argparse's usage
+    block and exit code 2, the code of a resource ceiling. Subparsers are
+    built from the same class."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pardiff",
         description="Parallel-diffusion chip firing: simulate, classify, count, verify.",
     )
@@ -234,10 +247,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)  # T_n passes 4300 digits near n = 7700
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         t0 = time.perf_counter()
-        body, parameters, summary, check_seconds, code = args.fn(args)
+        body, parameters, summary, extra, code = args.fn(args)
         _write_text(args.out, body)
         manifest = {
             "command": args.command,
@@ -246,8 +259,8 @@ def main(argv=None) -> int:
             "wall_time_seconds": round(time.perf_counter() - t0, 6),
             "output_path": args.out,
         }
-        if check_seconds is not None:
-            manifest["check_seconds"] = check_seconds
+        if extra is not None:
+            manifest.update(extra)
         _write_text(args.out + ".manifest.json", _json_body(manifest))
         print(summary)
         return code

@@ -21,6 +21,13 @@ class DomainError(PardiffError, ValueError):
     slug = "domain-error"
 
 
+class UsageError(DomainError):
+    """A command line the parser rejects: an unknown option, a value outside
+    an option's choices or type, or a required option left out."""
+
+    slug = "usage"
+
+
 class CeilingError(PardiffError):
     """A resource guard tripped; raise the configured ceiling to proceed."""
 

@@ -14,10 +14,8 @@ its window. On a path the window is a uniform bound b; off the path each tree
 edge uv gets deg(u) + deg(v) - 1, which every configuration with fire^2 = id
 obeys (see _bfs_plan), so one search there is complete.
 
-On paths the same locality lets one weighted automaton over the signs of
-the differences, built from the firing of windows of four differences,
-count every length (count_p2_sequence), linear in n. The search stays as
-the producer of configuration lists and the automaton's small-n certificate.
+On paths, counts come from the automaton in pardiff.pathcount; this search
+produces the configuration lists, and certifies that automaton at small n.
 """
 
 from __future__ import annotations
@@ -35,8 +33,7 @@ from pardiff.graphs import (
     SimpleGraph,
     frozen_edges,
 )
-from pardiff.engine import fire_step, orientation_of_stacks
-from pardiff.transfer import Automaton
+from pardiff.engine import orientation_of_stacks
 
 # Raw candidates, the product of 2b+1 over the searched positions, from which
 # a search is split over a process pool: below it, starting the workers costs
@@ -202,106 +199,16 @@ def _run_search(graph: Graph, root0: int, bounds, collect: bool, workers: int | 
     return count, configs
 
 
-class _OneFiring(dict):
-    """Memo from (d_{i-1}, d_i) to the change one firing makes to v_i, where
-    d_{i-1} = s_i - s_{i-1}, d_i = s_{i+1} - s_i and None stands for a
-    missing neighbour. Each entry is read off engine.fire_step on the
-    sub-path v_{i-1}..v_{i+1}, which holds every neighbour of v_i.
-    """
-
-    def __missing__(self, key: tuple) -> int:
-        before, after = key
-        stacks = [0]
-        if before is not None:
-            stacks.insert(0, -before)
-        if after is not None:
-            stacks.append(after)
-        graph = PathGraph(len(stacks))
-        fired = fire_step(graph, Configuration(tuple(stacks), graph))
-        self[key] = change = fired.stacks[before is not None]
-        return change
-
-
-# Read by every _path_automaton build: it holds nothing but the firing rule's answers.
-_ONE_FIRING = _OneFiring()
-
-
-def _window_verdict(window: tuple, one_firing: _OneFiring) -> tuple[bool, bool]:
-    """(two firings restore the centre, one firing moves it) on a path window.
-
-    ``window`` is (d_{i-2}, d_{i-1}, d_i, d_{i+1}) around the centre v_i, with
-    None where the path ends. One firing moves v_{i-1}, v_i and v_{i+1} by
-    the changes their own differences give; the second firing at v_i then
-    reads the differences between those new stacks.
-    """
-    a, b, c, e = window
-    mid = one_firing[b, c]
-    before = None if b is None else b + mid - one_firing[a, b]
-    after = None if c is None else c + one_firing[c, e] - mid
-    return mid + one_firing[before, after] == 0, mid != 0
-
-
-def _path_automaton(diff_bound: int) -> Automaton:
-    """Weighs each orientation by how many configurations
-    enumerate_p2_configurations(n, diff_bound) lists with it, at every n.
-
-    A state is the last three differences, None-padded at the front, and
-    whether a settled vertex moves under one firing. Appending d reads its
-    sign (R for d > 0, as in orientation_of_stacks) and settles the vertex two
-    back, which must pass fire^2 = id (the first append's window holds none).
-    The final weight settles the last two: 1 if both pass and a vertex moves.
-    """
-    diffs = range(-diff_bound, diff_bound + 1)
-    one_firing = _ONE_FIRING
-
-    def arcs_of(state):
-        tail, moved = state
-        for d in diffs:
-            stays, moves = _window_verdict((*tail, d), one_firing)
-            if stays:
-                yield "R" if d > 0 else "L" if d < 0 else "F", ((*tail[1:], d), moved or moves), 1
-
-    def final_of(state):
-        tail, moved = state
-        last_stays, last_moves = _window_verdict((*tail, None), one_firing)
-        end_stays, end_moves = _window_verdict((*tail[1:], None, None), one_firing)
-        return int(last_stays and end_stays and (moved or last_moves or end_moves))
-
-    return Automaton(((None, None, None), False), arcs_of, final_of)
-
-
-def count_p2_sequence(n: int, diff_bound: int = 3) -> list[int]:
-    """How many configurations enumerate_p2_configurations(m, diff_bound) lists,
-    for every m = 2..n (entry m - 2): the totals of _path_automaton, with no
-    search. Work is at most (n-1)(2b+1)^4 window steps, held to the oracle
-    ceiling.
-    """
-    if n < 2:
-        raise DomainError("the oracle needs n >= 2")
-    if diff_bound < 1:
-        raise DomainError("diff_bound must be positive")
-    ceiling = _candidate_ceiling()
-    work = (n - 1) * (2 * diff_bound + 1) ** 4
-    if work > ceiling:
-        raise CeilingError(f"{work} window steps exceed the oracle ceiling {ceiling}")
-    return list(_path_automaton(diff_bound).totals(n - 1))[1:]  # from n = 2 on
-
-
-def count_p2_configurations(n: int, diff_bound: int = 3) -> int:
-    """How many configurations enumerate_p2_configurations(n, diff_bound) lists:
-    the last entry of count_p2_sequence(n, diff_bound)."""
-    return count_p2_sequence(n, diff_bound)[-1]
-
-
 def enumerate_p2_configurations(
     n: int, diff_bound: int = 3, workers: int | None = None
 ) -> OracleResult:
     """All 2-periodic configurations on the n-path with v_1 = 0 and adjacent
     stack differences within diff_bound, ordered by difference vector.
 
-    This search materializes the list and certifies count_p2_configurations
-    at small n; counts alone should come from there. ``workers`` defaults
-    to every core and matters only from _POOL_THRESHOLD raw candidates on.
+    This search materializes the list and certifies
+    pathcount.count_p2_configurations at small n; counts alone should come
+    from there. ``workers`` defaults to every core and matters only from
+    _POOL_THRESHOLD raw candidates on.
     No program caller sets it; it stays for perfbench/run.py's pool_probe,
     which times this function at workers = 1 and 2 and, if the parameter
     is missing, records a failed operation in every traced run.

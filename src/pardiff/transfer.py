@@ -24,12 +24,14 @@ class Automaton:
         """Explore the first ``count`` states found, or every state."""
         while len(self.arcs) < len(self.states) and (count is None or len(self.arcs) < count):
             state = self.states[len(self.arcs)]
-            self.arcs.append([])
+            row = []
             for letter, target, weight in self._arcs_of(state):
-                if target not in self._index:
-                    self._index[target] = len(self.states)
+                t = self._index.get(target)
+                if t is None:
+                    t = self._index[target] = len(self.states)
                     self.states.append(target)
-                self.arcs[-1].append((letter, self._index[target], weight))
+                row.append((letter, t, weight))
+            self.arcs.append(row)
             self.final.append(self._final_of(state))
 
     def totals(self, length: int):

@@ -18,7 +18,7 @@ from collections import Counter
 from functools import cache
 from itertools import product
 
-from pardiff import counting, engine, oracle, orientations
+from pardiff import counting, engine, oracle, orientations, pathcount
 from pardiff.errors import CeilingError, DomainError, _enum_ceiling
 from pardiff.graphs import (
     Configuration,
@@ -102,7 +102,7 @@ class _RunInputs:
         self.legal = cache(lambda orient: not orientations.check_p2_orientation(orient))
         self.count = cache(lambda orient: counting.count_configs_on_orientation(orient))
         # Path-automaton counts at n = 2.._DP_MAX (entry n - 2).
-        self.dp_counts = cache(lambda diff_bound: oracle.count_p2_sequence(_DP_MAX, diff_bound))
+        self.dp_counts = cache(lambda diff_bound: pathcount.count_p2_sequence(_DP_MAX, diff_bound))
         # (graph, configuration, detect_period report) for each random case.
         self.random_periods = cache(_random_period_reports)
 

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from jsonschema import validate
 
-from pardiff import counting, engine, oracle
+from pardiff import counting, engine, oracle, pathcount
 from pardiff.cli import main
 from pardiff.counting import alternating_count, count_T_recurrence
 from pardiff.orientations import count_p2_orientations_recurrence
@@ -133,6 +133,15 @@ def test_period_demo(tmp_path):
     validate(report, load_schema("period_report.schema.json"))
 
 
+def test_period_manifest_records_steps_used(tmp_path):
+    out = tmp_path / "p.json"
+    assert main(["period", "--graph", "path:5", "--config", "0,2,0,4,1", "--out", str(out)]) == 0
+    report, manifest = json.loads(out.read_text()), read_manifest(out)
+    validate(manifest, load_schema("manifest.schema.json"))
+    assert manifest["steps_used"] == report["preperiod"] + report["period"] == 5
+    assert manifest["steps_used"] <= manifest["parameters"]["max_steps"]
+
+
 def test_period_all_zero(tmp_path):
     out = tmp_path / "p.json"
     assert main(["period", "--graph", "path:4", "--config", "0,0,0,0", "--out", str(out)]) == 0
@@ -240,8 +249,8 @@ def test_full_configurations_at_nine_uses_every_core(tmp_path, monkeypatch):
 
 
 def test_count_oracle_list_mismatch_exits_three(tmp_path, monkeypatch, capsys):
-    real = oracle.count_p2_configurations
-    monkeypatch.setattr(oracle, "count_p2_configurations", lambda *a, **k: real(*a, **k) + 1)
+    real = pathcount.count_p2_configurations
+    monkeypatch.setattr(pathcount, "count_p2_configurations", lambda *a, **k: real(*a, **k) + 1)
     argv = ["count", "--n", "3", "--method", "oracle", "--full-configurations"]
     assert main(argv + ["--out", str(tmp_path / "c.json")]) == 3
     err = capsys.readouterr().err
@@ -522,6 +531,35 @@ def test_out_of_domain_arguments_exit_one(tmp_path, capsys, argv):
     assert not (tmp_path / "o.json").exists()
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (
+            ["conjecture", "--g0-file", "g0.txt", "--k-min", "2", "--k-max", "3", "--diff-bound", "3"],
+            "pardiff: unrecognized arguments: --diff-bound 3",
+        ),
+        (["count", "--n", "5", "--method", "exact"], "pardiff count: argument --method: invalid choice: 'exact'"),
+        (["count", "--method", "oracle"], "pardiff count: the following arguments are required: --n"),
+    ],
+    ids=["unknown-option", "bad-choice", "missing-n"],
+)
+def test_usage_errors_exit_one_with_one_line(tmp_path, capsys, argv, message):
+    # exit code 2 stays the resource ceiling's alone
+    assert main(argv + ["--out", str(tmp_path / "o.json")]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith(f"error [usage]: {message}")
+    assert not (tmp_path / "o.json").exists()
+
+
+def test_help_prints_usage_and_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: pardiff count ")
+
+
 def test_summation_passes_the_enumeration_ceiling(tmp_path):
     out = tmp_path / "c.json"
     assert main(["count", "--n", "23", "--method", "summation", "--out", str(out)]) == 0
@@ -704,7 +742,7 @@ def test_probe_conjecture_script():
     assert proc.stdout.splitlines()[-1] == "order-4 recurrence residuals (k >= 6): [0]"
 
 
-SUBMODULES = ("errors", "graphs", "transfer", "engine", "orientations", "counting", "oracle", "verify")
+SUBMODULES = ("errors", "graphs", "transfer", "engine", "orientations", "counting", "pathcount", "oracle", "verify")
 
 
 def test_cli_import_skips_dataclasses_and_loads_every_module():
@@ -760,8 +798,15 @@ def test_package_import_runs_no_submodule():
 
 
 def test_oracle_count_never_runs_the_theory_or_verify(tmp_path):
+    # a count needs only the path automaton, not the search in oracle
     executed = _executed_modules("count", "--n", "9", "--method", "oracle", "--out", str(tmp_path / "c.json"))
-    assert {"oracle", "engine", "transfer"} <= executed
+    assert executed == {"cli", "errors", "graphs", "engine", "transfer", "pathcount"}
+
+
+def test_full_configurations_runs_the_search_and_the_automaton(tmp_path):
+    argv = ["count", "--n", "6", "--method", "oracle", "--full-configurations", "--out", str(tmp_path / "c.json")]
+    executed = _executed_modules(*argv)
+    assert {"pathcount", "oracle", "engine", "transfer"} <= executed
     assert not {"counting", "orientations", "verify"} & executed
 
 
@@ -769,7 +814,7 @@ def test_oracle_count_never_runs_the_theory_or_verify(tmp_path):
 def test_theory_count_never_runs_the_oracle_or_verify(tmp_path, method):
     executed = _executed_modules("count", "--n", "9", "--method", method, "--out", str(tmp_path / "c.json"))
     assert {"counting", "orientations"} <= executed
-    assert not {"oracle", "engine", "verify"} & executed
+    assert not {"pathcount", "oracle", "engine", "verify"} & executed
 
 
 def test_verify_runs_every_submodule(tmp_path):

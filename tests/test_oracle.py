@@ -5,20 +5,19 @@ from itertools import product
 
 import pytest
 
-from pardiff import oracle
+from pardiff import oracle, pathcount
 from pardiff.counting import count_T_recurrence
 from pardiff.engine import fire_each, fire_step
 from pardiff.errors import CeilingError, DomainError
 from pardiff.graphs import Configuration, PathGraph, SimpleGraph
 from pardiff.oracle import (
     build_bridge_graph,
-    count_p2_configurations,
-    count_p2_sequence,
     enumerate_p2_configurations,
     enumerate_p2_on_bridge_graph,
     orientations_realized,
 )
 from pardiff.orientations import enumerate_p2_orientations
+from pardiff.pathcount import count_p2_configurations, count_p2_sequence
 
 from conftest import naive_p2_path
 
@@ -178,17 +177,38 @@ def test_path_automaton_builds_share_one_firing_memo(monkeypatch):
         calls.append(config.stacks)
         return fire_step(graph, config)
 
-    monkeypatch.setattr(oracle, "_ONE_FIRING", oracle._OneFiring())
-    monkeypatch.setattr(oracle, "fire_step", counted)
+    monkeypatch.setattr(pathcount, "_ONE_FIRING", pathcount._OneFiring())
+    monkeypatch.setattr(pathcount, "fire_step", counted)
     first = count_p2_sequence(12, 3)
-    held = len(oracle._ONE_FIRING)
+    held = len(pathcount._ONE_FIRING)
     assert len(calls) == held > 0
     # a second build reads every key from the memo and fires nothing
     assert count_p2_sequence(12, 3) == first
     assert len(calls) == held
     # b = 4 fires only the keys b = 3 did not need
     count_p2_sequence(12, 4)
-    assert len(calls) == len(oracle._ONE_FIRING) > held
+    assert len(calls) == len(pathcount._ONE_FIRING) > held
+
+
+@pytest.mark.parametrize("diff_bound", [1, 2, 3, 4, 5])
+def test_path_automaton_arcs_follow_the_window_verdicts(diff_bound):
+    # the reference reads each arc and final weight off _window_verdict on
+    # the whole window, working out nothing once per state
+    automaton = pathcount._path_automaton(diff_bound)
+    automaton._explore()
+    verdict = pathcount._window_verdict
+    one_firing = pathcount._ONE_FIRING
+    for state, arcs, final in zip(automaton.states, automaton.arcs, automaton.final):
+        tail, moved = state
+        want = []
+        for d in range(-diff_bound, diff_bound + 1):
+            stays, moves = verdict((*tail, d), one_firing)
+            if stays:
+                want.append(("R" if d > 0 else "L" if d < 0 else "F", ((*tail[1:], d), moved or moves), 1))
+        assert [(letter, automaton.states[t], w) for letter, t, w in arcs] == want, state
+        last_stays, last_moves = verdict((*tail, None), one_firing)
+        end_stays, end_moves = verdict((*tail[1:], None, None), one_firing)
+        assert final == int(last_stays and end_stays and (moved or last_moves or end_moves)), state
 
 
 def test_bridge_graph_shape():

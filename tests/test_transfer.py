@@ -6,8 +6,8 @@ from itertools import product
 
 from pardiff.counting import _COUNTS, count_configs_on_orientation
 from pardiff.graphs import SENSE_ORDER
-from pardiff.oracle import _path_automaton
 from pardiff.orientations import _LEGAL, check_p2_orientation
+from pardiff.pathcount import _path_automaton
 from pardiff.transfer import Automaton
 
 # A toy automaton: a state is (last letter, letters read mod 3). "FF" and

@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from pardiff import counting, oracle, orientations, verify
+from pardiff import counting, orientations, pathcount, verify
 from pardiff.errors import CeilingError, DomainError
 
 SMALL = verify.VerifyConfig(
@@ -106,7 +106,7 @@ def test_injected_batch_fault_is_named(monkeypatch, fault, named):
 
     # the path automaton's firing memo is filled through engine.fire_step,
     # which fires through fire_each, so keep the faulty answers out of the shared one
-    monkeypatch.setattr(oracle, "_ONE_FIRING", oracle._OneFiring())
+    monkeypatch.setattr(pathcount, "_ONE_FIRING", pathcount._OneFiring())
     monkeypatch.setattr(engine, "fire_each", fault(engine.fire_each))
     results = verify.run_suites(SMALL, suites=["orientation", "oracle"])
     details = {r.name: r.detail for r in results if not r.passed}
@@ -116,7 +116,7 @@ def test_injected_batch_fault_is_named(monkeypatch, fault, named):
 
 def test_default_run_builds_each_shared_input_once(monkeypatch):
     enumerated, tables = Counter(), Counter()
-    real_enumerate, real_automaton = orientations.enumerate_p2_orientations, oracle._path_automaton
+    real_enumerate, real_automaton = orientations.enumerate_p2_orientations, pathcount._path_automaton
 
     def spy_enumerate(n):
         enumerated[n] += 1
@@ -134,7 +134,7 @@ def test_default_run_builds_each_shared_input_once(monkeypatch):
         return real_reports()
 
     monkeypatch.setattr(orientations, "enumerate_p2_orientations", spy_enumerate)
-    monkeypatch.setattr(oracle, "_path_automaton", spy_automaton)
+    monkeypatch.setattr(pathcount, "_path_automaton", spy_automaton)
     monkeypatch.setattr(verify, "_random_period_reports", spy_reports)
     results = verify.run_suites()
     assert all(r.passed for r in results)
