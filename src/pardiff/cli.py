@@ -109,8 +109,13 @@ def _cmd_count(args) -> tuple:
     n, method = args.n, args.method
     if args.full_configurations and method != "oracle":
         raise DomainError("--full-configurations needs --method oracle")
+    if args.diff_bound is not None and method != "oracle":
+        raise DomainError("--diff-bound needs --method oracle")
+    parameters = {"n": n, "method": method}
     if method == "oracle":
-        count = pathcount.count_p2_configurations(n, diff_bound=args.diff_bound)
+        diff_bound = 3 if args.diff_bound is None else args.diff_bound
+        parameters["diff_bound"] = diff_bound
+        count = pathcount.count_p2_configurations(n, diff_bound=diff_bound)
     else:  # count_T_recurrence, count_T_summation or count_T_direct
         count = getattr(counting, f"count_T_{method}")(n)
     payload = {
@@ -126,9 +131,9 @@ def _cmd_count(args) -> tuple:
         "ledger": None,
     }
     if method == "oracle":
-        payload["provenance"]["diff_bound"] = args.diff_bound
+        payload["provenance"]["diff_bound"] = diff_bound
         if args.full_configurations:
-            result = oracle.enumerate_p2_configurations(n, diff_bound=args.diff_bound)
+            result = oracle.enumerate_p2_configurations(n, diff_bound=diff_bound)
             if len(result.configurations) != count:
                 raise InternalInconsistencyError(
                     f"the search lists {len(result.configurations)} configurations, "
@@ -137,7 +142,6 @@ def _cmd_count(args) -> tuple:
             payload["oracle_configurations"] = [list(c.stacks) for c in result.configurations]
     if args.ledger:
         payload["ledger"] = counting.build_count_ledger(n)
-    parameters = {"n": n, "method": method, "diff_bound": args.diff_bound}
     return _json_body(payload), parameters, f"count[{method}]: n={n} -> {count} ({args.out})", None, 0
 
 
@@ -217,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("count", help="count 2-periodic configurations on the n-vertex path")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--method", required=True, choices=["recurrence", "summation", "direct", "oracle"])
-    p.add_argument("--diff-bound", type=int, default=3)
+    p.add_argument("--diff-bound", type=int, default=None, help="--method oracle only; default 3")
     p.add_argument("--ledger", action="store_true", help="include per-orientation products")
     p.add_argument("--full-configurations", action="store_true", help="embed oracle configurations")
     p.add_argument("--out", default="count.json")

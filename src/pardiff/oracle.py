@@ -10,9 +10,9 @@ the second-firing value at v is fixed, so a prefix that already breaks
 periodicity at v is abandoned. That check is a direct consequence of the
 firing rule, which only reads a radius-two neighbourhood, so the pruned walk
 visits exactly the survivors of the full iteration over every difference in
-its window. On a path the window is a uniform bound b; off the path each tree
-edge uv gets deg(u) + deg(v) - 1, which every configuration with fire^2 = id
-obeys (see _bfs_plan), so one search there is complete.
+its window. Each tree edge uv gets deg(u) + deg(v) - 1, which every
+configuration with fire^2 = id obeys (see _bfs_plan), so one search is
+complete; on a path that window is further capped by the caller's bound b.
 
 On paths, counts come from the automaton in pardiff.pathcount; this search
 produces the configuration lists, and certifies that automaton at small n.
@@ -20,9 +20,8 @@ produces the configuration lists, and certifies that automaton at small n.
 
 from __future__ import annotations
 
-import math
-import os
 from collections import deque
+from operator import itemgetter
 
 from pardiff.errors import CeilingError, DomainError, _bridge_ceiling, _candidate_ceiling
 from pardiff.graphs import (
@@ -33,12 +32,6 @@ from pardiff.graphs import (
     SimpleGraph,
     frozen_edges,
 )
-from pardiff.engine import orientation_of_stacks
-
-# Raw candidates, the product of 2b+1 over the searched positions, from which
-# a search is split over a process pool: below it, starting the workers costs
-# about what they save.
-_POOL_THRESHOLD = 10**6
 
 
 class OracleResult(Record):
@@ -100,14 +93,13 @@ def _bfs_plan(graph: Graph, root: int):
     return order, parent_pos, fires_at, checks_at, bounds
 
 
-def _window_search(graph, root0, bounds, collect, prefix=()):
+def _window_search(graph, root0, bounds, collect):
     """Count (and optionally collect) 2-periodic configurations with the root
     pinned at zero and the stack difference along the tree edge into each BFS
     position p >= 1 in [-bounds[p], bounds[p]].
 
-    ``prefix`` fixes the differences of the first BFS positions, each within
-    its bound, which is how the search space is split across worker
-    processes.
+    Differences are tried in increasing order, position 1 first, so the
+    configurations come out ordered by their BFS difference vector.
     """
     order, parent_pos, fires_at, checks_at, _ = _bfs_plan(graph, root0)
     V = graph.vertex_count
@@ -119,13 +111,11 @@ def _window_search(graph, root0, bounds, collect, prefix=()):
     at = [0] * V  # at[v] is the BFS position of vertex v
     for p, v in enumerate(order):
         at[v] = p
+    in_vertex_order = itemgetter(*at)  # V >= 2, so it returns a tuple
 
-    # Position p takes its difference from the prefix below floor, and tries
-    # -bounds[p]..bounds[p] from floor on; leaving a prefix position, by
-    # backtracking to it or by failing its check, ends the search.
-    floor = len(prefix) + 1
+    # pending[p] is the next difference position p tries; backtracking past
+    # position 1 ends the search.
     pending = [-b for b in bounds]
-    pending[1:floor] = prefix
     last = V - 1
     count = 0
     p = 1
@@ -135,10 +125,10 @@ def _window_search(graph, root0, bounds, collect, prefix=()):
         if d > hi:
             pending[p] = -hi
             p -= 1
-            if p < floor:
+            if p == 0:
                 break
             continue
-        pending[p] = d + 1 if p >= floor else hi + 1
+        pending[p] = d + 1
         stacks[p] = stacks[parent_pos[p]] + d
         # Fix the one-step values that position p completes, then test the
         # two-step value of every position it completes.
@@ -168,35 +158,10 @@ def _window_search(graph, root0, bounds, collect, prefix=()):
                 if f1 != stacks:  # fire^2 is the identity here; keep only genuine 2-periods
                     count += 1
                     if collect:
-                        out.append(tuple([stacks[q] for q in at]))
+                        out.append(in_vertex_order(stacks))
             else:
                 p += 1
     return count, out
-
-
-def _search_task(args):
-    return _window_search(*args)
-
-
-def _run_search(graph: Graph, root0: int, bounds, collect: bool, workers: int | None):
-    """_window_search, split by first difference over ``workers`` processes
-    (every core when None) once the raw candidates reach _POOL_THRESHOLD."""
-    if workers is None:
-        workers = os.cpu_count() or 1
-    V = graph.vertex_count
-    if workers <= 1 or V < 3 or math.prod(2 * b + 1 for b in bounds[1:]) < _POOL_THRESHOLD:
-        return _window_search(graph, root0, bounds, collect)
-    from concurrent.futures import ProcessPoolExecutor
-
-    tasks = [(graph, root0, bounds, collect, (d,)) for d in range(-bounds[1], bounds[1] + 1)]
-    count = 0
-    configs: list[tuple[int, ...]] = []
-    with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-        for c, cfgs in pool.map(_search_task, tasks):
-            count += c
-            if collect:
-                configs.extend(cfgs)
-    return count, configs
 
 
 def enumerate_p2_configurations(
@@ -207,11 +172,14 @@ def enumerate_p2_configurations(
 
     This search materializes the list and certifies
     pathcount.count_p2_configurations at small n; counts alone should come
-    from there. ``workers`` defaults to every core and matters only from
-    _POOL_THRESHOLD raw candidates on.
-    No program caller sets it; it stays for perfbench/run.py's pool_probe,
-    which times this function at workers = 1 and 2 and, if the parameter
-    is missing, records a failed operation in every traced run.
+    from there. Each edge uv is searched within min(diff_bound, deg(u) +
+    deg(v) - 1), at most 2 on a leaf edge. No configuration lies outside
+    deg(u) + deg(v) - 1 (the edge-reversal lemma, _bfs_plan), so this lists
+    exactly what the plain window of diff_bound would, in the same order.
+    ``workers`` is accepted and ignored. No program caller sets it; it stays
+    for perfbench/run.py's pool_probe, which times this function at
+    workers = 1 and 2 and, if the parameter is missing, records a failed
+    operation in every traced run.
     """
     if n < 2:
         raise DomainError("the oracle needs n >= 2")
@@ -224,14 +192,10 @@ def enumerate_p2_configurations(
             f"{candidates} raw candidates exceed the oracle ceiling {ceiling}"
         )
     graph = PathGraph(n)
-    count, raw = _run_search(graph, 0, [diff_bound] * n, collect=True, workers=workers)
+    bounds = [min(diff_bound, b) for b in _bfs_plan(graph, 0)[-1]]
+    count, raw = _window_search(graph, 0, bounds, collect=True)
     configs = tuple(Configuration(s, graph) for s in raw)
     return OracleResult(n=n, diff_bound=diff_bound, configurations=configs, count=count)
-
-
-def orientations_realized(result: OracleResult) -> set[str]:
-    """Distinct orientations induced by the oracle's configurations."""
-    return {orientation_of_stacks(c.stacks) for c in result.configurations}
 
 
 def build_bridge_graph(g0: Graph, base_vertex: int, k: int) -> SimpleGraph:
@@ -277,15 +241,24 @@ def enumerate_p2_on_bridge_graph(
 ) -> int:
     """Count of 2-periodic configurations on g0 plus a bridged path.
 
-    The far-end path leaf is pinned at zero, and the difference along each
-    edge uv of a breadth-first spanning tree ranges over its proven bound
-    deg(u) + deg(v) - 1 (_bfs_plan), so one search finds every configuration.
-    ``diff_bound`` is ignored, and ``workers`` is as in
-    enumerate_p2_configurations. No program caller passes either; both stay
-    for perfbench/run.py's pool_probe, which passes them and would stop
-    every traced run with a TypeError without them.
+    A vertex of maximum degree (the lowest-numbered on ties) is pinned at
+    zero, and the difference along each edge uv of a breadth-first spanning
+    tree ranges over its proven bound deg(u) + deg(v) - 1 (_bfs_plan), so one
+    search finds every configuration. The pinned vertex changes no count:
+    firing commutes with adding a constant to every stack, so each
+    configuration has exactly one shift with that vertex at zero. Rooting at
+    the widest vertex fixes the widest windows while few prefixes exist,
+    which prunes early.
+    ``diff_bound`` and ``workers`` are accepted and ignored. No program
+    caller passes either; both stay for perfbench/run.py's pool_probe,
+    which passes them and would stop every traced run with a TypeError
+    without them.
     """
     graph = checked_bridge_graph(g0, base_vertex, k)
-    root0 = graph.vertex_count - 1  # far-end leaf, 0-based
+    degree = [0] * graph.vertex_count
+    for u, w in frozen_edges(graph):
+        degree[u] += 1
+        degree[w] += 1
+    root0 = degree.index(max(degree))
     bounds = _bfs_plan(graph, root0)[-1]
-    return _run_search(graph, root0, bounds, collect=False, workers=workers)[0]
+    return _window_search(graph, root0, bounds, collect=False)[0]

@@ -4,10 +4,10 @@ Each check exercises one documented invariant at desk scale and reports the
 first counterexample it finds. Checks call through module namespaces so a
 deliberately broken function (for testing the tester) is caught by name.
 Inputs that several checks read (orientation lists, the oracle's
-configuration lists, legality verdicts, per-orientation counts, the
-path-automaton count sequences and the period reports of random graphs) are
-built at most once per run_suites call, in a _RunInputs object that the call
-creates and drops.
+configuration lists and their orientation tallies, legality verdicts,
+per-orientation counts, the path-automaton count sequences and the period
+reports of random graphs) are built at most once per run_suites call, in a
+_RunInputs object that the call creates and drops.
 """
 
 from __future__ import annotations
@@ -98,6 +98,13 @@ class _RunInputs:
         # The path oracle's configuration lists for n = 2..max_n_oracle.
         self.oracle_lists = cache(
             lambda: [oracle.enumerate_p2_configurations(n) for n in range(2, config.max_n_oracle + 1)]
+        )
+        # (n, Counter of orientations) for each of those lists, in the same order.
+        self.oracle_tallies = cache(
+            lambda: [
+                (r.n, Counter(engine.orientation_of_stacks(c.stacks) for c in r.configurations))
+                for r in self.oracle_lists()
+            ]
         )
         self.legal = cache(lambda orient: not orientations.check_p2_orientation(orient))
         self.count = cache(lambda orient: counting.count_configs_on_orientation(orient))
@@ -314,9 +321,8 @@ def _chk_fixed_points(cfg: VerifyConfig, inputs: _RunInputs):
 
 @_check("orientation", "realized-equals-enumerated")
 def _chk_realized(cfg: VerifyConfig, inputs: _RunInputs):
-    for result in inputs.oracle_lists():
-        n = result.n
-        realized = oracle.orientations_realized(result)
+    for n, tally in inputs.oracle_tallies():
+        realized = set(tally)
         enumerated = set(inputs.orientations(n))
         if realized != enumerated:
             extra = realized - enumerated
@@ -504,12 +510,10 @@ def _chk_oracle_counts(cfg: VerifyConfig, inputs: _RunInputs):
 
 @_check("oracle", "per-orientation-refinement")
 def _chk_refinement(cfg: VerifyConfig, inputs: _RunInputs):
-    for result in inputs.oracle_lists():
-        n = result.n
-        grouped = Counter(engine.orientation_of_stacks(c.stacks) for c in result.configurations)
+    for n, tally in inputs.oracle_tallies():
         for orient in inputs.orientations(n):
             want = inputs.count(orient)
-            got = grouped.get(orient, 0)
+            got = tally[orient]
             if got != want:
                 return f"n={n} {orient}: oracle {got}, multipliers {want}"
     return None

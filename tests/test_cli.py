@@ -223,29 +223,11 @@ def test_count_oracle_starts_no_pool_without_configurations(tmp_path, monkeypatc
 
 
 def test_default_verify_oracle_suite_starts_no_pool(tmp_path, monkeypatch, capsys):
-    # the searches behind default-depth verify are too small to repay a pool
+    # every search runs in-process; this guards against a pool coming back
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
     assert main(["verify", "--suites", "oracle", "--out", str(tmp_path / "v.json")]) == 0
     assert "FAIL" not in capsys.readouterr().out
-
-
-def test_full_configurations_at_nine_uses_every_core(tmp_path, monkeypatch):
-    real = concurrent.futures.ProcessPoolExecutor
-    started = []
-
-    def spy(*args, **kwargs):
-        started.append(kwargs["max_workers"])
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spy)
-    out = tmp_path / "c.json"
-    argv = ["count", "--n", "9", "--method", "oracle", "--full-configurations", "--out", str(out)]
-    assert main(argv) == 0
-    assert started == [2]
-    payload = json.loads(out.read_text())
-    assert len(payload["oracle_configurations"]) == payload["count"] == count_T_recurrence(9)
 
 
 def test_count_oracle_list_mismatch_exits_three(tmp_path, monkeypatch, capsys):
@@ -373,7 +355,7 @@ SIMULATE_DEMO = {"graph": "path:5", "config": "0,2,0,4,1"}
         ),
         (
             ["count", "--n", "4", "--method", "recurrence"],
-            {"n": 4, "method": "recurrence", "diff_bound": 3},
+            {"n": 4, "method": "recurrence"},
             "count[recurrence]: n=4 -> 26 ({out})",
         ),
         (
@@ -517,6 +499,7 @@ def test_verify_unknown_suite_is_domain_error(tmp_path, capsys, suites):
         ["count", "--n", "5", "--method", "direct", "--full-configurations"],
         ["conjecture", "--k-min", "0", "--k-max", "6"],
         ["conjecture", "--k-min", "6", "--k-max", "2"],
+        ["count", "--n", "5", "--method", "direct", "--diff-bound", "0"],
     ],
 )
 def test_out_of_domain_arguments_exit_one(tmp_path, capsys, argv):
@@ -683,7 +666,7 @@ def test_conjecture_checks_bridge_ceiling_before_searching(tmp_path, monkeypatch
     def no_search(*args, **kwargs):
         raise AssertionError("searched before checking the ceiling")
 
-    monkeypatch.setattr(oracle, "_run_search", no_search)
+    monkeypatch.setattr(oracle, "_window_search", no_search)
     g0 = tmp_path / "triangle.txt"
     g0.write_text("1 2\n2 3\n1 3\n")
     out = tmp_path / "c.csv"

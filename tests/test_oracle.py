@@ -14,15 +14,15 @@ from pardiff.oracle import (
     build_bridge_graph,
     enumerate_p2_configurations,
     enumerate_p2_on_bridge_graph,
-    orientations_realized,
 )
-from pardiff.orientations import enumerate_p2_orientations
 from pardiff.pathcount import count_p2_configurations, count_p2_sequence
 
 from conftest import naive_p2_path
 
 TRIANGLE = SimpleGraph.from_edge_list([(1, 2), (2, 3), (1, 3)])
 STAR4 = SimpleGraph.from_edge_list([(1, 2), (1, 3), (1, 4)])
+C5_PENDANT = SimpleGraph.from_edge_list([(1, 2), (2, 3), (3, 4), (4, 5), (1, 5), (1, 6)])
+K4 = SimpleGraph.from_edge_list([(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)])
 
 
 def test_pruned_search_equals_full_iteration():
@@ -68,37 +68,20 @@ def test_members_ordered_by_difference_vector(oracle_runs):
     assert diffs == sorted(diffs)
 
 
-def test_orientations_realized(oracle_runs):
-    assert orientations_realized(oracle_runs(4)) == set(enumerate_p2_orientations(4))
-    assert orientations_realized(oracle_runs(2)) == {"R", "L"}
-    assert len(orientations_realized(oracle_runs(6))) == 14
+@pytest.mark.parametrize("diff_bound", [1, 2, 3, 4])
+def test_capped_windows_list_what_the_plain_window_lists(diff_bound):
+    # capping each edge at its proven bound (2 on a leaf edge) drops no
+    # configuration and keeps the order, whatever diff_bound is
+    for n in range(2, 9):
+        plain = oracle._window_search(PathGraph(n), 0, [diff_bound] * n, True)[1]
+        listed = enumerate_p2_configurations(n, diff_bound).configurations
+        assert [c.stacks for c in listed] == plain, n
 
 
 @pytest.mark.parametrize("diff_bound", [2, 3, 4])
 def test_count_sequence_matches_single_counts(diff_bound):
     sequence = count_p2_sequence(60, diff_bound)
     assert sequence == [count_p2_configurations(n, diff_bound) for n in range(2, 61)]
-
-
-def test_parallel_matches_serial():
-    serial = enumerate_p2_configurations(9, workers=1)
-    parallel = enumerate_p2_configurations(9, workers=3)
-    assert parallel.count == serial.count
-    assert parallel.configurations == serial.configurations
-
-
-@pytest.mark.parametrize(
-    "graph,root0",
-    [(PathGraph(8), 0), (build_bridge_graph(TRIANGLE, 1, 4), 6)],
-    ids=["path8", "triangle-bridge-k4"],
-)
-def test_prefix_split_search_adds_up(graph, root0):
-    # serial: the splits a pool would run, each through its own prefix
-    bounds = [3] * graph.vertex_count
-    whole = oracle._window_search(graph, root0, bounds, True)
-    parts = [oracle._window_search(graph, root0, bounds, True, (d,)) for d in range(-3, 4)]
-    assert sum(count for count, _ in parts) == whole[0] > 0
-    assert [c for _, found in parts for c in found] == whole[1]
 
 
 def test_search_off_a_path_lists_vertex_ordered_two_periods():
@@ -111,17 +94,6 @@ def test_search_off_a_path_lists_vertex_ordered_two_periods():
         c = Configuration(stacks, graph)
         once = fire_step(graph, c)
         assert stacks[6] == 0 and once != c and fire_step(graph, once) == c, stacks
-
-
-def test_prefix_of_every_difference_is_one_candidate():
-    graph = PathGraph(4)
-    whole = oracle._window_search(graph, 0, [2] * 4, True)[1]
-    hits = []
-    for prefix in product(range(-2, 3), repeat=3):
-        count, found = oracle._window_search(graph, 0, [2] * 4, True, prefix)
-        assert count == len(found) <= 1
-        hits += found
-    assert hits == whole
 
 
 def test_candidate_ceiling():
@@ -299,6 +271,21 @@ def test_bridge_count_matches_naive_window_past_the_bounds(g0, k):
     assert enumerate_p2_on_bridge_graph(g0, 1, k) == _naive_bridge_count(g0, 1, k, widest + 1)
 
 
+@pytest.mark.parametrize(
+    "g0,base_vertex,k",
+    [(TRIANGLE, 1, 2), (STAR4, 2, 1), (C5_PENDANT, 6, 1), (K4, 1, 1)],
+    ids=["triangle-k2", "star4-leaf-k1", "c5-pendant-k1", "k4-k1"],
+)
+def test_bridge_count_is_the_same_from_every_root(g0, base_vertex, k):
+    # adding a constant to every stack commutes with firing, so the vertex
+    # pinned at zero changes no count
+    graph = build_bridge_graph(g0, base_vertex, k)
+    got = enumerate_p2_on_bridge_graph(g0, base_vertex, k)
+    for root0 in range(graph.vertex_count):
+        bounds = oracle._bfs_plan(graph, root0)[-1]
+        assert oracle._window_search(graph, root0, bounds, False)[0] == got, root0
+
+
 def test_bridge_requires_connected_g0(monkeypatch):
     disconnected = SimpleGraph(vertex_count=3, edges=frozenset({(1, 2)}))
     with pytest.raises(DomainError):
@@ -308,7 +295,7 @@ def test_bridge_requires_connected_g0(monkeypatch):
         enumerate_p2_on_bridge_graph(two_edges, 1, 3)
     # connectivity is checked before the vertex ceiling, and before any search
     monkeypatch.setenv("PARDIFF_BRIDGE_CEILING", "1")
-    monkeypatch.setattr(oracle, "_run_search", _no_search)
+    monkeypatch.setattr(oracle, "_window_search", _no_search)
     with pytest.raises(DomainError, match="^graph is not connected$"):
         enumerate_p2_on_bridge_graph(two_edges, 1, 3)
 

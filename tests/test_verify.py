@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from pardiff import counting, orientations, pathcount, verify
+from pardiff import counting, engine, oracle, orientations, pathcount, verify
 from pardiff.errors import CeilingError, DomainError
 
 SMALL = verify.VerifyConfig(
@@ -133,14 +133,34 @@ def test_default_run_builds_each_shared_input_once(monkeypatch):
         reports += 1
         return real_reports()
 
+    # the oracle's listed stacks, by identity, and how often each was oriented
+    listed, oriented = {}, Counter()
+    real_list, real_orient = oracle.enumerate_p2_configurations, engine.orientation_of_stacks
+
+    def spy_list(n):
+        result = real_list(n)
+        listed.update((id(c.stacks), c.stacks) for c in result.configurations)
+        return result
+
+    def spy_orient(stacks):
+        if id(stacks) in listed:
+            oriented[id(stacks)] += 1
+        return real_orient(stacks)
+
     monkeypatch.setattr(orientations, "enumerate_p2_orientations", spy_enumerate)
     monkeypatch.setattr(pathcount, "_path_automaton", spy_automaton)
     monkeypatch.setattr(verify, "_random_period_reports", spy_reports)
+    monkeypatch.setattr(oracle, "enumerate_p2_configurations", spy_list)
+    monkeypatch.setattr(engine, "orientation_of_stacks", spy_orient)
     results = verify.run_suites()
     assert all(r.passed for r in results)
     assert enumerated and set(enumerated.values()) == {1}
     assert tables == {3: 1, 4: 1}
     assert reports == 1
+    # each listed configuration is oriented once, into the tally both
+    # realized-equals-enumerated and per-orientation-refinement read
+    assert len(listed) == 6232 and oriented.keys() == listed.keys()
+    assert set(oriented.values()) == {1}
 
 
 def test_check_durations_are_recorded():
