@@ -74,7 +74,7 @@ def _cmd_simulate(args) -> tuple:
     graph = _load_graph(args.graph)
     config = config_from_string(args.config, graph)
     trace = engine.run_sequence(graph, config, args.steps)
-    lines = ({"step": t, "stacks": list(c.stacks)} for t, c in enumerate(trace))
+    lines = ({"step": t, "stacks": list(c)} for t, c in enumerate(trace))
     body = "".join(json.dumps(line, sort_keys=True) + "\n" for line in lines)
     parameters = {"graph": args.graph, "config": args.config, "steps": args.steps}
     return body, parameters, f"simulate: {len(trace)} configurations -> {args.out}", None, 0
@@ -98,7 +98,7 @@ def _cmd_period(args) -> tuple:
     body = {
         "preperiod": report.preperiod,
         "period": report.period,
-        "orbit": [list(c.stacks) for c in report.orbit],
+        "orbit": [list(c) for c in report.orbit],
     }
     summary = f"period: preperiod {report.preperiod}, period {report.period} -> {args.out}"
     # detect_period stops at the firing that closes the orbit
@@ -139,7 +139,7 @@ def _cmd_count(args) -> tuple:
                     f"the search lists {len(result.configurations)} configurations, "
                     f"the path automaton counts {count}"
                 )
-            payload["oracle_configurations"] = [list(c.stacks) for c in result.configurations]
+            payload["oracle_configurations"] = [list(c) for c in result.configurations]
     if args.ledger:
         payload["ledger"] = counting.build_count_ledger(n)
     return _json_body(payload), parameters, f"count[{method}]: n={n} -> {count} ({args.out})", None, 0

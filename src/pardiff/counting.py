@@ -228,10 +228,10 @@ def count_T_summation(n: int, use_printed_limit: bool = False) -> int:
     undercounts (88 instead of 96 at n = 5); it is kept behind
     ``use_printed_limit``, applied to T_n alone, as a regression reference.
     """
-    if n < 2:
-        raise DomainError("summation route needs n >= 2")
+    if n < 1:
+        raise DomainError("n must be positive")
     after = list(_COUNTS.completions(n - 4)) if n >= 5 else []  # read up to n - 4 letters
-    t = [0, 0]  # t[m] = T_m; t[0] and t[1] are never read
+    t = [0, 0]  # t[m] = T_m from T_1 = 0; t[0] is never read
     for m in range(2, n + 1):
         total = alternating_count(m)
         for k in range(2, m - 1):
@@ -253,7 +253,7 @@ def build_count_ledger(n: int) -> dict:
         "R_n": len(per),
         "A_n": alternating_count(n),
         "T_recurrence": count_T_recurrence(n),
-        "T_summation": count_T_summation(n) if n >= 2 else 0,
+        "T_summation": count_T_summation(n),
         "T_direct": sum(per.values()),
     }
     return {"n": n, "per_orientation": per, "totals": totals}

@@ -17,22 +17,16 @@ from pardiff.errors import (
     PeriodNotFoundError,
     StackLimitError,
 )
-from pardiff.graphs import (
-    I64_MAX,
-    Configuration,
-    Graph,
-    PathGraph,
-    Record,
-    frozen_edges,
-)
+from pardiff.graphs import I64_MAX, Graph, Record, frozen_edges
 
 
 class PeriodReport(Record):
-    """Least preperiod N and least period p in {1, 2}, with the orbit at time N."""
+    """Least preperiod N and least period p in {1, 2}, with the orbit's stack
+    tuples from time N on."""
 
     __slots__ = _fields = ("preperiod", "period", "orbit")
 
-    def __init__(self, preperiod: int, period: int, orbit: tuple[Configuration, ...]):
+    def __init__(self, preperiod: int, period: int, orbit: tuple[tuple[int, ...], ...]):
         object.__setattr__(self, "preperiod", preperiod)
         object.__setattr__(self, "period", period)
         object.__setattr__(self, "orbit", orbit)
@@ -86,18 +80,13 @@ def fire_each(graph: Graph, batch) -> list[tuple[int, ...]]:
     return fired
 
 
-def fire_step(graph: Graph, config: Configuration) -> Configuration:
-    """One simultaneous firing of every vertex: fire_each on a batch of one."""
-    return Configuration(fire_each(graph, (config.stacks,))[0], graph)
-
-
-def run_sequence(graph: Graph, config: Configuration, steps: int) -> tuple[Configuration, ...]:
+def run_sequence(graph: Graph, config: tuple[int, ...], steps: int) -> tuple[tuple[int, ...], ...]:
     """C_0 = config, C_1, ..., C_steps: steps firings, so steps + 1 configurations."""
     if steps < 1:
         raise DomainError("steps must be >= 1")
     trace = [config]
     for _ in range(steps):
-        trace.append(fire_step(graph, trace[-1]))
+        trace.append(fire_each(graph, (trace[-1],))[0])
     return tuple(trace)
 
 
@@ -115,7 +104,7 @@ def default_max_steps(graph: Graph) -> int:
     return max(PERIOD_STEP_CAP // graph.vertex_count, 4)
 
 
-def detect_period(graph: Graph, config: Configuration, max_steps: int) -> PeriodReport:
+def detect_period(graph: Graph, config: tuple[int, ...], max_steps: int) -> PeriodReport:
     """Find the least N and least p in {1, 2} with C_{N+p} = C_N (exact equality).
 
     Only offsets 1 and 2 are accepted, which the period-1-or-2 guarantee makes
@@ -126,7 +115,7 @@ def detect_period(graph: Graph, config: Configuration, max_steps: int) -> Period
     """
     if max_steps < 2:
         raise DomainError("max_steps must be >= 2")
-    before, last = None, config.stacks
+    before, last = None, config
     mark, marked_at = last, 0
     for t in range(1, max_steps + 1):
         cur = fire_each(graph, (last,))[0]
@@ -145,21 +134,15 @@ def detect_period(graph: Graph, config: Configuration, max_steps: int) -> Period
         before, last = last, cur
     else:
         raise PeriodNotFoundError(f"no repeat within {max_steps} steps; raise max_steps")
-    orbit = tuple(Configuration(stacks, graph) for stacks in orbit)
     return PeriodReport(preperiod=preperiod, period=len(orbit), orbit=orbit)
 
 
-def induced_orientation(graph: PathGraph, config: Configuration) -> str:
-    """Sense of e_i from the stacks: Right if v_{i+1} is richer than v_i."""
-    if len(config.stacks) != graph.vertex_count:
-        raise ConfigMismatchError(f"{len(config.stacks)} stacks for {graph.vertex_count} vertices")
-    return orientation_of_stacks(config.stacks)
-
-
 def orientation_of_stacks(stacks: tuple[int, ...]) -> str:
+    """Sense of e_i on the path from the stacks: Right if v_{i+1} is richer than v_i."""
     return "".join(["R" if b > a else "L" if b < a else "F" for a, b in zip(stacks, stacks[1:])])
 
 
-def is_inside_period(graph: Graph, config: Configuration) -> bool:
+def is_inside_period(graph: Graph, config: tuple[int, ...]) -> bool:
     """True iff two firings return the input exactly (covers periods 1 and 2)."""
-    return fire_step(graph, fire_step(graph, config)).stacks == config.stacks
+    once = fire_each(graph, (config,))[0]
+    return fire_each(graph, (once,))[0] == config

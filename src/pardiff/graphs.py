@@ -2,6 +2,9 @@
 
 Conventions used throughout the package:
 
+* A configuration is a plain tuple of integer stack sizes ordered v_1..v_n;
+  negative values (debt) are legal. It carries no graph: every engine call
+  takes the graph as its own argument.
 * Vertices are 1-based at every interface. Internal arrays are 0-based.
 * A path on n vertices is drawn along a horizontal axis with v_1 the
   RIGHTMOST vertex, so edge e_i joins v_i and v_{i+1}. A directed edge
@@ -162,24 +165,6 @@ def frozen_edges(graph: Graph) -> tuple[tuple[int, int], ...]:
     return tuple(sorted((u - 1, w - 1) for u, w in graph.edges))
 
 
-class Configuration(Record):
-    """Integer stack sizes indexed v_1..v_n; negative values (debt) are legal."""
-
-    __slots__ = _fields = ("stacks", "graph")
-
-    def __init__(self, stacks: tuple[int, ...], graph: Graph):
-        if len(stacks) != graph.vertex_count:
-            raise ConfigMismatchError(f"{len(stacks)} stacks for {graph.vertex_count} vertices")
-        object.__setattr__(self, "stacks", stacks)
-        object.__setattr__(self, "graph", graph)
-
-    def stack(self, vertex: int) -> int:
-        """Stack size of 1-based vertex index."""
-        if not 1 <= vertex <= len(self.stacks):
-            raise VertexIndexError(f"vertex {vertex} outside [1, {len(self.stacks)}]")
-        return self.stacks[vertex - 1]
-
-
 def parse_graph(text: str) -> Graph:
     """Parse ``path:<n>`` or an edge-list body with one ``u v`` pair per line."""
     body = text.strip()
@@ -214,25 +199,23 @@ def render_graph(graph: Graph) -> str:
     return "\n".join(f"{u} {v}" for u, v in sorted(graph.edges))
 
 
-def config_from_string(text: str, graph: Graph) -> Configuration:
+def config_from_string(text: str, graph: Graph) -> tuple[int, ...]:
+    """The stacks in ``text``, checked to hold one per vertex of ``graph``."""
     try:
         stacks = tuple(int(tok) for tok in text.strip().split(","))
     except ValueError:
         raise GraphFormatError(f"configuration {text!r} is not comma-separated integers") from None
-    return Configuration(stacks, graph)
+    if len(stacks) != graph.vertex_count:
+        raise ConfigMismatchError(f"{len(stacks)} stacks for {graph.vertex_count} vertices")
+    return stacks
 
 
-def shift(config: Configuration, k: int) -> Configuration:
+def shift(stacks: tuple[int, ...], k: int) -> tuple[int, ...]:
     """Add k to every stack size."""
-    return Configuration(tuple(x + k for x in config.stacks), config.graph)
+    return tuple([x + k for x in stacks])
 
 
 def canonical_stacks(stacks: tuple[int, ...]) -> tuple[int, ...]:
     """The stacks shifted so v_1 holds zero chips."""
     base = stacks[0]
     return tuple([x - base for x in stacks])
-
-
-def canonicalize(config: Configuration) -> Configuration:
-    """Shift so v_1 holds zero chips."""
-    return Configuration(canonical_stacks(config.stacks), config.graph)

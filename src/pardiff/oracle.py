@@ -15,7 +15,8 @@ configuration with fire^2 = id obeys (see _bfs_plan), so one search is
 complete; on a path that window is further capped by the caller's bound b.
 
 On paths, counts come from the automaton in pardiff.pathcount; this search
-produces the configuration lists, and certifies that automaton at small n.
+produces the configuration lists, as plain stack tuples in vertex order,
+and certifies that automaton at small n.
 """
 
 from __future__ import annotations
@@ -24,31 +25,28 @@ from collections import deque
 from operator import itemgetter
 
 from pardiff.errors import CeilingError, DomainError, _bridge_ceiling, _candidate_ceiling
-from pardiff.graphs import (
-    Configuration,
-    Graph,
-    PathGraph,
-    Record,
-    SimpleGraph,
-    frozen_edges,
-)
+from pardiff.graphs import Graph, PathGraph, Record, SimpleGraph, frozen_edges
 
 
 class OracleResult(Record):
-    """Every canonical 2-periodic configuration found within the difference bound."""
+    """Every canonical 2-periodic configuration found within the difference
+    bound, each as its stack tuple."""
 
     __slots__ = _fields = ("n", "diff_bound", "configurations", "count")
 
-    def __init__(self, n: int, diff_bound: int, configurations: tuple[Configuration, ...], count: int):
+    def __init__(self, n: int, diff_bound: int, configurations: tuple[tuple[int, ...], ...], count: int):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "diff_bound", diff_bound)
         object.__setattr__(self, "configurations", configurations)
         object.__setattr__(self, "count", count)
 
 
-def _bfs_plan(graph: Graph, root: int):
+def _bfs_plan(graph: Graph, root: int | None):
     """BFS order plus per-prefix-length firing and checking schedules, and
     the proven difference bound of each tree edge.
+
+    The BFS starts at 0-based vertex ``root``, or at a vertex of maximum
+    degree, the lowest-numbered on ties, if ``root`` is None.
 
     Everything is remapped into BFS-position space. ready1[p] is the prefix
     length at which the one-step value of the vertex at position p is fixed;
@@ -64,6 +62,8 @@ def _bfs_plan(graph: Graph, root: int):
     for u, w in frozen_edges(graph):  # sorted pairs, so each list comes out sorted
         adj0[u].append(w)
         adj0[w].append(u)
+    if root is None:
+        root = max(range(V), key=lambda v: len(adj0[v]))  # max keeps the first maximum
     pos = [-1] * V
     order = [root]
     parent_pos = [0] * V
@@ -93,15 +93,18 @@ def _bfs_plan(graph: Graph, root: int):
     return order, parent_pos, fires_at, checks_at, bounds
 
 
-def _window_search(graph, root0, bounds, collect):
+def _window_search(graph, root0, collect, cap=None):
     """Count (and optionally collect) 2-periodic configurations with the root
-    pinned at zero and the stack difference along the tree edge into each BFS
-    position p >= 1 in [-bounds[p], bounds[p]].
+    (as _bfs_plan picks it from ``root0``) pinned at zero and the stack
+    difference along the tree edge into each BFS position p >= 1 within its
+    proven bound, itself capped at ``cap`` unless that is None.
 
     Differences are tried in increasing order, position 1 first, so the
     configurations come out ordered by their BFS difference vector.
     """
-    order, parent_pos, fires_at, checks_at, _ = _bfs_plan(graph, root0)
+    order, parent_pos, fires_at, checks_at, bounds = _bfs_plan(graph, root0)
+    if cap is not None:
+        bounds = [min(cap, b) for b in bounds]
     V = graph.vertex_count
     if V == 1:
         return 0, []
@@ -191,11 +194,8 @@ def enumerate_p2_configurations(
         raise CeilingError(
             f"{candidates} raw candidates exceed the oracle ceiling {ceiling}"
         )
-    graph = PathGraph(n)
-    bounds = [min(diff_bound, b) for b in _bfs_plan(graph, 0)[-1]]
-    count, raw = _window_search(graph, 0, bounds, collect=True)
-    configs = tuple(Configuration(s, graph) for s in raw)
-    return OracleResult(n=n, diff_bound=diff_bound, configurations=configs, count=count)
+    count, found = _window_search(PathGraph(n), 0, True, diff_bound)
+    return OracleResult(n=n, diff_bound=diff_bound, configurations=tuple(found), count=count)
 
 
 def build_bridge_graph(g0: Graph, base_vertex: int, k: int) -> SimpleGraph:
@@ -255,10 +255,4 @@ def enumerate_p2_on_bridge_graph(
     without them.
     """
     graph = checked_bridge_graph(g0, base_vertex, k)
-    degree = [0] * graph.vertex_count
-    for u, w in frozen_edges(graph):
-        degree[u] += 1
-        degree[w] += 1
-    root0 = degree.index(max(degree))
-    bounds = _bfs_plan(graph, root0)[-1]
-    return _window_search(graph, root0, bounds, collect=False)[0]
+    return _window_search(graph, None, False)[0]

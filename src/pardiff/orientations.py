@@ -24,7 +24,7 @@ from pardiff.errors import (
     IllegalOrientationError,
     _enum_ceiling,
 )
-from pardiff.graphs import Configuration, PathGraph, SENSE_ORDER
+from pardiff.graphs import SENSE_ORDER
 from pardiff.transfer import Automaton
 
 RULE_ADJACENT_FLATS = "AdjacentFlats"
@@ -149,22 +149,16 @@ def count_p2_orientations_recurrence(n: int) -> int:
     return vals[n]
 
 
-def witness_configuration(orient: str) -> Configuration:
-    """A configuration inducing the orientation and already inside a 2-period.
+def witness_configuration(orient: str) -> tuple[int, ...]:
+    """The stacks of a configuration inducing the orientation and already inside a 2-period.
 
     Built right to left from v_1 = 0: one chip more than the previous vertex
     across a Right edge, one less across a Left edge, equal across a Flat edge.
     """
     _require_legal(orient)
-    return _witness(orient)
-
-
-def _witness(orient: str) -> Configuration:
-    """witness_configuration for an orientation already known to be legal."""
-    stacks = _witness_stacks(orient)
-    return Configuration(stacks, PathGraph(len(stacks)))
+    return _witness_stacks(orient)
 
 
 def _witness_stacks(orient: str) -> tuple[int, ...]:
-    """The stacks of _witness(orient), without building the configuration."""
+    """witness_configuration for an orientation already known to be legal."""
     return tuple(accumulate(map(_STEP.__getitem__, orient), initial=0))

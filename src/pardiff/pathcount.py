@@ -14,17 +14,17 @@ automaton's small-n certificate.
 
 from __future__ import annotations
 
-from pardiff.engine import fire_step
+from pardiff.engine import fire_each
 from pardiff.errors import CeilingError, DomainError, _candidate_ceiling
-from pardiff.graphs import Configuration, PathGraph
+from pardiff.graphs import PathGraph
 from pardiff.transfer import Automaton
 
 
 class _OneFiring(dict):
     """Memo from (d_{i-1}, d_i) to the change one firing makes to v_i, where
     d_{i-1} = s_i - s_{i-1}, d_i = s_{i+1} - s_i and None stands for a
-    missing neighbour. Each entry is read off engine.fire_step on the
-    sub-path v_{i-1}..v_{i+1}, which holds every neighbour of v_i.
+    missing neighbour. Each entry is read off one engine.fire_each firing of
+    the sub-path v_{i-1}..v_{i+1}, which holds every neighbour of v_i.
     """
 
     def __missing__(self, key: tuple) -> int:
@@ -34,9 +34,8 @@ class _OneFiring(dict):
             stacks.insert(0, -before)
         if after is not None:
             stacks.append(after)
-        graph = PathGraph(len(stacks))
-        fired = fire_step(graph, Configuration(tuple(stacks), graph))
-        self[key] = change = fired.stacks[before is not None]
+        fired = fire_each(PathGraph(len(stacks)), (stacks,))[0]
+        self[key] = change = fired[before is not None]
         return change
 
 

@@ -21,13 +21,11 @@ from itertools import product
 from pardiff import counting, engine, oracle, orientations, pathcount
 from pardiff.errors import CeilingError, DomainError, _enum_ceiling
 from pardiff.graphs import (
-    Configuration,
     PathGraph,
     SENSE_ORDER,
     Record,
     SimpleGraph,
     canonical_stacks,
-    canonicalize,
     flipped,
     frozen_edges,
     mirrored,
@@ -102,7 +100,7 @@ class _RunInputs:
         # (n, Counter of orientations) for each of those lists, in the same order.
         self.oracle_tallies = cache(
             lambda: [
-                (r.n, Counter(engine.orientation_of_stacks(c.stacks) for c in r.configurations))
+                (r.n, Counter(map(engine.orientation_of_stacks, r.configurations)))
                 for r in self.oracle_lists()
             ]
         )
@@ -173,8 +171,8 @@ def _random_connected_graph(rng: random.Random) -> SimpleGraph:
     return SimpleGraph(vertex_count=m, edges=frozenset(edges))
 
 
-def _random_config(rng: random.Random, graph) -> Configuration:
-    return Configuration(tuple(rng.randint(-5, 5) for _ in range(graph.vertex_count)), graph)
+def _random_config(rng: random.Random, graph) -> tuple[int, ...]:
+    return tuple(rng.randint(-5, 5) for _ in range(graph.vertex_count))
 
 
 def _random_graph_and_config(rng):
@@ -203,9 +201,9 @@ def _chk_canonical_idempotent(cfg: VerifyConfig, inputs: _RunInputs):
     rng = random.Random(_RNG_SEED)
     for _ in range(_RANDOM_TRIALS):
         _, c = _random_graph_and_config(rng)
-        once = canonicalize(c)
-        if canonicalize(once) != once:
-            return f"not idempotent on stacks {c.stacks}"
+        once = canonical_stacks(c)
+        if canonical_stacks(once) != once:
+            return f"not idempotent on stacks {c}"
     return None
 
 
@@ -216,7 +214,7 @@ def _chk_shift_composition(cfg: VerifyConfig, inputs: _RunInputs):
         _, c = _random_graph_and_config(rng)
         a, b = rng.randint(-9, 9), rng.randint(-9, 9)
         if shift(shift(c, a), b) != shift(c, a + b):
-            return f"shift composition broke on stacks {c.stacks}, a={a}, b={b}"
+            return f"shift composition broke on stacks {c}, a={a}, b={b}"
     return None
 
 
@@ -239,9 +237,9 @@ def _chk_conservation(cfg: VerifyConfig, inputs: _RunInputs):
     rng = random.Random(_RNG_SEED + 3)
     for _ in range(_RANDOM_TRIALS):
         graph, c = _random_graph_and_config(rng)
-        fired = engine.fire_step(graph, c)
-        if sum(fired.stacks) != sum(c.stacks):
-            return f"chip total changed on {render_graph(graph)!r} stacks {c.stacks}"
+        fired = engine.fire_each(graph, (c,))[0]
+        if sum(fired) != sum(c):
+            return f"chip total changed on {render_graph(graph)!r} stacks {c}"
     return None
 
 
@@ -251,19 +249,19 @@ def _chk_equivariance(cfg: VerifyConfig, inputs: _RunInputs):
     for _ in range(_RANDOM_TRIALS):
         graph, c = _random_graph_and_config(rng)
         k = rng.randint(-7, 7)
-        if engine.fire_step(graph, shift(c, k)) != shift(engine.fire_step(graph, c), k):
-            return f"firing does not commute with shift {k} on stacks {c.stacks}"
+        moved, fired = engine.fire_each(graph, (shift(c, k), c))
+        if moved != shift(fired, k):
+            return f"firing does not commute with shift {k} on stacks {c}"
     return None
 
 
 @_check("engine", "period-reversal")
 def _chk_period_reversal(cfg: VerifyConfig, inputs: _RunInputs):
     for n in range(3, 11):
-        graph = PathGraph(n)
-        for orient in inputs.orientations(n):
-            c = orientations._witness(orient)  # enumerator output, legal already
-            fired = engine.fire_step(graph, c)
-            if engine.induced_orientation(graph, fired) != flipped(orient):
+        listed = inputs.orientations(n)  # enumerator output, legal already
+        witnesses = [orientations._witness_stacks(orient) for orient in listed]
+        for orient, fired in zip(listed, engine.fire_each(PathGraph(n), witnesses)):
+            if engine.orientation_of_stacks(fired) != flipped(orient):
                 return f"orientation {orient} not reversed after firing"
     return None
 
@@ -272,7 +270,7 @@ def _chk_period_reversal(cfg: VerifyConfig, inputs: _RunInputs):
 def _chk_random_period(cfg: VerifyConfig, inputs: _RunInputs):
     for graph, c, report in inputs.random_periods():
         if report.period not in (1, 2):
-            return f"period {report.period} on {render_graph(graph)!r} stacks {c.stacks}"
+            return f"period {report.period} on {render_graph(graph)!r} stacks {c}"
     return None
 
 
@@ -286,7 +284,7 @@ def _chk_edge_reversal(cfg: VerifyConfig, inputs: _RunInputs):
             continue
         edges = frozen_edges(graph)
         degree = Counter(v for edge in edges for v in edge)
-        a, b = (c.stacks for c in report.orbit)
+        a, b = report.orbit
         for u, w in edges:
             before, after = a[u] - a[w], b[u] - b[w]
             if (before > 0) - (before < 0) != (after < 0) - (after > 0):
@@ -305,13 +303,13 @@ def _chk_fixed_points(cfg: VerifyConfig, inputs: _RunInputs):
     for _ in range(_RANDOM_TRIALS):
         graph = _random_connected_graph(rng)
         c = _random_config(rng, graph)
-        fixed = engine.fire_step(graph, c) == c
-        equal = len(set(c.stacks)) == 1
+        fixed = engine.fire_each(graph, (c,))[0] == c
+        equal = len(set(c)) == 1
         if fixed != equal:
-            return f"fixed={fixed} but all-equal={equal} on {render_graph(graph)!r} stacks {c.stacks}"
+            return f"fixed={fixed} but all-equal={equal} on {render_graph(graph)!r} stacks {c}"
         report = engine.detect_period(graph, c, engine.default_max_steps(graph))
-        if report.period == 1 and set(canonicalize(report.orbit[0]).stacks) != {0}:
-            return f"period-1 orbit {report.orbit[0].stacks} does not canonicalize to zero"
+        if report.period == 1 and set(canonical_stacks(report.orbit[0])) != {0}:
+            return f"period-1 orbit {report.orbit[0]} does not canonicalize to zero"
     return None
 
 
@@ -523,7 +521,7 @@ def _chk_refinement(cfg: VerifyConfig, inputs: _RunInputs):
 def _chk_orbit_pairing(cfg: VerifyConfig, inputs: _RunInputs):
     for result in inputs.oracle_lists():
         n = result.n
-        listed = [c.stacks for c in result.configurations]
+        listed = result.configurations
         members = set(listed)  # the oracle lists each with v_1 = 0
         for stacks, fired in zip(listed, engine.fire_each(PathGraph(n), listed)):
             if canonical_stacks(fired) not in members:

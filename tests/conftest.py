@@ -2,8 +2,8 @@ import itertools
 
 import pytest
 
-from pardiff.engine import fire_step
-from pardiff.graphs import Configuration, PathGraph
+from pardiff.engine import fire_each
+from pardiff.graphs import PathGraph
 from pardiff.oracle import enumerate_p2_configurations
 
 
@@ -32,8 +32,8 @@ def naive_p2_path(n, bound=3):
         stacks = [0]
         for d in diffs:
             stacks.append(stacks[-1] + d)
-        c = Configuration(tuple(stacks), graph)
-        once = fire_step(graph, c)
-        if once != c and fire_step(graph, once) == c:
+        c = tuple(stacks)
+        (once,) = fire_each(graph, (c,))
+        if once != c and fire_each(graph, (once,)) == [c]:
             found.append(c)
     return found

@@ -23,7 +23,7 @@ from pardiff.counting import (
     multiplier_vector,
 )
 from pardiff.engine import run_sequence
-from pardiff.graphs import Configuration, PathGraph
+from pardiff.graphs import PathGraph
 from pardiff.orientations import count_p2_orientations_recurrence, enumerate_p2_orientations
 from pardiff.verify import VerifyConfig, run_suites
 
@@ -73,7 +73,7 @@ def test_criterion_01_p5_demo_run(tmp_path):
     assert report["period"] == 2
 
     graph = PathGraph(5)
-    start = Configuration((0, 2, 0, 4, 1), graph)
+    start = (0, 2, 0, 4, 1)
     best = min(
         _timed(lambda: run_sequence(graph, start, 6)) for _ in range(5)
     )

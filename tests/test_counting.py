@@ -239,6 +239,10 @@ def test_direct_count_decomposition_n5():
 
 
 def test_summation_route():
+    assert count_T_summation(1) == 0  # as the recurrence and direct routes give
+    with pytest.raises(DomainError):
+        count_T_summation(0)
+    assert count_T_summation(2) == 2
     assert count_T_summation(3) == 8
     assert count_T_summation(4) == 26
     assert count_T_summation(5) == 96

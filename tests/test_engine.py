@@ -1,5 +1,7 @@
 """Firing engine: stepping, traces, period detection, induced senses.
 
+Configurations are plain stack tuples; the graph is always its own argument.
+
 The 5-vertex demo run used throughout (initial stacks 0,2,0,4,1) settles into
 a 2-cycle after three steps; its seven configurations are frozen here from a
 hand simulation of the firing rule.
@@ -16,9 +18,8 @@ from pardiff.engine import (
     default_max_steps,
     detect_period,
     fire_each,
-    fire_step,
-    induced_orientation,
     is_inside_period,
+    orientation_of_stacks,
     run_sequence,
 )
 from pardiff import engine, graphs
@@ -29,16 +30,15 @@ from pardiff.errors import (
     StackLimitError,
 )
 from pardiff.graphs import (
-    Configuration,
     PathGraph,
     SimpleGraph,
-    canonicalize,
+    canonical_stacks,
     flipped,
     shift,
 )
 
 P5 = PathGraph(5)
-DEMO_START = Configuration((0, 2, 0, 4, 1), P5)
+DEMO_START = (0, 2, 0, 4, 1)
 DEMO_TRACE = [
     (0, 2, 0, 4, 1),
     (1, 0, 2, 2, 2),
@@ -50,27 +50,36 @@ DEMO_TRACE = [
 ]
 
 
+def _fire(graph, stacks):
+    """One firing of one configuration: fire_each on a batch of one."""
+    return fire_each(graph, (stacks,))[0]
+
+
 def test_fire_step_demo():
-    assert fire_step(P5, DEMO_START).stacks == (1, 0, 2, 2, 2)
+    assert _fire(P5, DEMO_START) == (1, 0, 2, 2, 2)
 
 
 @pytest.mark.parametrize("stacks", [(0, 0, 0), (7, 7, 7, 7), (-2, -2)])
 def test_fire_step_all_equal_is_fixed(stacks):
     g = PathGraph(len(stacks))
-    c = Configuration(stacks, g)
-    assert fire_step(g, c) == c
+    assert _fire(g, stacks) == stacks
 
 
 def test_fire_step_star_goes_into_debt():
     star = SimpleGraph.from_edge_list([(1, 2), (1, 3), (1, 4)])
-    c = Configuration((2, 0, 0, 0), star)
-    assert fire_step(star, c).stacks == (-1, 1, 1, 1)
+    assert _fire(star, (2, 0, 0, 0)) == (-1, 1, 1, 1)
 
 
 def test_fire_step_length_mismatch():
-    for call in (fire_step, lambda g, c: detect_period(g, c, 10), is_inside_period):
+    calls = (
+        _fire,
+        lambda g, c: run_sequence(g, c, 3),
+        lambda g, c: detect_period(g, c, 10),
+        is_inside_period,
+    )
+    for call in calls:
         with pytest.raises(ConfigMismatchError, match="2 stacks for 5 vertices"):
-            call(P5, Configuration((0, 1), PathGraph(2)))
+            call(P5, (0, 1))
     # in a batch, the first tuple of the wrong length raises, wherever it stands
     with pytest.raises(ConfigMismatchError, match="^2 stacks for 5 vertices$"):
         fire_each(P5, [(0, 2, 0, 4, 1), (0, 1), (9, 9, 9)])
@@ -92,9 +101,9 @@ def test_edges_built_once_per_graph(monkeypatch):
     monkeypatch.setattr(graphs.PathGraph, "edges", property(counted))
     graphs.frozen_edges.cache_clear()
     g = PathGraph(6)
-    c = Configuration((0, 3, 1, 4, 1, 5), g)
+    c = (0, 3, 1, 4, 1, 5)
     for _ in range(50):
-        c = fire_step(g, c)
+        c = _fire(g, c)
     detect_period(PathGraph(6), c, 100)
     is_inside_period(g, c)
     assert builds == [g]
@@ -105,20 +114,20 @@ def test_stack_limit_guard():
     big = 2**63 - 1
     p2 = PathGraph(2)
     with pytest.raises(StackLimitError):
-        fire_step(p2, Configuration((big + 1, 0), p2))
+        _fire(p2, (big + 1, 0))
     star = SimpleGraph.from_edge_list([(1, 2), (1, 3), (1, 4)])
     # the centre gains three chips and leaves the signed 64-bit range
     with pytest.raises(StackLimitError):
-        fire_step(star, Configuration((big - 1, big, big, big), star))
+        _fire(star, (big - 1, big, big, big))
     low = -(2**63)
     with pytest.raises(StackLimitError, match=str(low - 1)):
-        fire_step(p2, Configuration((0, low - 1), p2))
+        _fire(p2, (0, low - 1))
     # the centre sends a chip to each of three poorer leaves and drops below the range
     with pytest.raises(StackLimitError, match=str(low - 2)):
-        fire_step(star, Configuration((low + 1, low, low, low), star))
+        _fire(star, (low + 1, low, low, low))
     # the first of the two firings already leaves the range
     with pytest.raises(StackLimitError, match=str(big + 2)):
-        is_inside_period(star, Configuration((big - 1, big, big, big), star))
+        is_inside_period(star, (big - 1, big, big, big))
 
 
 def _reference_step(graph, stacks):
@@ -163,69 +172,68 @@ def test_stack_limit_boundary(graph, stacks):
         for v in (max(stacks), min(stacks), max(out), min(out))
         if not I64_LOW <= v <= I64_HIGH
     ]
-    config = Configuration(stacks, graph)
     # the batch kernel gives the same verdict on the tuple when it comes second
     quiet = (0, 1, 0, 1)
     if offending:
         with pytest.raises(StackLimitError, match=f"^stack size {offending[0]} outside"):
-            fire_step(graph, config)
+            _fire(graph, stacks)
         with pytest.raises(StackLimitError, match=f"^stack size {offending[0]} outside"):
             fire_each(graph, [quiet, stacks])
     else:
-        assert fire_step(graph, config).stacks == out
+        assert _fire(graph, stacks) == out
         assert fire_each(graph, [quiet, stacks]) == [_reference_step(graph, quiet), out]
 
 
 def test_run_sequence_demo():
     trace = run_sequence(P5, DEMO_START, 6)
-    assert [c.stacks for c in trace] == DEMO_TRACE
+    assert list(trace) == DEMO_TRACE
     assert trace[0] == DEMO_START
 
 
 def test_run_sequence_constant():
     g = PathGraph(3)
-    trace = run_sequence(g, Configuration((0, 0, 0), g), 4)
-    assert len(trace) == 5 and all(c.stacks == (0, 0, 0) for c in trace)
+    trace = run_sequence(g, (0, 0, 0), 4)
+    assert len(trace) == 5 and all(c == (0, 0, 0) for c in trace)
 
 
 def test_run_sequence_two_cycle():
     g = PathGraph(2)
-    trace = run_sequence(g, Configuration((0, 1), g), 2)
-    assert [c.stacks for c in trace] == [(0, 1), (1, 0), (0, 1)]
+    trace = run_sequence(g, (0, 1), 2)
+    assert trace == ((0, 1), (1, 0), (0, 1))
 
 
 def test_detect_period_demo():
     report = detect_period(P5, DEMO_START, 100)
     assert (report.preperiod, report.period) == (3, 2)
-    assert [c.stacks for c in report.orbit] == [(1, 0, 3, 1, 2), (0, 2, 1, 3, 1)]
+    assert report.orbit == ((1, 0, 3, 1, 2), (0, 2, 1, 3, 1))
 
 
 def test_detect_period_fixed_point():
     g = PathGraph(4)
-    report = detect_period(g, Configuration((0, 0, 0, 0), g), 10)
+    report = detect_period(g, (0, 0, 0, 0), 10)
     assert (report.preperiod, report.period) == (0, 1)
-    assert report.orbit[0].stacks == (0, 0, 0, 0)
+    assert report.orbit == ((0, 0, 0, 0),)
 
 
 def test_detect_period_preperiod_one():
     g = PathGraph(2)
-    report = detect_period(g, Configuration((0, 3), g), 50)
+    report = detect_period(g, (0, 3), 50)
     assert (report.preperiod, report.period) == (1, 2)
-    assert [c.stacks for c in report.orbit] == [(1, 2), (2, 1)]
+    assert report.orbit == ((1, 2), (2, 1))
 
 
 def test_detect_period_budget_too_small():
     g = PathGraph(2)
     with pytest.raises(PeriodNotFoundError):
-        detect_period(g, Configuration((0, 3), g), 2)
+        detect_period(g, (0, 3), 2)
     with pytest.raises(ValueError):
-        detect_period(g, Configuration((0, 3), g), 1)
+        detect_period(g, (0, 3), 1)
 
 
 def test_default_budget_is_capped(monkeypatch):
     assert default_max_steps(P5) == engine.PERIOD_STEP_CAP // 5
     g = PathGraph(3)
-    c = Configuration((10**5, 0, 0), g)
+    c = (10**5, 0, 0)
     assert default_max_steps(g) == engine.PERIOD_STEP_CAP // 3
     report = detect_period(g, c, default_max_steps(g))  # a preperiod of about 2/3 of the spread
     assert 60000 < report.preperiod < 70000
@@ -243,7 +251,7 @@ def test_longer_cycles_flagged_as_engine_bug(monkeypatch):
     monkeypatch.setattr(engine, "_fire_raw", lambda stacks, adj: stacks[1:] + stacks[:1])
     g = PathGraph(3)
     with pytest.raises(InternalInconsistencyError, match="^repeat at offset 3;"):
-        detect_period(g, Configuration((0, 1, 2), g), 50)
+        detect_period(g, (0, 1, 2), 50)
     # a tail of mu steps into a cycle of lam states; mu = 0 returns to C_0.
     # Brent's mark catches the cycle by step 3 * max(mu, lam), at offset lam.
     g = PathGraph(1)
@@ -252,12 +260,12 @@ def test_longer_cycles_flagged_as_engine_bug(monkeypatch):
             step = lambda stacks, adj: (stacks[0] + 1 if stacks[0] < mu + lam - 1 else mu,)
             monkeypatch.setattr(engine, "_fire_raw", step)
             with pytest.raises(InternalInconsistencyError, match=f"^repeat at offset {lam};"):
-                detect_period(g, Configuration((0,), g), 3 * (mu + lam))
+                detect_period(g, (0,), 3 * (mu + lam))
 
 
 def test_detect_period_memory_does_not_grow_with_steps():
     g = PathGraph(3)
-    c = Configuration((30000, 0, 0), g)
+    c = (30000, 0, 0)
     budget = default_max_steps(g)
     tracemalloc.start()
     try:
@@ -273,20 +281,19 @@ def test_period_report_json_shape():
     report = detect_period(P5, DEMO_START, 100)
     assert PeriodReport._fields == ("preperiod", "period", "orbit")
     assert (report.preperiod, report.period) == (3, 2)
-    assert report.orbit == (Configuration((1, 0, 3, 1, 2), P5), Configuration((0, 2, 1, 3, 1), P5))
+    assert report.orbit == ((1, 0, 3, 1, 2), (0, 2, 1, 3, 1))
 
 
 def test_induced_orientation_examples():
-    assert induced_orientation(P5, Configuration((12, 2, 8, 9, 15), P5)) == "LRRR"
-    assert induced_orientation(P5, Configuration((4, 4, 4, 4, 4), P5)) == "FFFF"
-    g3 = PathGraph(3)
-    assert induced_orientation(g3, Configuration((0, 1, 2), g3)) == "RR"
+    assert orientation_of_stacks((12, 2, 8, 9, 15)) == "LRRR"
+    assert orientation_of_stacks((4, 4, 4, 4, 4)) == "FFFF"
+    assert orientation_of_stacks((0, 1, 2)) == "RR"
 
 
 def test_is_inside_period_examples():
-    assert is_inside_period(P5, Configuration((1, 0, 3, 1, 2), P5))
-    assert is_inside_period(P5, Configuration((0, 0, 0, 0, 0), P5))
-    assert not is_inside_period(PathGraph(2), Configuration((0, 3), PathGraph(2)))
+    assert is_inside_period(P5, (1, 0, 3, 1, 2))
+    assert is_inside_period(P5, (0, 0, 0, 0, 0))
+    assert not is_inside_period(PathGraph(2), (0, 3))
 
 
 @st.composite
@@ -314,7 +321,7 @@ def graph_and_config(draw):
             st.integers(-5, 5), min_size=graph.vertex_count, max_size=graph.vertex_count
         )
     )
-    return graph, Configuration(tuple(stacks), graph)
+    return graph, tuple(stacks)
 
 
 @st.composite
@@ -338,7 +345,7 @@ def branching_cyclic_configs(draw):
 @given(branching_cyclic_configs())
 def test_fire_step_matches_per_vertex_rule(gs):
     graph, stacks = gs
-    assert fire_step(graph, Configuration(stacks, graph)).stacks == _reference_step(graph, stacks)
+    assert _fire(graph, stacks) == _reference_step(graph, stacks)
 
 
 @given(branching_cyclic_configs(), st.data())
@@ -347,19 +354,19 @@ def test_fire_each_matches_fire_step(gs, data):
     m = graph.vertex_count
     rest = data.draw(st.lists(st.tuples(*[st.integers(-4, 4)] * m), max_size=4))
     batch = [first, *rest]
-    assert fire_each(graph, batch) == [fire_step(graph, Configuration(s, graph)).stacks for s in batch]
+    assert fire_each(graph, batch) == [_fire(graph, s) for s in batch]
 
 
 @given(graph_and_config())
 def test_chip_conservation(gc):
     graph, c = gc
-    assert sum(fire_step(graph, c).stacks) == sum(c.stacks)
+    assert sum(_fire(graph, c)) == sum(c)
 
 
 @given(graph_and_config(), st.integers(-10, 10))
 def test_shift_equivariance(gc, k):
     graph, c = gc
-    assert fire_step(graph, shift(c, k)) == shift(fire_step(graph, c), k)
+    assert _fire(graph, shift(c, k)) == shift(_fire(graph, c), k)
 
 
 @given(graph_and_config())
@@ -370,10 +377,10 @@ def test_period_is_one_or_two(gc):
     assert report.period in (1, 2)
     if report.period == 1:
         # the only fixed points on a connected graph are the flat configurations
-        assert len(set(report.orbit[0].stacks)) == 1
-        assert set(canonicalize(report.orbit[0]).stacks) == {0}
+        assert len(set(report.orbit[0])) == 1
+        assert set(canonical_stacks(report.orbit[0])) == {0}
     else:
-        again = fire_step(graph, fire_step(graph, report.orbit[0]))
+        again = _fire(graph, _fire(graph, report.orbit[0]))
         assert again == report.orbit[0]
 
 
@@ -385,12 +392,12 @@ def test_orbit_orientation_reverses_on_paths(gc):
         return
     report = detect_period(graph, c, default_max_steps(graph))
     inside = report.orbit[0]
-    fired = fire_step(graph, inside)
-    assert induced_orientation(graph, fired) == flipped(induced_orientation(graph, inside))
+    fired = _fire(graph, inside)
+    assert orientation_of_stacks(fired) == flipped(orientation_of_stacks(inside))
 
 
 @given(graph_and_config())
 @settings(max_examples=60)
 def test_fixed_iff_all_equal_on_connected(gc):
     graph, c = gc
-    assert (fire_step(graph, c) == c) == (len(set(c.stacks)) == 1)
+    assert (_fire(graph, c) == c) == (len(set(c)) == 1)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pardiff.engine import induced_orientation
+from pardiff.engine import orientation_of_stacks
 from pardiff.errors import (
     ConfigMismatchError,
     DuplicateEdgeError,
@@ -13,10 +13,9 @@ from pardiff.errors import (
     VertexIndexError,
 )
 from pardiff.graphs import (
-    Configuration,
     PathGraph,
     SimpleGraph,
-    canonicalize,
+    canonical_stacks,
     config_from_string,
     flipped,
     mirrored,
@@ -56,47 +55,38 @@ def test_parse_errors_are_named(text, exc):
 
 
 def test_shift_examples():
-    p2 = PathGraph(2)
-    assert shift(Configuration((0, 1), p2), -1).stacks == (-1, 0)
-    p5 = PathGraph(5)
-    assert shift(Configuration((0, 2, -1, 2, 0), p5), -1).stacks == (-1, 1, -2, 1, -1)
-    c = Configuration((4, -3, 7), PathGraph(3))
+    assert shift((0, 1), -1) == (-1, 0)
+    assert shift((0, 2, -1, 2, 0), -1) == (-1, 1, -2, 1, -1)
+    c = (4, -3, 7)
     assert shift(c, 0) == c
 
 
 def test_canonicalize_examples():
-    assert canonicalize(Configuration((3, 4, 4), PathGraph(3))).stacks == (0, 1, 1)
-    fixed = Configuration((0, -1), PathGraph(2))
-    assert canonicalize(fixed) == fixed
-    c = Configuration((1, 0, 1, 0, 1), PathGraph(5))
-    expected = tuple(x - c.stacks[0] for x in c.stacks)
-    assert canonicalize(c).stacks == expected == (0, -1, 0, -1, 0)
+    assert canonical_stacks((3, 4, 4)) == (0, 1, 1)
+    fixed = (0, -1)
+    assert canonical_stacks(fixed) == fixed
+    c = (1, 0, 1, 0, 1)
+    expected = tuple(x - c[0] for x in c)
+    assert canonical_stacks(c) == expected == (0, -1, 0, -1, 0)
 
 
 def test_configuration_length_checked():
-    with pytest.raises(ConfigMismatchError):
-        Configuration((0, 1, 2), PathGraph(2))
-
-
-def test_configuration_one_based_access():
-    c = Configuration((5, 6, 7), PathGraph(3))
-    assert c.stack(1) == 5
-    assert c.stack(3) == 7
-    with pytest.raises(VertexIndexError):
-        c.stack(0)
+    # outside input is checked against its graph when it is parsed
+    with pytest.raises(ConfigMismatchError, match="^3 stacks for 2 vertices$"):
+        config_from_string("0,1,2", PathGraph(2))
 
 
 def test_config_string_round_trip():
     g = PathGraph(4)
     c = config_from_string("0,-2,5,1", g)
-    assert c.stacks == (0, -2, 5, 1)
+    assert c == (0, -2, 5, 1)
     with pytest.raises(GraphFormatError):
         config_from_string("0,x,1,2", g)
 
 
 def test_orientation_string_round_trip():
     # a sense string, built into its witness and read back off the stacks
-    assert induced_orientation(PathGraph(6), witness_configuration("RLFRL")) == "RLFRL"
+    assert orientation_of_stacks(witness_configuration("RLFRL")) == "RLFRL"
     with pytest.raises(GraphFormatError):
         check_p2_orientation("RLX")
 
@@ -114,17 +104,14 @@ def test_self_loop_rejected_in_constructor():
         SimpleGraph(vertex_count=2, edges=frozenset({(1, 1)}))
 
 
-configs = st.builds(
-    lambda stacks: Configuration(tuple(stacks), PathGraph(len(stacks))),
-    st.lists(st.integers(-50, 50), min_size=1, max_size=12),
-)
+configs = st.builds(tuple, st.lists(st.integers(-50, 50), min_size=1, max_size=12))
 
 
 @given(configs)
 def test_canonicalize_idempotent(c):
-    once = canonicalize(c)
-    assert canonicalize(once) == once
-    assert once.stacks[0] == 0
+    once = canonical_stacks(c)
+    assert canonical_stacks(once) == once
+    assert once[0] == 0
 
 
 @given(configs, st.integers(-20, 20), st.integers(-20, 20))

@@ -7,9 +7,9 @@ import pytest
 
 from pardiff import oracle, pathcount
 from pardiff.counting import count_T_recurrence
-from pardiff.engine import fire_each, fire_step
+from pardiff.engine import fire_each
 from pardiff.errors import CeilingError, DomainError
-from pardiff.graphs import Configuration, PathGraph, SimpleGraph
+from pardiff.graphs import PathGraph, SimpleGraph
 from pardiff.oracle import (
     build_bridge_graph,
     enumerate_p2_configurations,
@@ -27,8 +27,8 @@ K4 = SimpleGraph.from_edge_list([(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
 
 def test_pruned_search_equals_full_iteration():
     for n in range(2, 7):
-        naive = [c.stacks for c in naive_p2_path(n)]
-        pruned = [c.stacks for c in enumerate_p2_configurations(n).configurations]
+        naive = naive_p2_path(n)
+        pruned = list(enumerate_p2_configurations(n).configurations)
         assert sorted(pruned) == sorted(naive)
         assert len(pruned) == len(set(pruned))
 
@@ -36,7 +36,7 @@ def test_pruned_search_equals_full_iteration():
 def test_two_vertex_members():
     result = enumerate_p2_configurations(2)
     assert result.count == 2
-    assert {c.stacks for c in result.configurations} == {(0, 1), (0, -1)}
+    assert set(result.configurations) == {(0, 1), (0, -1)}
 
 
 @pytest.mark.parametrize("n,count", [(3, 8), (4, 26), (5, 96)])
@@ -53,29 +53,36 @@ def test_member_invariants(oracle_runs):
     result = oracle_runs(5)
     graph = PathGraph(5)
     for c in result.configurations:
-        assert c.stacks[0] == 0
-        assert all(abs(c.stacks[i + 1] - c.stacks[i]) <= 3 for i in range(4))
-        once = fire_step(graph, c)
-        assert once != c and fire_step(graph, once) == c
+        assert c[0] == 0
+        assert all(abs(c[i + 1] - c[i]) <= 3 for i in range(4))
+        (once,) = fire_each(graph, (c,))
+        assert once != c and fire_each(graph, (once,)) == [c]
     assert result.count == len(result.configurations)
 
 
 def test_members_ordered_by_difference_vector(oracle_runs):
     result = oracle_runs(5)
     diffs = [
-        tuple(c.stacks[i + 1] - c.stacks[i] for i in range(4)) for c in result.configurations
+        tuple(c[i + 1] - c[i] for i in range(4)) for c in result.configurations
     ]
     assert diffs == sorted(diffs)
 
 
 @pytest.mark.parametrize("diff_bound", [1, 2, 3, 4])
-def test_capped_windows_list_what_the_plain_window_lists(diff_bound):
+def test_capped_windows_list_what_the_plain_window_lists(diff_bound, monkeypatch):
     # capping each edge at its proven bound (2 on a leaf edge) drops no
     # configuration and keeps the order, whatever diff_bound is
-    for n in range(2, 9):
-        plain = oracle._window_search(PathGraph(n), 0, [diff_bound] * n, True)[1]
-        listed = enumerate_p2_configurations(n, diff_bound).configurations
-        assert [c.stacks for c in listed] == plain, n
+    listed = {n: enumerate_p2_configurations(n, diff_bound).configurations for n in range(2, 9)}
+    # the plain window: the same search with every proven bound replaced by diff_bound
+    real_plan = oracle._bfs_plan
+
+    def plain_plan(graph, root):
+        return (*real_plan(graph, root)[:-1], [diff_bound] * graph.vertex_count)
+
+    monkeypatch.setattr(oracle, "_bfs_plan", plain_plan)
+    for n, configurations in listed.items():
+        plain = oracle._window_search(PathGraph(n), 0, True, diff_bound)[1]
+        assert list(configurations) == plain, n
 
 
 @pytest.mark.parametrize("diff_bound", [2, 3, 4])
@@ -88,12 +95,11 @@ def test_search_off_a_path_lists_vertex_ordered_two_periods():
     # the search runs in breadth-first positions; each configuration it lists,
     # mapped back to vertex order, must fire to another one and back
     graph = build_bridge_graph(TRIANGLE, 1, 4)
-    count, found = oracle._window_search(graph, 6, [3] * graph.vertex_count, True)
+    count, found = oracle._window_search(graph, 6, True)
     assert count == len(found) == len(set(found)) > 0
-    for stacks in found:
-        c = Configuration(stacks, graph)
-        once = fire_step(graph, c)
-        assert stacks[6] == 0 and once != c and fire_step(graph, once) == c, stacks
+    once = fire_each(graph, found)
+    for stacks, fired, twice in zip(found, once, fire_each(graph, once)):
+        assert stacks[6] == 0 and fired != stacks and twice == stacks, stacks
 
 
 def test_candidate_ceiling():
@@ -145,12 +151,12 @@ def test_window_dp_ceiling(monkeypatch):
 def test_path_automaton_builds_share_one_firing_memo(monkeypatch):
     calls = []
 
-    def counted(graph, config):
-        calls.append(config.stacks)
-        return fire_step(graph, config)
+    def counted(graph, batch):
+        calls.extend(batch)
+        return fire_each(graph, batch)
 
     monkeypatch.setattr(pathcount, "_ONE_FIRING", pathcount._OneFiring())
-    monkeypatch.setattr(pathcount, "fire_step", counted)
+    monkeypatch.setattr(pathcount, "fire_each", counted)
     first = count_p2_sequence(12, 3)
     held = len(pathcount._ONE_FIRING)
     assert len(calls) == held > 0
@@ -257,7 +263,7 @@ def test_bridge_bounds_are_reached(g0, k, short):
     # bridge and the star, so a smaller bound there would undercount; the
     # triangle's own edges stop one short of theirs
     graph, root0, order, parent_pos, bounds = _proven_bounds(g0, k)
-    _, found = oracle._window_search(graph, root0, bounds, True)
+    _, found = oracle._window_search(graph, root0, True)
     for p in range(1, graph.vertex_count):
         u, v = order[p], order[parent_pos[p]]
         edge = (min(u, v) + 1, max(u, v) + 1)
@@ -282,8 +288,7 @@ def test_bridge_count_is_the_same_from_every_root(g0, base_vertex, k):
     graph = build_bridge_graph(g0, base_vertex, k)
     got = enumerate_p2_on_bridge_graph(g0, base_vertex, k)
     for root0 in range(graph.vertex_count):
-        bounds = oracle._bfs_plan(graph, root0)[-1]
-        assert oracle._window_search(graph, root0, bounds, False)[0] == got, root0
+        assert oracle._window_search(graph, root0, False)[0] == got, root0
 
 
 def test_bridge_requires_connected_g0(monkeypatch):

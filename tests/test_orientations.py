@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pardiff.engine import fire_step
+from pardiff.engine import fire_each
 from pardiff.errors import CeilingError, DomainError, IllegalOrientationError
 from pardiff.graphs import SENSE_ORDER, PathGraph, flipped, mirrored
 from pardiff.orientations import (
@@ -130,17 +130,17 @@ def test_recurrence_values():
 
 
 def test_witness_examples():
-    assert witness_configuration("RLRL").stacks == (0, 1, 0, 1, 0)
-    assert witness_configuration("RFL").stacks == (0, 1, 1, 0)
-    assert witness_configuration("L").stacks == (0, -1)
+    assert witness_configuration("RLRL") == (0, 1, 0, 1, 0)
+    assert witness_configuration("RFL") == (0, 1, 1, 0)
+    assert witness_configuration("L") == (0, -1)
 
 
 def test_witness_rfl_is_two_periodic():
     c = witness_configuration("RFL")
     g = PathGraph(4)
-    once = fire_step(g, c)
+    (once,) = fire_each(g, (c,))
     assert once != c
-    assert fire_step(g, once) == c
+    assert fire_each(g, (once,)) == [c]
 
 
 def test_witness_rejects_illegal():

@@ -10,22 +10,17 @@ import pytest
 from pardiff.cli import main
 from pardiff.counting import AsymptoticModel
 from pardiff.engine import PeriodReport
-from pardiff.graphs import Configuration, PathGraph, SimpleGraph
+from pardiff.graphs import PathGraph, SimpleGraph
 from pardiff.oracle import OracleResult
 from pardiff.verify import CheckResult, VerifyConfig
-
-
-def _config(*stacks):
-    return Configuration(stacks, PathGraph(len(stacks)))
 
 
 # Each factory builds a fresh record, so two calls give equal, distinct objects.
 FACTORIES = {
     "SimpleGraph": lambda: SimpleGraph(3, frozenset({(1, 2), (2, 3)})),
     "PathGraph": lambda: PathGraph(4),
-    "Configuration": lambda: _config(0, 1, 0),
-    "PeriodReport": lambda: PeriodReport(1, 2, (_config(0, 1), _config(0, -1))),
-    "OracleResult": lambda: OracleResult(2, 3, (_config(0, 1), _config(0, -1)), 2),
+    "PeriodReport": lambda: PeriodReport(1, 2, ((0, 1), (1, 0))),
+    "OracleResult": lambda: OracleResult(2, 3, ((0, 1), (0, -1)), 2),
     "AsymptoticModel": lambda: AsymptoticModel((3.6 + 0j, -0.5 + 0.2j), 3.6, 0.25),
     "VerifyConfig": lambda: VerifyConfig(max_n_oracle=5),
     "CheckResult": lambda: CheckResult("graph", "round-trip", True, seconds=0.5),
@@ -40,7 +35,7 @@ def _fields(record):
 
 
 def test_every_record_type_is_covered():
-    assert len(FACTORIES) == 8
+    assert len(FACTORIES) == 7
     for name, make in FACTORIES.items():
         assert type(make()).__name__ == name
 
@@ -102,9 +97,8 @@ def test_repr_names_the_class_and_fields(name):
 
 def test_different_values_compare_unequal():
     assert PathGraph(4) != PathGraph(5)
-    assert _config(0, 1, 0) != _config(0, 1, 1)
+    assert PeriodReport(1, 2, ((0, 1), (1, 0))) != PeriodReport(1, 2, ((1, 0), (0, 1)))
     path_as_edges = SimpleGraph(3, frozenset({(1, 2), (2, 3)}))
-    assert _config(0, 1, 0) != Configuration((0, 1, 0), path_as_edges)
     assert PathGraph(3) != path_as_edges
     assert SimpleGraph(3, frozenset({(1, 2)})) != SimpleGraph(3, frozenset({(2, 3)}))
     assert VerifyConfig() != VerifyConfig(max_n_oracle=9)

@@ -46,10 +46,7 @@ def test_injected_fault_is_named(monkeypatch):
 def test_injected_engine_fault_is_named(monkeypatch):
     from pardiff import engine
 
-    real = engine.fire_step
-    monkeypatch.setattr(
-        engine, "fire_step", lambda graph, c: real(graph, real(graph, c))
-    )
+    monkeypatch.setattr(engine, "fire_each", _fires_twice(engine.fire_each))
     results = verify.run_suites(SMALL, suites=["engine"])
     failed = {r.name for r in results if not r.passed}
     assert "period-reversal" in failed
@@ -104,8 +101,8 @@ def _leaks_a_chip(real):
 def test_injected_batch_fault_is_named(monkeypatch, fault, named):
     from pardiff import engine
 
-    # the path automaton's firing memo is filled through engine.fire_step,
-    # which fires through fire_each, so keep the faulty answers out of the shared one
+    # the path automaton's firing memo is filled through engine.fire_each,
+    # so keep the faulty answers out of the shared one
     monkeypatch.setattr(pathcount, "_ONE_FIRING", pathcount._OneFiring())
     monkeypatch.setattr(engine, "fire_each", fault(engine.fire_each))
     results = verify.run_suites(SMALL, suites=["orientation", "oracle"])
@@ -139,7 +136,7 @@ def test_default_run_builds_each_shared_input_once(monkeypatch):
 
     def spy_list(n):
         result = real_list(n)
-        listed.update((id(c.stacks), c.stacks) for c in result.configurations)
+        listed.update((id(c), c) for c in result.configurations)
         return result
 
     def spy_orient(stacks):
