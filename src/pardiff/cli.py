@@ -9,16 +9,16 @@ shapes a body, to the specs in docs/schemas/; the library returns records
 and plain values. Output bodies are deterministic;
 timing lives only in the manifest. Exit codes: 0 success, 1 domain or
 usage error, 2 resource ceiling, 3 verification failure or internal
-inconsistency.
+inconsistency. The command line is read against one table, _COMMANDS.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 import time
+from types import SimpleNamespace
 
 import pardiff
 from pardiff import counting, engine, oracle, pathcount, verify
@@ -187,72 +187,123 @@ def _cmd_conjecture(args) -> tuple:
     return "k,vertex_count,count,residual,status\n" + "".join(rows), parameters, summary, None, 0
 
 
-class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser whose usage errors raise UsageError, so that they end
-    in the one-line error contract with exit code 1, not argparse's usage
-    block and exit code 2, the code of a resource ceiling. Subparsers are
-    built from the same class."""
+# Each command's handler, help line and options. An option is (flag, type,
+# required, default, help); its type is int, str, a tuple of choices, or bool
+# for a flag. A verify depth left as None takes VerifyConfig's default, so
+# parsing loads no verify.
+_COMMANDS = {
+    "simulate": (_cmd_simulate, "fire a configuration for a fixed number of steps", (
+        ("--graph", str, True, None, "path:<n>, a graph file, or inline edge list"),
+        ("--config", str, True, None, "comma-separated stacks, v_1 first"),
+        ("--steps", int, True, None, ""),
+        ("--out", str, False, "trace.jsonl", ""),
+    )),
+    "period": (_cmd_period, "find the preperiod and period of a configuration", (
+        ("--graph", str, True, None, ""),
+        ("--config", str, True, None, ""),
+        ("--max-steps", int, False, None, "default: 10**6 // n, at least 4"),
+        ("--out", str, False, "period.json", ""),
+    )),
+    "count": (_cmd_count, "count 2-periodic configurations on the n-vertex path", (
+        ("--n", int, True, None, ""),
+        ("--method", ("recurrence", "summation", "direct", "oracle"), True, None, ""),
+        ("--diff-bound", int, False, None, "--method oracle only; default 3"),
+        ("--ledger", bool, False, False, "include per-orientation products"),
+        ("--full-configurations", bool, False, False, "embed oracle configurations"),
+        ("--out", str, False, "count.json", ""),
+    )),
+    "verify": (_cmd_verify, "run the invariant suites", (
+        ("--suites", str, False, None, "comma-separated subset, e.g. orientation,oracle"),
+        ("--max-n-oracle", int, False, None, ""),
+        ("--max-n-witness", int, False, None, ""),
+        ("--max-n-routes", int, False, None, ""),
+        ("--max-n-structure", int, False, None, ""),
+        ("--out", str, False, "verify.json", ""),
+    )),
+    "conjecture": (_cmd_conjecture, "explore the bridge-graph recurrence (never asserted)", (
+        ("--g0-file", str, True, None, "graph file for G_0 (e.g. a triangle edge list)"),
+        ("--base-vertex", int, False, 1, ""),
+        ("--k-min", int, True, None, ""),
+        ("--k-max", int, True, None, ""),
+        ("--out", str, False, "conjecture.csv", ""),
+    )),
+}
 
-    def error(self, message):
-        raise UsageError(f"{self.prog}: {message}")
+
+def _help(prog: str, lines) -> None:
+    print(f"usage: {prog} [options]\n", *lines, sep="\n")
+    raise SystemExit(0)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="pardiff",
-        description="Parallel-diffusion chip firing: simulate, classify, count, verify.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _option_line(flag, kind, required, default, text) -> str:
+    value = "" if kind is bool else " " + (kind.__name__.upper() if kind in (int, str) else "{" + ",".join(kind) + "}")
+    note = " (required)" if required else f" (default {default})" if default else ""
+    return f"  {flag}{value}{note}{text and ': ' + text}"
 
-    p = sub.add_parser("simulate", help="fire a configuration for a fixed number of steps")
-    p.add_argument("--graph", required=True, help="path:<n>, a graph file, or inline edge list")
-    p.add_argument("--config", required=True, help="comma-separated stacks, v_1 first")
-    p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--out", default="trace.jsonl")
-    p.set_defaults(fn=_cmd_simulate)
 
-    p = sub.add_parser("period", help="find the preperiod and period of a configuration")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--config", required=True)
-    p.add_argument("--max-steps", type=int, default=None, help="default: 10**6 // n, at least 4")
-    p.add_argument("--out", default="period.json")
-    p.set_defaults(fn=_cmd_period)
+def _value(prog: str, name: str, kind, value: str):
+    """``value`` read as ``kind``: int, str, bool, or a container of the choices."""
+    if kind is int:
+        try:
+            return int(value)
+        except ValueError:
+            raise UsageError(f"{prog}: argument {name}: invalid int value: {value!r}") from None
+    if not isinstance(kind, type) and value not in kind:
+        raise UsageError(
+            f"{prog}: argument {name}: invalid choice: {value!r} (choose from {', '.join(map(repr, kind))})"
+        )
+    return value
 
-    p = sub.add_parser("count", help="count 2-periodic configurations on the n-vertex path")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--method", required=True, choices=["recurrence", "summation", "direct", "oracle"])
-    p.add_argument("--diff-bound", type=int, default=None, help="--method oracle only; default 3")
-    p.add_argument("--ledger", action="store_true", help="include per-orientation products")
-    p.add_argument("--full-configurations", action="store_true", help="embed oracle configurations")
-    p.add_argument("--out", default="count.json")
-    p.set_defaults(fn=_cmd_count)
 
-    p = sub.add_parser("verify", help="run the invariant suites")
-    p.add_argument("--suites", default=None, help="comma-separated subset, e.g. orientation,oracle")
-    # A depth left as None takes VerifyConfig's default, so building the parser loads no verify.
-    p.add_argument("--max-n-oracle", type=int, default=None)
-    p.add_argument("--max-n-witness", type=int, default=None)
-    p.add_argument("--max-n-routes", type=int, default=None)
-    p.add_argument("--max-n-structure", type=int, default=None)
-    p.add_argument("--out", default="verify.json")
-    p.set_defaults(fn=_cmd_verify)
-
-    p = sub.add_parser("conjecture", help="explore the bridge-graph recurrence (never asserted)")
-    p.add_argument("--g0-file", required=True, help="graph file for G_0 (e.g. a triangle edge list)")
-    p.add_argument("--base-vertex", type=int, default=1)
-    p.add_argument("--k-min", type=int, required=True)
-    p.add_argument("--k-max", type=int, required=True)
-    p.add_argument("--out", default="conjecture.csv")
-    p.set_defaults(fn=_cmd_conjecture)
-
-    return parser
+def _parse(argv) -> SimpleNamespace:
+    """The command and options in ``argv``, read against _COMMANDS. A usage
+    error raises UsageError: each token's as it comes, then any required
+    option left out, then any argument not recognized."""
+    extras, tokens = [], iter(argv)
+    for command in tokens:  # an option before the command is not recognized
+        if command in ("-h", "--help"):
+            _help("pardiff <command>", [f"  {name:<11} {entry[1]}" for name, entry in _COMMANDS.items()])
+        if not command.startswith("-"):
+            break
+        extras.append(command)
+    else:
+        raise UsageError("pardiff: the following arguments are required: command")
+    fn, about, options = _COMMANDS[_value("pardiff", "command", _COMMANDS, command)]
+    prog, table, given = f"pardiff {command}", {o[0]: o[1] for o in options}, {}
+    for token in tokens:
+        if token in ("-h", "--help"):
+            _help(prog, [about, ""] + [_option_line(*option) for option in options])
+        flag, eq, value = token.partition("=")
+        kind = table.get(flag)
+        if kind is None:
+            extras.append(token)
+            continue
+        if kind is bool:
+            if eq:
+                raise UsageError(f"{prog}: argument {flag}: ignored explicit argument {value!r}")
+            value = True
+        elif not eq:  # the next token is the value unless it starts with --
+            value = next(tokens, "--")
+            if value.startswith("--"):
+                raise UsageError(f"{prog}: argument {flag}: expected one argument")
+        given[flag] = _value(prog, flag, kind, value)
+    args, missing = SimpleNamespace(command=command, fn=fn), []
+    for flag, _, required, default, _ in options:
+        if required and flag not in given:
+            missing.append(flag)
+        setattr(args, flag[2:].replace("-", "_"), given.get(flag, default))
+    if missing:
+        raise UsageError(f"{prog}: the following arguments are required: {', '.join(missing)}")
+    if extras:
+        raise UsageError(f"pardiff: unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def main(argv=None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)  # T_n passes 4300 digits near n = 7700
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
         t0 = time.perf_counter()
         body, parameters, summary, extra, code = args.fn(args)
         _write_text(args.out, body)

@@ -44,7 +44,7 @@ class Automaton:
             for i, v in enumerate(vec):
                 if v:
                     for _, t, w in self.arcs[i]:
-                        nxt[t] += v * w
+                        nxt[t] += v if w == 1 else v * w  # the path automaton's arcs all weigh 1
             vec = nxt
 
     def completions(self, length: int):

@@ -517,30 +517,81 @@ def test_out_of_domain_arguments_exit_one(tmp_path, capsys, argv):
 @pytest.mark.parametrize(
     "argv,message",
     [
+        ([], "pardiff: the following arguments are required: command"),
+        (
+            ["bogus"],
+            "pardiff: argument command: invalid choice: 'bogus' "
+            "(choose from 'simulate', 'period', 'count', 'verify', 'conjecture')",
+        ),
+        (["count", "--n", "x", "--method", "oracle"], "pardiff count: argument --n: invalid int value: 'x'"),
+        (
+            ["count", "--n", "5", "--method", "exact"],
+            "pardiff count: argument --method: invalid choice: 'exact' "
+            "(choose from 'recurrence', 'summation', 'direct', 'oracle')",
+        ),
+        (["count", "--method", "oracle", "--n"], "pardiff count: argument --n: expected one argument"),
+        (
+            ["count", "--n", "5", "--method", "oracle", "--ledger=1"],
+            "pardiff count: argument --ledger: ignored explicit argument '1'",
+        ),
+        (["count", "--method", "oracle"], "pardiff count: the following arguments are required: --n"),
+        (
+            ["conjecture", "--g0-file", "g0.txt"],
+            "pardiff conjecture: the following arguments are required: --k-min, --k-max",
+        ),
         (
             ["conjecture", "--g0-file", "g0.txt", "--k-min", "2", "--k-max", "3", "--diff-bound", "3"],
             "pardiff: unrecognized arguments: --diff-bound 3",
         ),
-        (["count", "--n", "5", "--method", "exact"], "pardiff count: argument --method: invalid choice: 'exact'"),
-        (["count", "--method", "oracle"], "pardiff count: the following arguments are required: --n"),
+        # an option's name is never abbreviated
+        (["count", "--n", "5", "--method", "direct", "--meth", "oracle"], "pardiff: unrecognized arguments: --meth oracle"),
     ],
-    ids=["unknown-option", "bad-choice", "missing-n"],
+    ids=[
+        "no-command",
+        "bad-command",
+        "bad-int",
+        "bad-choice",
+        "no-value",
+        "flag-value",
+        "missing-n",
+        "missing-two",
+        "unknown-option",
+        "abbreviation",
+    ],
 )
 def test_usage_errors_exit_one_with_one_line(tmp_path, capsys, argv, message):
     # exit code 2 stays the resource ceiling's alone
-    assert main(argv + ["--out", str(tmp_path / "o.json")]) == 1
+    assert main(argv + ["--out", str(tmp_path / "o.json")] if argv else argv) == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.count("\n") == 1
-    assert err.startswith(f"error [usage]: {message}")
+    assert err == f"error [usage]: {message}\n"
     assert not (tmp_path / "o.json").exists()
 
 
 def test_help_prints_usage_and_exits_zero(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["count", "--help"])
-    assert exc.value.code == 0
-    assert capsys.readouterr().out.startswith("usage: pardiff count ")
+    commands = ["simulate", "period", "count", "verify", "conjecture"]
+    for argv in [["-h"]] + [[command, "--help"] for command in commands]:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        if argv == ["-h"]:
+            assert out.startswith("usage: pardiff <command> ")
+            assert all(command in out for command in commands)
+        else:
+            assert out.startswith(f"usage: pardiff {argv[0]} ")
+            assert "  --out " in out
+
+
+def test_config_value_may_start_with_a_dash(tmp_path):
+    # the next token is an option's value unless it starts with --
+    bodies = []
+    for spelling in (["--config", "-1,2,0"], ["--config=-1,2,0"]):
+        out = tmp_path / f"trace{len(bodies)}.jsonl"
+        assert main(["simulate", "--graph", "path:3", *spelling, "--steps", "1", "--out", str(out)]) == 0
+        bodies.append(out.read_bytes())
+    assert bodies[0] == bodies[1]
+    assert bodies[0].startswith(b'{"stacks": [-1, 2, 0], "step": 0}\n')
 
 
 def test_summation_passes_the_enumeration_ceiling(tmp_path):
@@ -784,6 +835,16 @@ def test_oracle_count_never_runs_the_theory_or_verify(tmp_path):
     # a count needs only the path automaton, not the search in oracle
     executed = _executed_modules("count", "--n", "9", "--method", "oracle", "--out", str(tmp_path / "c.json"))
     assert executed == {"cli", "errors", "graphs", "engine", "transfer", "pathcount"}
+
+
+@pytest.mark.parametrize(
+    "argv", [["count", "--method", "oracle", "--n", "5"], ["verify", "--suites", "graph"]], ids=["count", "verify"]
+)
+def test_command_line_parsing_imports_no_argparse(tmp_path, argv):
+    # argparse would pull in gettext, and its help strings locale
+    proc = _run_child(["-c", _EXECUTED + "print(json.dumps(sorted(sys.modules)))", *argv, "--out", str(tmp_path / "o.json")])
+    assert proc.returncode == 0, proc.stderr
+    assert not {"argparse", "gettext", "locale"} & set(json.loads(proc.stdout.splitlines()[-1]))
 
 
 def test_full_configurations_runs_the_search_and_the_automaton(tmp_path):
