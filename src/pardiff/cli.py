@@ -21,7 +21,7 @@ import time
 from types import SimpleNamespace
 
 import pardiff
-from pardiff import counting, engine, oracle, pathcount, verify
+from pardiff import counting, engine, graphs, oracle, pathcount, verify
 from pardiff.errors import (
     CeilingError,
     DomainError,
@@ -32,7 +32,6 @@ from pardiff.errors import (
     _candidate_ceiling,
     _enum_ceiling,
 )
-from pardiff.graphs import config_from_string, parse_graph
 
 
 def _read_graph_file(path: str):
@@ -42,7 +41,7 @@ def _read_graph_file(path: str):
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise OSError(f"{path}: {exc}") from None
-    return parse_graph(text)
+    return graphs.parse_graph(text)
 
 
 def _load_graph(text: str):
@@ -52,10 +51,10 @@ def _load_graph(text: str):
     file, and one that names no file ends in a file error, not a parse error.
     """
     if text.startswith("path:"):
-        return parse_graph(text)
+        return graphs.parse_graph(text)
     if os.path.exists(text) or not any(ch.isspace() for ch in text):
         return _read_graph_file(text)
-    return parse_graph(text.replace(",", "\n"))
+    return graphs.parse_graph(text.replace(",", "\n"))
 
 
 def _write_text(path: str, body: str):
@@ -72,7 +71,7 @@ def _json_body(obj) -> str:
 
 def _cmd_simulate(args) -> tuple:
     graph = _load_graph(args.graph)
-    config = config_from_string(args.config, graph)
+    config = graphs.config_from_string(args.config, graph)
     trace = engine.run_sequence(graph, config, args.steps)
     lines = ({"step": t, "stacks": list(c)} for t, c in enumerate(trace))
     body = "".join(json.dumps(line, sort_keys=True) + "\n" for line in lines)
@@ -82,7 +81,7 @@ def _cmd_simulate(args) -> tuple:
 
 def _cmd_period(args) -> tuple:
     graph = _load_graph(args.graph)
-    config = config_from_string(args.config, graph)
+    config = graphs.config_from_string(args.config, graph)
     max_steps = engine.default_max_steps(graph) if args.max_steps is None else args.max_steps
     try:
         report = engine.detect_period(graph, config, max_steps)

@@ -198,17 +198,23 @@ def enumerate_p2_configurations(
     return OracleResult(n=n, diff_bound=diff_bound, configurations=tuple(found), count=count)
 
 
+def _check_bridge_domain(g0: Graph, base_vertex: int, k: int):
+    """Raise DomainError unless base_vertex is a vertex of g0 and k >= 1."""
+    m = g0.vertex_count
+    if not 1 <= base_vertex <= m:
+        raise DomainError(f"base vertex {base_vertex} outside [1, {m}]")
+    if k < 1:
+        raise DomainError("path length k must be >= 1")
+
+
 def build_bridge_graph(g0: Graph, base_vertex: int, k: int) -> SimpleGraph:
     """Attach a k-vertex path to base_vertex of g0 through a bridge edge.
 
     The attachment vertices are numbered m+1..m+k beyond g0's m vertices,
     with m+1 on the bridge and m+k the far-end leaf.
     """
+    _check_bridge_domain(g0, base_vertex, k)
     m = g0.vertex_count
-    if not 1 <= base_vertex <= m:
-        raise DomainError(f"base vertex {base_vertex} outside [1, {m}]")
-    if k < 1:
-        raise DomainError("path length k must be >= 1")
     edges = set(g0.edges)
     edges.add((base_vertex, m + 1))
     for i in range(1, k):
@@ -220,16 +226,16 @@ def checked_bridge_graph(g0: Graph, base_vertex: int, k: int) -> SimpleGraph:
     """The bridge graph of build_bridge_graph, after every check a bridge search makes.
 
     In order: g0's connectivity, the base vertex and k, and the vertex
-    ceiling. Callers run it before any search starts.
+    ceiling. Callers run it before any search starts; the ceiling is checked
+    before the graph is built, whose edge set grows with k.
     """
     _bfs_plan(g0, 0)  # raises DomainError if g0 is not connected
     ceiling = _bridge_ceiling()
-    graph = build_bridge_graph(g0, base_vertex, k)
-    if graph.vertex_count > ceiling:
-        raise CeilingError(
-            f"{graph.vertex_count} vertices exceed the bridge-oracle ceiling {ceiling}"
-        )
-    return graph
+    _check_bridge_domain(g0, base_vertex, k)
+    vertex_count = g0.vertex_count + k
+    if vertex_count > ceiling:
+        raise CeilingError(f"{vertex_count} vertices exceed the bridge-oracle ceiling {ceiling}")
+    return build_bridge_graph(g0, base_vertex, k)
 
 
 def enumerate_p2_on_bridge_graph(

@@ -7,43 +7,33 @@ stack differences around it.
 
 On paths the same locality lets one weighted automaton over the signs of
 the differences, built from the firing of windows of four differences,
-count every length (count_p2_sequence), linear in n. The search in
-pardiff.oracle stays as the producer of configuration lists and the
-automaton's small-n certificate.
+count every length (count_p2_sequence), linear in n. Each firing in a
+window applies the rule at one vertex directly (_one_firing), and a test
+pins that rule to engine.fire_each. The search in pardiff.oracle stays as
+the producer of configuration lists and the automaton's small-n
+certificate.
 """
 
 from __future__ import annotations
 
-from pardiff.engine import fire_each
 from pardiff.errors import CeilingError, DomainError, _candidate_ceiling
-from pardiff.graphs import PathGraph
 from pardiff.transfer import Automaton
 
 
-class _OneFiring(dict):
-    """Memo from (d_{i-1}, d_i) to the change one firing makes to v_i, where
-    d_{i-1} = s_i - s_{i-1}, d_i = s_{i+1} - s_i and None stands for a
-    missing neighbour. Each entry is read off one engine.fire_each firing of
-    the sub-path v_{i-1}..v_{i+1}, which holds every neighbour of v_i.
+def _one_firing(before: int | None, after: int | None) -> int:
+    """The change one firing makes to v_i, from d_{i-1} = s_i - s_{i-1} and
+    d_i = s_{i+1} - s_i, with None for a missing neighbour.
+
+    v_i takes a chip from each richer neighbour and gives one to each poorer
+    one, so the change is sgn(d_i) - sgn(d_{i-1}); a missing neighbour, like
+    an equal one, adds nothing.
     """
-
-    def __missing__(self, key: tuple) -> int:
-        before, after = key
-        stacks = [0]
-        if before is not None:
-            stacks.insert(0, -before)
-        if after is not None:
-            stacks.append(after)
-        fired = fire_each(PathGraph(len(stacks)), (stacks,))[0]
-        self[key] = change = fired[before is not None]
-        return change
+    gain = 0 if not after else 1 if after > 0 else -1
+    loss = 0 if not before else 1 if before > 0 else -1
+    return gain - loss
 
 
-# Read by every _path_automaton build: it holds nothing but the firing rule's answers.
-_ONE_FIRING = _OneFiring()
-
-
-def _window_verdict(window: tuple, one_firing: _OneFiring) -> tuple[bool, bool]:
+def _window_verdict(window: tuple) -> tuple[bool, bool]:
     """(two firings restore the centre, one firing moves it) on a path window.
 
     ``window`` is (d_{i-2}, d_{i-1}, d_i, d_{i+1}) around the centre v_i, with
@@ -52,10 +42,10 @@ def _window_verdict(window: tuple, one_firing: _OneFiring) -> tuple[bool, bool]:
     reads the differences between those new stacks.
     """
     a, b, c, e = window
-    mid = one_firing[b, c]
-    before = None if b is None else b + mid - one_firing[a, b]
-    after = None if c is None else c + one_firing[c, e] - mid
-    return mid + one_firing[before, after] == 0, mid != 0
+    mid = _one_firing(b, c)
+    before = None if b is None else b + mid - _one_firing(a, b)
+    after = None if c is None else c + _one_firing(c, e) - mid
+    return mid + _one_firing(before, after) == 0, mid != 0
 
 
 def _path_automaton(diff_bound: int) -> Automaton:
@@ -69,24 +59,23 @@ def _path_automaton(diff_bound: int) -> Automaton:
     The final weight settles the last two: 1 if both pass and a vertex moves.
     """
     diffs = range(-diff_bound, diff_bound + 1)
-    one_firing = _ONE_FIRING
 
     def arcs_of(state):
         # _window_verdict((a, b, c, d)) for each d, with the parts that do not
         # read d worked out once per state
         (a, b, c), moved = state
-        mid = one_firing[b, c]
-        before = None if b is None else b + mid - one_firing[a, b]
+        mid = _one_firing(b, c)
+        before = None if b is None else b + mid - _one_firing(a, b)
         moved = moved or mid != 0
         for d in diffs:
-            after = None if c is None else c + one_firing[c, d] - mid
-            if mid + one_firing[before, after] == 0:
+            after = None if c is None else c + _one_firing(c, d) - mid
+            if mid + _one_firing(before, after) == 0:
                 yield "R" if d > 0 else "L" if d < 0 else "F", ((b, c, d), moved), 1
 
     def final_of(state):
         tail, moved = state
-        last_stays, last_moves = _window_verdict((*tail, None), one_firing)
-        end_stays, end_moves = _window_verdict((*tail[1:], None, None), one_firing)
+        last_stays, last_moves = _window_verdict((*tail, None))
+        end_stays, end_moves = _window_verdict((*tail[1:], None, None))
         return int(last_stays and end_stays and (moved or last_moves or end_moves))
 
     return Automaton(((None, None, None), False), arcs_of, final_of)

@@ -727,6 +727,22 @@ def test_conjecture_checks_bridge_ceiling_before_searching(tmp_path, monkeypatch
         "error [resource-ceiling]: 13 vertices exceed the bridge-oracle ceiling 12\n"
     )
     assert not out.exists()
+    # the ceiling is checked before the bridge graph, whose edge set grows with k, is built
+    def no_build(*args, **kwargs):
+        raise AssertionError("built the bridge graph before checking the ceiling")
+
+    monkeypatch.setattr(oracle, "build_bridge_graph", no_build)
+    code = main(["conjecture", "--g0-file", str(g0), "--k-min", "2", "--k-max", "1000000000", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error [resource-ceiling]: 1000000003 vertices exceed the bridge-oracle ceiling 12\n"
+    )
+    assert not out.exists()
+    # the base vertex is still checked before the ceiling
+    argv = ["conjecture", "--g0-file", str(g0), "--base-vertex", "4", "--k-min", "2", "--k-max", "1000000000"]
+    assert main([*argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error [domain-error]: base vertex 4 outside [1, 3]\n"
+    assert not out.exists()
     # connectivity is checked before the ceiling, so a disconnected G_0 is still a domain error
     g0.write_text("1 2\n3 4\n")
     code = main(["conjecture", "--g0-file", str(g0), "--k-min", "2", "--k-max", "20", "--out", str(out)])
@@ -828,13 +844,13 @@ def test_package_import_runs_no_submodule():
     assert proc.returncode == 0, proc.stderr
     # every submodule is registered and none has run
     assert json.loads(proc.stdout) == sorted([f"pardiff.{name}", False] for name in SUBMODULES)
-    assert _executed_modules() == {"cli", "errors", "graphs"}
+    assert _executed_modules() == {"cli", "errors"}
 
 
 def test_oracle_count_never_runs_the_theory_or_verify(tmp_path):
     # a count needs only the path automaton, not the search in oracle
     executed = _executed_modules("count", "--n", "9", "--method", "oracle", "--out", str(tmp_path / "c.json"))
-    assert executed == {"cli", "errors", "graphs", "engine", "transfer", "pathcount"}
+    assert executed == {"cli", "errors", "transfer", "pathcount"}
 
 
 @pytest.mark.parametrize(
@@ -850,7 +866,7 @@ def test_command_line_parsing_imports_no_argparse(tmp_path, argv):
 def test_full_configurations_runs_the_search_and_the_automaton(tmp_path):
     argv = ["count", "--n", "6", "--method", "oracle", "--full-configurations", "--out", str(tmp_path / "c.json")]
     executed = _executed_modules(*argv)
-    assert {"pathcount", "oracle", "engine", "transfer"} <= executed
+    assert {"pathcount", "oracle", "transfer"} <= executed
     assert not {"counting", "orientations", "verify"} & executed
 
 

@@ -148,24 +148,32 @@ def test_window_dp_ceiling(monkeypatch):
         count_p2_configurations(5)
 
 
-def test_path_automaton_builds_share_one_firing_memo(monkeypatch):
-    calls = []
+# Every difference the b = 3 and b = 4 automata hand the rule, before or after
+# one firing, lies in -8..8: a firing changes a difference by at most 4.
+ONE_FIRING_KEYS = [(before, after) for before in (*range(-8, 9), None) for after in (*range(-8, 9), None)]
 
-    def counted(graph, batch):
-        calls.extend(batch)
-        return fire_each(graph, batch)
 
-    monkeypatch.setattr(pathcount, "_ONE_FIRING", pathcount._OneFiring())
-    monkeypatch.setattr(pathcount, "fire_each", counted)
-    first = count_p2_sequence(12, 3)
-    held = len(pathcount._ONE_FIRING)
-    assert len(calls) == held > 0
-    # a second build reads every key from the memo and fires nothing
-    assert count_p2_sequence(12, 3) == first
-    assert len(calls) == held
-    # b = 4 fires only the keys b = 3 did not need
-    count_p2_sequence(12, 4)
-    assert len(calls) == len(pathcount._ONE_FIRING) > held
+def test_one_firing_rule_matches_the_engine():
+    # the reference fires the sub-path v_{i-1}..v_{i+1}, which holds every
+    # neighbour of v_i, through engine.fire_each
+    for before, after in ONE_FIRING_KEYS:
+        stacks = ([] if before is None else [-before]) + [0] + ([] if after is None else [after])
+        fired = fire_each(PathGraph(len(stacks)), (tuple(stacks),))[0]
+        assert pathcount._one_firing(before, after) == fired[before is not None], (before, after)
+
+
+@pytest.mark.parametrize("diff_bound", [3, 4])
+def test_path_automaton_reads_the_rule_only_where_the_engine_pins_it(monkeypatch, diff_bound):
+    read = set()
+    real = pathcount._one_firing
+
+    def recorded(before, after):
+        read.add((before, after))
+        return real(before, after)
+
+    monkeypatch.setattr(pathcount, "_one_firing", recorded)
+    assert count_p2_sequence(12, diff_bound) == [count_T_recurrence(n) for n in range(2, 13)]
+    assert read and read <= set(ONE_FIRING_KEYS)
 
 
 @pytest.mark.parametrize("diff_bound", [1, 2, 3, 4, 5])
@@ -175,17 +183,16 @@ def test_path_automaton_arcs_follow_the_window_verdicts(diff_bound):
     automaton = pathcount._path_automaton(diff_bound)
     automaton._explore()
     verdict = pathcount._window_verdict
-    one_firing = pathcount._ONE_FIRING
     for state, arcs, final in zip(automaton.states, automaton.arcs, automaton.final):
         tail, moved = state
         want = []
         for d in range(-diff_bound, diff_bound + 1):
-            stays, moves = verdict((*tail, d), one_firing)
+            stays, moves = verdict((*tail, d))
             if stays:
                 want.append(("R" if d > 0 else "L" if d < 0 else "F", ((*tail[1:], d), moved or moves), 1))
         assert [(letter, automaton.states[t], w) for letter, t, w in arcs] == want, state
-        last_stays, last_moves = verdict((*tail, None), one_firing)
-        end_stays, end_moves = verdict((*tail[1:], None, None), one_firing)
+        last_stays, last_moves = verdict((*tail, None))
+        end_stays, end_moves = verdict((*tail[1:], None, None))
         assert final == int(last_stays and end_stays and (moved or last_moves or end_moves)), state
 
 

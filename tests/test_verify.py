@@ -101,9 +101,6 @@ def _leaks_a_chip(real):
 def test_injected_batch_fault_is_named(monkeypatch, fault, named):
     from pardiff import engine
 
-    # the path automaton's firing memo is filled through engine.fire_each,
-    # so keep the faulty answers out of the shared one
-    monkeypatch.setattr(pathcount, "_ONE_FIRING", pathcount._OneFiring())
     monkeypatch.setattr(engine, "fire_each", fault(engine.fire_each))
     results = verify.run_suites(SMALL, suites=["orientation", "oracle"])
     details = {r.name: r.detail for r in results if not r.passed}
