@@ -19,7 +19,6 @@ from pardiff.errors import (
     NotAnAgreeingPairError,
     VertexIndexError,
 )
-from pardiff.graphs import Record, flipped
 from pardiff.orientations import (
     _legal_arcs,
     _listed,
@@ -27,7 +26,9 @@ from pardiff.orientations import (
     _require_legal,
     _require_senses,
     count_p2_orientations_recurrence,
+    flipped,
 )
+from pardiff.records import Record
 from pardiff.transfer import Automaton
 
 # Multiplier of v_k from the senses of (e_{k-2}, e_{k-1}, e_k), for interior

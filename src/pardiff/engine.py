@@ -17,7 +17,8 @@ from pardiff.errors import (
     PeriodNotFoundError,
     StackLimitError,
 )
-from pardiff.graphs import I64_MAX, Graph, Record, frozen_edges
+from pardiff.graphs import I64_MAX, Graph, frozen_edges
+from pardiff.records import Record
 
 
 class PeriodReport(Record):

@@ -1,4 +1,4 @@
-"""Graphs, configurations, and path-edge senses.
+"""Graphs and configurations.
 
 Conventions used throughout the package:
 
@@ -7,13 +7,9 @@ Conventions used throughout the package:
   takes the graph as its own argument.
 * Vertices are 1-based at every interface. Internal arrays are 0-based.
 * A path on n vertices is drawn along a horizontal axis with v_1 the
-  RIGHTMOST vertex, so edge e_i joins v_i and v_{i+1}. A directed edge
-  whose head is the lower-indexed endpoint points toward the right of
-  the drawing and has sense Right; head toward the higher index is Left;
-  equal stacks give Flat.
+  RIGHTMOST vertex, so edge e_i joins v_i and v_{i+1}. The senses of its
+  edges, and orientation strings, are defined in pardiff.orientations.
 * Configuration strings are comma-separated stack sizes ordered v_1..v_n.
-* Orientation strings are letters over {R, L, F}, e_1 first. Every layer
-  passes an orientation as that plain string.
 
 Stack sizes are plain Python integers at the interfaces; the firing engine
 promises signed 64-bit behaviour and rejects values outside that range.
@@ -32,63 +28,11 @@ from pardiff.errors import (
     SelfLoopError,
     VertexIndexError,
 )
+from pardiff.records import Record
 
 I64_MAX = 2**63 - 1
 
 _PATH_FORM = re.compile(r"^path:(\d+)$")
-
-# Edge-sense letters in the enumerator's lexicographic rank: Right < Left < Flat.
-SENSE_ORDER = "RLF"
-
-# str.translate table swapping Right and Left; Flat stays Flat.
-SENSE_FLIP = str.maketrans("RL", "LR")
-
-
-def flipped(orient: str) -> str:
-    """Swap Right and Left on every edge (the orbit partner's orientation)."""
-    return orient.translate(SENSE_FLIP)
-
-
-def mirrored(orient: str) -> str:
-    """Relabel the path from the other end: reverse edge order and swap R/L."""
-    return orient[::-1].translate(SENSE_FLIP)
-
-
-class Record:
-    """Immutable value over the fields named in ``_fields``, in constructor order.
-
-    Gives value equality (NotImplemented against any other class), a hash
-    of the field tuple, a repr naming the class, no assignment, and pickling
-    by a constructor call, since unpickling cannot assign to the fields.
-    Each subclass sets its fields in ``__init__`` with ``object.__setattr__``.
-    """
-
-    __slots__ = ()
-    _fields: tuple[str, ...] = ()
-
-    def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self._fields])
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __repr__(self):
-        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
-        return f"{self.__class__.__qualname__}({body})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return (self.__class__, self._values())
 
 
 class SimpleGraph(Record):

@@ -21,11 +21,13 @@ and certifies that automaton at small n.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from operator import itemgetter
 
 from pardiff.errors import CeilingError, DomainError, _bridge_ceiling, _candidate_ceiling
-from pardiff.graphs import Graph, PathGraph, Record, SimpleGraph, frozen_edges
+from pardiff.graphs import Graph, PathGraph, SimpleGraph, frozen_edges
+from pardiff.records import Record
 
 
 class OracleResult(Record):
@@ -179,6 +181,8 @@ def enumerate_p2_configurations(
     deg(v) - 1), at most 2 on a leaf edge. No configuration lies outside
     deg(u) + deg(v) - 1 (the edge-reversal lemma, _bfs_plan), so this lists
     exactly what the plain window of diff_bound would, in the same order.
+    The candidate ceiling counts that capped window: the product of
+    2 min(diff_bound, bound) + 1 over the edges.
     ``workers`` is accepted and ignored. No program caller sets it; it stays
     for perfbench/run.py's pool_probe, which times this function at
     workers = 1 and 2 and, if the parameter is missing, records a failed
@@ -189,11 +193,15 @@ def enumerate_p2_configurations(
     if diff_bound < 1:
         raise DomainError("diff_bound must be positive")
     ceiling = _candidate_ceiling()
-    candidates = (2 * diff_bound + 1) ** (n - 1)
+    # Every edge tries at least 3 differences, so a path too long even for
+    # that is refused before its plan, which grows with n, is built (3^k
+    # exceeds the ceiling once k reaches its bit length).
+    if 3 ** min(n - 1, ceiling.bit_length()) > ceiling:
+        raise CeilingError(f"at least 3^{n - 1} raw candidates exceed the oracle ceiling {ceiling}")
+    bounds = _bfs_plan(PathGraph(n), 0)[-1][1:]
+    candidates = math.prod([2 * min(diff_bound, b) + 1 for b in bounds])
     if candidates > ceiling:
-        raise CeilingError(
-            f"{candidates} raw candidates exceed the oracle ceiling {ceiling}"
-        )
+        raise CeilingError(f"{candidates} raw candidates in the capped window exceed the oracle ceiling {ceiling}")
     count, found = _window_search(PathGraph(n), 0, True, diff_bound)
     return OracleResult(n=n, diff_bound=diff_bound, configurations=tuple(found), count=count)
 

@@ -1,4 +1,12 @@
-"""Classification and enumeration of path orientations realizable inside a 2-period.
+"""Orientation words, and the classification and enumeration of the path
+orientations realizable inside a 2-period.
+
+On a path drawn with v_1 the RIGHTMOST vertex (see pardiff.graphs), a
+directed edge whose head is the lower-indexed endpoint points toward the
+right of the drawing and has sense Right; head toward the higher index is
+Left; equal stacks give Flat. An orientation string is one letter over
+{R, L, F} per edge, e_1 first. Every layer passes an orientation as that
+plain string.
 
 A path orientation is realizable iff it avoids four local patterns:
 
@@ -24,8 +32,13 @@ from pardiff.errors import (
     IllegalOrientationError,
     _enum_ceiling,
 )
-from pardiff.graphs import SENSE_ORDER
 from pardiff.transfer import Automaton
+
+# Edge-sense letters in the enumerator's lexicographic rank: Right < Left < Flat.
+SENSE_ORDER = "RLF"
+
+# str.translate table swapping Right and Left; Flat stays Flat.
+SENSE_FLIP = str.maketrans("RL", "LR")
 
 RULE_ADJACENT_FLATS = "AdjacentFlats"
 RULE_FLAT_AT_LEAF = "FlatAtLeaf"
@@ -33,6 +46,16 @@ RULE_FLAT_NOT_BOOKENDED = "FlatNotBookendedByDisagreeing"
 RULE_PAIR_NOT_BOOKENDED = "AgreeingPairNotBookended"
 
 _STEP = {"R": 1, "L": -1, "F": 0}  # witness stack change across each sense
+
+
+def flipped(orient: str) -> str:
+    """Swap Right and Left on every edge (the orbit partner's orientation)."""
+    return orient.translate(SENSE_FLIP)
+
+
+def mirrored(orient: str) -> str:
+    """Relabel the path from the other end: reverse edge order and swap R/L."""
+    return orient[::-1].translate(SENSE_FLIP)
 
 
 def _require_senses(orient: str) -> None:

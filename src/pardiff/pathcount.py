@@ -7,9 +7,10 @@ stack differences around it.
 
 On paths the same locality lets one weighted automaton over the signs of
 the differences, built from the firing of windows of four differences,
-count every length (count_p2_sequence), linear in n. Each firing in a
-window applies the rule at one vertex directly (_one_firing), and a test
-pins that rule to engine.fire_each. The search in pardiff.oracle stays as
+count every length (count_p2_sequence), linear in n. Its state keeps the
+last two differences and only the sign of the one before them. Each firing
+in a window applies the rule at one vertex directly (_one_firing), and a
+test pins that rule to engine.fire_each. The search in pardiff.oracle stays as
 the producer of configuration lists and the automaton's small-n
 certificate.
 """
@@ -57,6 +58,8 @@ def _path_automaton(diff_bound: int) -> Automaton:
     sign (R for d > 0, as in orientation_of_stacks) and settles the vertex two
     back, which must pass fire^2 = id (the first append's window holds none).
     The final weight settles the last two: 1 if both pass and a vertex moves.
+    The oldest difference is read only through _one_firing, which reads its
+    sign, so a state keeps only that sign: 78 states at b = 3, 100 at b = 4.
     """
     diffs = range(-diff_bound, diff_bound + 1)
 
@@ -67,10 +70,11 @@ def _path_automaton(diff_bound: int) -> Automaton:
         mid = _one_firing(b, c)
         before = None if b is None else b + mid - _one_firing(a, b)
         moved = moved or mid != 0
+        oldest = b if not b else 1 if b > 0 else -1  # None and 0 stay as they are
         for d in diffs:
             after = None if c is None else c + _one_firing(c, d) - mid
             if mid + _one_firing(before, after) == 0:
-                yield "R" if d > 0 else "L" if d < 0 else "F", ((b, c, d), moved), 1
+                yield "R" if d > 0 else "L" if d < 0 else "F", ((oldest, c, d), moved), 1
 
     def final_of(state):
         tail, moved = state

@@ -20,19 +20,9 @@ from itertools import product
 
 from pardiff import counting, engine, oracle, orientations, pathcount
 from pardiff.errors import CeilingError, DomainError, _enum_ceiling
-from pardiff.graphs import (
-    PathGraph,
-    SENSE_ORDER,
-    Record,
-    SimpleGraph,
-    canonical_stacks,
-    flipped,
-    frozen_edges,
-    mirrored,
-    parse_graph,
-    render_graph,
-    shift,
-)
+from pardiff.graphs import PathGraph, SimpleGraph, canonical_stacks, frozen_edges, parse_graph, render_graph, shift
+from pardiff.orientations import SENSE_ORDER, flipped, mirrored
+from pardiff.records import Record
 
 
 # The smallest n each depth's checks start from; a smaller depth checks nothing.

@@ -792,7 +792,7 @@ def test_probe_conjecture_script():
     assert proc.stdout.splitlines()[-1] == "order-4 recurrence residuals (k >= 6): [0]"
 
 
-SUBMODULES = ("errors", "graphs", "transfer", "engine", "orientations", "counting", "pathcount", "oracle", "verify")
+SUBMODULES = ("errors", "records", "graphs", "transfer", "engine", "orientations", "counting", "pathcount", "oracle", "verify")
 
 
 def test_cli_import_skips_dataclasses_and_loads_every_module():
@@ -870,11 +870,15 @@ def test_full_configurations_runs_the_search_and_the_automaton(tmp_path):
     assert not {"counting", "orientations", "verify"} & executed
 
 
-@pytest.mark.parametrize("method", ["direct", "summation", "recurrence"])
-def test_theory_count_never_runs_the_oracle_or_verify(tmp_path, method):
-    executed = _executed_modules("count", "--n", "9", "--method", method, "--out", str(tmp_path / "c.json"))
-    assert {"counting", "orientations"} <= executed
-    assert not {"pathcount", "oracle", "engine", "verify"} & executed
+@pytest.mark.parametrize(
+    "argv",
+    [[method, *ledger] for ledger in ([], ["--ledger"]) for method in ("direct", "summation", "recurrence")],
+    ids=" ".join,
+)
+def test_theory_count_never_runs_the_oracle_or_verify(tmp_path, argv):
+    # the theory routes read orientation words, never a graph
+    executed = _executed_modules("count", "--n", "9", "--method", *argv, "--out", str(tmp_path / "c.json"))
+    assert executed == {"cli", "errors", "records", "transfer", "orientations", "counting"}
 
 
 def test_verify_runs_every_submodule(tmp_path):

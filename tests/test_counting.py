@@ -32,8 +32,8 @@ from pardiff.errors import (
     IllegalOrientationError,
     NotAnAgreeingPairError,
 )
-from pardiff.graphs import SENSE_ORDER
 from pardiff.orientations import (
+    SENSE_ORDER,
     _listed,
     check_p2_orientation,
     count_p2_orientations_recurrence,

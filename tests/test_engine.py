@@ -29,13 +29,8 @@ from pardiff.errors import (
     PeriodNotFoundError,
     StackLimitError,
 )
-from pardiff.graphs import (
-    PathGraph,
-    SimpleGraph,
-    canonical_stacks,
-    flipped,
-    shift,
-)
+from pardiff.graphs import PathGraph, SimpleGraph, canonical_stacks, shift
+from pardiff.orientations import flipped
 
 P5 = PathGraph(5)
 DEMO_START = (0, 2, 0, 4, 1)

@@ -17,13 +17,11 @@ from pardiff.graphs import (
     SimpleGraph,
     canonical_stacks,
     config_from_string,
-    flipped,
-    mirrored,
     parse_graph,
     render_graph,
     shift,
 )
-from pardiff.orientations import check_p2_orientation, witness_configuration
+from pardiff.orientations import check_p2_orientation, flipped, mirrored, witness_configuration
 
 
 def test_parse_path():

@@ -105,9 +105,14 @@ def test_search_off_a_path_lists_vertex_ordered_two_periods():
 def test_candidate_ceiling():
     with pytest.raises(CeilingError):
         enumerate_p2_configurations(12)
+    # the ceiling counts the window searched, each edge capped at its proven
+    # bound: 5^2 7^9 > 7^10 at n = 12, whatever b >= 3 is
     with pytest.raises(CeilingError):
-        enumerate_p2_configurations(10, diff_bound=4)
+        enumerate_p2_configurations(12, diff_bound=4)
     assert enumerate_p2_configurations(9, diff_bound=4).count == count_T_recurrence(9)
+    # no edge of a path is searched past 3, so b = 4 lists the b = 3 list
+    wide = enumerate_p2_configurations(10, diff_bound=4).configurations
+    assert wide == enumerate_p2_configurations(10, diff_bound=3).configurations
 
 
 def test_candidate_ceiling_env_override(monkeypatch):
@@ -179,17 +184,20 @@ def test_path_automaton_reads_the_rule_only_where_the_engine_pins_it(monkeypatch
 @pytest.mark.parametrize("diff_bound", [1, 2, 3, 4, 5])
 def test_path_automaton_arcs_follow_the_window_verdicts(diff_bound):
     # the reference reads each arc and final weight off _window_verdict on
-    # the whole window, working out nothing once per state
+    # the whole window, working out nothing once per state; a target keeps
+    # only the sign of its oldest difference
     automaton = pathcount._path_automaton(diff_bound)
     automaton._explore()
     verdict = pathcount._window_verdict
     for state, arcs, final in zip(automaton.states, automaton.arcs, automaton.final):
         tail, moved = state
+        b, c = tail[1:]
+        oldest = None if b is None else (b > 0) - (b < 0)
         want = []
         for d in range(-diff_bound, diff_bound + 1):
             stays, moves = verdict((*tail, d))
             if stays:
-                want.append(("R" if d > 0 else "L" if d < 0 else "F", ((*tail[1:], d), moved or moves), 1))
+                want.append(("R" if d > 0 else "L" if d < 0 else "F", ((oldest, c, d), moved or moves), 1))
         assert [(letter, automaton.states[t], w) for letter, t, w in arcs] == want, state
         last_stays, last_moves = verdict((*tail, None))
         end_stays, end_moves = verdict((*tail[1:], None, None))

@@ -13,16 +13,19 @@ from hypothesis import strategies as st
 
 from pardiff.engine import fire_each
 from pardiff.errors import CeilingError, DomainError, IllegalOrientationError
-from pardiff.graphs import SENSE_ORDER, PathGraph, flipped, mirrored
+from pardiff.graphs import PathGraph
 from pardiff.orientations import (
     _LEGAL,
     RULE_ADJACENT_FLATS,
     RULE_FLAT_AT_LEAF,
     RULE_FLAT_NOT_BOOKENDED,
     RULE_PAIR_NOT_BOOKENDED,
+    SENSE_ORDER,
     check_p2_orientation,
     count_p2_orientations_recurrence,
     enumerate_p2_orientations,
+    flipped,
+    mirrored,
     witness_configuration,
 )
 
