@@ -11,7 +11,16 @@ from __future__ import annotations
 import argparse
 import csv
 
-from pardiff.counting import sequence_rows
+from pardiff.counting import alternating_count, count_T_recurrence
+from pardiff.orientations import count_p2_orientations_recurrence
+
+
+def sequence_rows(n_max: int) -> list[tuple[int, int, int, int]]:
+    """CSV-ready rows (n, R_n, A_n, T_n) for n = 1..n_max."""
+    return [
+        (n, count_p2_orientations_recurrence(n), alternating_count(n), count_T_recurrence(n))
+        for n in range(1, n_max + 1)
+    ]
 
 
 def main() -> None:

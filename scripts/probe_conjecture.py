@@ -18,8 +18,9 @@ from __future__ import annotations
 import argparse
 import time
 
-from pardiff.counting import characteristic_roots, conjecture_recurrence_check
+from pardiff.counting import conjecture_recurrence_check
 from pardiff.graphs import PathGraph, SimpleGraph
+from pardiff.lemmas import characteristic_roots
 from pardiff.oracle import enumerate_p2_on_bridge_graph
 
 BASES = {

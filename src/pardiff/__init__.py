@@ -9,7 +9,7 @@ only for the modules it uses. Import names from their modules, e.g.
 import sys
 from importlib.util import LazyLoader, find_spec, module_from_spec
 
-_SUBMODULES = ("errors", "records", "graphs", "transfer", "engine", "orientations", "counting", "pathcount", "oracle", "verify")
+_SUBMODULES = ("errors", "records", "graphs", "transfer", "engine", "orientations", "counting", "lemmas", "pathcount", "oracle", "verify")
 
 for _name in _SUBMODULES:
     _spec = find_spec(f"{__name__}.{_name}")

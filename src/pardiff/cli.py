@@ -12,8 +12,6 @@ usage error, 2 resource ceiling, 3 verification failure or internal
 inconsistency. The command line is read against one table, _COMMANDS.
 """
 
-from __future__ import annotations
-
 import json
 import os
 import sys

@@ -5,30 +5,22 @@ once everything to its right is chosen, and the product of these multipliers
 is the number of 2-periodic configurations inducing the orientation (v_1
 pinned at zero). Totals are computed by three independent routes, a linear
 recurrence, a severing/stage summation, and the direct multiplier sum, which
-must all agree.
+must all agree. The lemmas behind the summation (severing, contraction,
+stage) and the asymptotics of T_n live in pardiff.lemmas, which no count
+runs.
 """
-
-from __future__ import annotations
 
 import math
 from itertools import accumulate
 
-from pardiff.errors import (
-    DomainError,
-    IllegalLocalPatternError,
-    NotAnAgreeingPairError,
-    VertexIndexError,
-)
+from pardiff.errors import DomainError, IllegalLocalPatternError, VertexIndexError
 from pardiff.orientations import (
     _legal_arcs,
     _listed,
     _may_follow,
     _require_legal,
     _require_senses,
-    count_p2_orientations_recurrence,
-    flipped,
 )
-from pardiff.records import Record
 from pardiff.transfer import Automaton
 
 # Multiplier of v_k from the senses of (e_{k-2}, e_{k-1}, e_k), for interior
@@ -57,17 +49,6 @@ MULTIPLIER_TABLE: dict[str, int] = {
     "RFL": 1,
     "LFR": 1,
 }
-
-
-class AsymptoticModel(Record):
-    """Roots of x^4 - 3x^3 - 2x^2 - x + 1 and the fitted dominant term."""
-
-    __slots__ = _fields = ("roots", "dominant_root", "dominant_coefficient")
-
-    def __init__(self, roots: tuple[complex, ...], dominant_root: float, dominant_coefficient: float):
-        object.__setattr__(self, "roots", roots)
-        object.__setattr__(self, "dominant_root", dominant_root)
-        object.__setattr__(self, "dominant_coefficient", dominant_coefficient)
 
 
 def vertex_multiplier(orient: str, k: int) -> int:
@@ -204,20 +185,6 @@ def _first_hit_buckets(m: int, after: list[list[int]]) -> list[int]:
     return buckets
 
 
-def stage(n: int, k: int) -> int:
-    """Configurations whose orientation shows a flat or an agreeing pair early.
-
-    Early means a flat edge among e_1..e_{k+1} or an agreeing directed pair
-    (e_{i-1}, e_i) with i <= k+1. When the window k+1 runs past the last edge
-    every orientation counts, which makes stage(n, k) = T_n for k >= n-1.
-    """
-    if n < 2:
-        raise DomainError("stage needs n >= 2")
-    if k < 0:
-        raise DomainError("stage needs k >= 0")
-    return sum(_first_hit_buckets(n, list(_COUNTS.completions(n - 2)))[: k + 1])
-
-
 def count_T_summation(n: int, use_printed_limit: bool = False) -> int:
     """T_n as alternating + flat-first + agreeing-first contributions.
 
@@ -260,69 +227,7 @@ def build_count_ledger(n: int) -> dict:
     return {"n": n, "per_orientation": per, "totals": totals}
 
 
-def sever_at_flats(orient: str) -> list[str]:
-    """Suborientations on the maximal flat-free segments (flat edges deleted).
-
-    For a legal input every segment is itself legal, and the product of the
-    segment counts equals the whole orientation's count.
-    """
-    _require_legal(orient)
-    return orient.split("F")
-
-
-def contract_agreeing(s: str, i: int) -> str:
-    """Remove the agreeing pair (e_{i-1}, e_i) and flip every later directed edge.
-
-    The result lives on a path with two fewer vertices and is induced by
-    exactly as many configurations as the input.
-    """
-    _require_legal(s)
-    if not 2 <= i <= len(s):
-        raise NotAnAgreeingPairError(f"no edge pair (e_{i - 1}, e_{i}) on this path")
-    if s[i - 2] == "F" or s[i - 2] != s[i - 1]:
-        raise NotAnAgreeingPairError(f"edges e_{i - 1}, e_{i} are not an agreeing directed pair")
-    return s[: i - 2] + flipped(s[i:])
-
-
-def agreeing_pair_positions(s: str) -> list[int]:
-    """Indices i such that (e_{i-1}, e_i) is an agreeing directed pair."""
-    _require_senses(s)
-    return [i for i in range(2, len(s) + 1) if s[i - 2] != "F" and s[i - 2] == s[i - 1]]
-
-
 _CHAR_POLY = (1, -3, -2, -1, 1)  # x^4 - 3x^3 - 2x^2 - x + 1, leading coefficient first
-
-
-def _char_poly(z: complex) -> complex:
-    value = 0j
-    for c in _CHAR_POLY:
-        value = value * z + c
-    return value
-
-
-def characteristic_roots() -> AsymptoticModel:
-    """Roots of the T-recurrence polynomial by Durand-Kerner, plus a fitted c_1.
-
-    Durand-Kerner refines all four roots at once: each moves by p(z_i) over
-    the product of its distances to the others, from the standard distinct
-    seeds (0.4 + 0.9i)^i. The leading coefficient is a one-parameter
-    least-squares fit of T_n against alpha_1^n over n = 20..30.
-    """
-    zs = [(0.4 + 0.9j) ** i for i in range(4)]
-    for _ in range(500):
-        moved = 0.0
-        for i, z in enumerate(zs):
-            step = _char_poly(z) / math.prod(z - w for j, w in enumerate(zs) if j != i)
-            zs[i] = z - step
-            moved = max(moved, abs(step))
-        if moved < 1e-15:
-            break
-    roots = tuple(sorted(zs, key=lambda z: -abs(z)))
-    real_roots = sorted((z.real for z in roots if abs(z.imag) < 1e-9), reverse=True)
-    dominant = real_roots[0]
-    num = sum(count_T_recurrence(m) * dominant**m for m in range(20, 31))
-    den = sum(dominant ** (2 * m) for m in range(20, 31))
-    return AsymptoticModel(roots=roots, dominant_root=dominant, dominant_coefficient=num / den)
 
 
 def conjecture_recurrence_check(counts: list[int]) -> list[int]:
@@ -332,12 +237,4 @@ def conjecture_recurrence_check(counts: list[int]) -> list[int]:
     return [
         counts[k] - (3 * counts[k - 1] + 2 * counts[k - 2] + counts[k - 3] - counts[k - 4])
         for k in range(4, len(counts))
-    ]
-
-
-def sequence_rows(n_max: int) -> list[tuple[int, int, int, int]]:
-    """CSV-ready rows (n, R_n, A_n, T_n) for n = 1..n_max."""
-    return [
-        (n, count_p2_orientations_recurrence(n), alternating_count(n), count_T_recurrence(n))
-        for n in range(1, n_max + 1)
     ]

@@ -8,8 +8,6 @@ sequence eventually cycles with period 1 or 2; detection below leans on
 that fact and holds only the last two configurations.
 """
 
-from __future__ import annotations
-
 from pardiff.errors import (
     ConfigMismatchError,
     DomainError,

@@ -15,8 +15,6 @@ Stack sizes are plain Python integers at the interfaces; the firing engine
 promises signed 64-bit behaviour and rejects values outside that range.
 """
 
-from __future__ import annotations
-
 import re
 from functools import lru_cache
 from typing import Union

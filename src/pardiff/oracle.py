@@ -19,8 +19,6 @@ produces the configuration lists, as plain stack tuples in vertex order,
 and certifies that automaton at small n.
 """
 
-from __future__ import annotations
-
 import math
 from collections import deque
 from operator import itemgetter

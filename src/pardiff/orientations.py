@@ -21,8 +21,6 @@ more agreeing edges fail automatically (the middle edge cannot be
 bookended). Two pairs may share a bookend as long as each pair passes.
 """
 
-from __future__ import annotations
-
 from itertools import accumulate
 
 from pardiff.errors import (

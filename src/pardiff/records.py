@@ -1,7 +1,5 @@
 """The immutable value base shared by every record the library returns."""
 
-from __future__ import annotations
-
 
 class Record:
     """Immutable value over the fields named in ``_fields``, in constructor order.

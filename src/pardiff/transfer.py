@@ -5,8 +5,6 @@ arc weights and the final weight where the path ends: the transfer-matrix
 method (Stanley, Enumerative Combinatorics I, 4.7), knowing no domain.
 """
 
-from __future__ import annotations
-
 
 class Automaton:
     """The states found breadth first from ``start``, explored on first use:

@@ -10,15 +10,13 @@ reports of random graphs) are built at most once per run_suites call, in a
 _RunInputs object that the call creates and drops.
 """
 
-from __future__ import annotations
-
 import random
 import time
 from collections import Counter
 from functools import cache
 from itertools import product
 
-from pardiff import counting, engine, oracle, orientations, pathcount
+from pardiff import counting, engine, lemmas, oracle, orientations, pathcount
 from pardiff.errors import CeilingError, DomainError, _enum_ceiling
 from pardiff.graphs import PathGraph, SimpleGraph, canonical_stacks, frozen_edges, parse_graph, render_graph, shift
 from pardiff.orientations import SENSE_ORDER, flipped, mirrored
@@ -395,7 +393,7 @@ def _chk_severing(cfg: VerifyConfig, inputs: _RunInputs):
                 continue
             whole = inputs.count(orient)
             prod = 1
-            for part in counting.sever_at_flats(orient):
+            for part in lemmas.sever_at_flats(orient):
                 prod *= inputs.count(part)
             if whole != prod:
                 return f"{orient}: whole {whole} != product {prod}"
@@ -407,8 +405,8 @@ def _chk_contraction(cfg: VerifyConfig, inputs: _RunInputs):
     for n in range(4, cfg.max_n_structure + 1):
         for orient in inputs.orientations(n):
             before = inputs.count(orient)
-            for i in counting.agreeing_pair_positions(orient):
-                smaller = counting.contract_agreeing(orient, i)
+            for i in lemmas.agreeing_pair_positions(orient):
+                smaller = lemmas.contract_agreeing(orient, i)
                 if not inputs.legal(smaller):
                     return f"{orient} contracted at {i} is illegal"
                 if inputs.count(smaller) != before:
@@ -435,20 +433,20 @@ def _chk_stage(cfg: VerifyConfig, inputs: _RunInputs):
         a_n = counting.alternating_count(n)
         prev = 0
         for k in range(0, n + 1):
-            cur = counting.stage(n, k)
+            cur = lemmas.stage(n, k)
             if cur < prev:
                 return f"stage({n}, {k}) = {cur} dropped below stage({n}, {k - 1}) = {prev}"
             prev = cur
-        if counting.stage(n, n - 1) != t_n:
+        if lemmas.stage(n, n - 1) != t_n:
             return f"stage({n}, {n - 1}) != T_{n}"
-        if n >= 3 and not counting.stage(n, n - 2) == counting.stage(n, n - 3) == t_n - a_n:
+        if n >= 3 and not lemmas.stage(n, n - 2) == lemmas.stage(n, n - 3) == t_n - a_n:
             return f"stage({n}, n-2/n-3) != T_n - A_n"
     return None
 
 
 @_check("counting", "ratio-convergence")
 def _chk_ratio(cfg: VerifyConfig, inputs: _RunInputs):
-    model = counting.characteristic_roots()
+    model = lemmas.characteristic_roots()
     ratio = counting.count_T_recurrence(31) / counting.count_T_recurrence(30)
     if abs(ratio - model.dominant_root) > 1e-3:
         return f"T_31/T_30 = {ratio} vs dominant root {model.dominant_root}"
@@ -467,7 +465,7 @@ def _chk_erratum(cfg: VerifyConfig, inputs: _RunInputs):
 
 @_check("counting", "characteristic-roots")
 def _chk_roots(cfg: VerifyConfig, inputs: _RunInputs):
-    model = counting.characteristic_roots()
+    model = lemmas.characteristic_roots()
     for r in model.roots:
         residual = ((r - 3) * r - 2) * r * r - r + 1
         if abs(residual) > 1e-9:

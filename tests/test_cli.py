@@ -792,7 +792,7 @@ def test_probe_conjecture_script():
     assert proc.stdout.splitlines()[-1] == "order-4 recurrence residuals (k >= 6): [0]"
 
 
-SUBMODULES = ("errors", "records", "graphs", "transfer", "engine", "orientations", "counting", "pathcount", "oracle", "verify")
+SUBMODULES = ("errors", "records", "graphs", "transfer", "engine", "orientations", "counting", "lemmas", "pathcount", "oracle", "verify")
 
 
 def test_cli_import_skips_dataclasses_and_loads_every_module():
@@ -876,9 +876,18 @@ def test_full_configurations_runs_the_search_and_the_automaton(tmp_path):
     ids=" ".join,
 )
 def test_theory_count_never_runs_the_oracle_or_verify(tmp_path, argv):
-    # the theory routes read orientation words, never a graph
+    # the theory routes read orientation words, never a graph, a record or a lemma
     executed = _executed_modules("count", "--n", "9", "--method", *argv, "--out", str(tmp_path / "c.json"))
-    assert executed == {"cli", "errors", "records", "transfer", "orientations", "counting"}
+    assert executed == {"cli", "errors", "transfer", "orientations", "counting"}
+
+
+@pytest.mark.parametrize("method", ["direct", "summation", "recurrence", "oracle"])
+def test_count_imports_no_future(tmp_path, method):
+    # every annotation is evaluated eagerly, so no module imports __future__
+    argv = ["count", "--n", "9", "--method", method, "--out", str(tmp_path / "c.json")]
+    proc = _run_child(["-c", _EXECUTED + "print(json.dumps(sorted(sys.modules)))", *argv])
+    assert proc.returncode == 0, proc.stderr
+    assert "__future__" not in json.loads(proc.stdout.splitlines()[-1])
 
 
 def test_verify_runs_every_submodule(tmp_path):

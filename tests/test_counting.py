@@ -8,21 +8,15 @@ import pytest
 from pardiff.counting import (
     _COUNTS,
     _first_hit_buckets,
-    agreeing_pair_positions,
     alternating_count,
     alternating_orientations,
     build_count_ledger,
-    characteristic_roots,
     conjecture_recurrence_check,
-    contract_agreeing,
     count_T_direct,
     count_T_recurrence,
     count_T_summation,
     count_configs_on_orientation,
     multiplier_vector,
-    sever_at_flats,
-    sequence_rows,
-    stage,
     vertex_multiplier,
 )
 from pardiff.errors import (
@@ -32,6 +26,7 @@ from pardiff.errors import (
     IllegalOrientationError,
     NotAnAgreeingPairError,
 )
+from pardiff.lemmas import agreeing_pair_positions, characteristic_roots, contract_agreeing, sever_at_flats, stage
 from pardiff.orientations import (
     SENSE_ORDER,
     _listed,
@@ -343,8 +338,3 @@ def test_conjecture_residuals_flag_perturbations():
     with pytest.raises(ValueError):
         conjecture_recurrence_check([1, 2, 3])
 
-
-def test_sequence_rows():
-    rows = sequence_rows(5)
-    assert rows[0] == (1, 0, 0, 0)
-    assert rows[4] == (5, 8, 72, 96)

@@ -185,14 +185,14 @@ def test_path_automaton_reads_the_rule_only_where_the_engine_pins_it(monkeypatch
 def test_path_automaton_arcs_follow_the_window_verdicts(diff_bound):
     # the reference reads each arc and final weight off _window_verdict on
     # the whole window, working out nothing once per state; a target keeps
-    # only the sign of its oldest difference
+    # only the sign of its oldest difference, 0 where that is missing
     automaton = pathcount._path_automaton(diff_bound)
     automaton._explore()
     verdict = pathcount._window_verdict
     for state, arcs, final in zip(automaton.states, automaton.arcs, automaton.final):
         tail, moved = state
         b, c = tail[1:]
-        oldest = None if b is None else (b > 0) - (b < 0)
+        oldest = 0 if b is None else (b > 0) - (b < 0)
         want = []
         for d in range(-diff_bound, diff_bound + 1):
             stays, moves = verdict((*tail, d))

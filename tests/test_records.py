@@ -8,9 +8,9 @@ from types import SimpleNamespace
 import pytest
 
 from pardiff.cli import main
-from pardiff.counting import AsymptoticModel
 from pardiff.engine import PeriodReport
 from pardiff.graphs import PathGraph, SimpleGraph
+from pardiff.lemmas import AsymptoticModel
 from pardiff.oracle import OracleResult
 from pardiff.verify import CheckResult, VerifyConfig
 

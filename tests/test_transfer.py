@@ -114,7 +114,7 @@ def test_exploration_follows_use():
     at3 = _path_automaton(3)
     assert list(at3.totals(1)) == [0, 2]  # explores the start and the 7 states one letter on
     assert len(at3.arcs) == 8 < len(at3.states)
-    for automaton, size in ((_COUNTS, 11), (at3, 78), (_path_automaton(4), 100)):
+    for automaton, size in ((_COUNTS, 11), (at3, 63), (_path_automaton(4), 81)):
         list(automaton.completions(0))  # explores every state
         assert len(automaton.states) == len(automaton.arcs) == len(automaton.final) == size
 
