@@ -6,13 +6,15 @@ alone writes it: one machine-readable output file plus a manifest
 (<output>.manifest.json), then the summary on stdout (verify puts a
 PASS/FAIL line per check before it). The handlers are the only code that
 shapes a body, to the specs in docs/schemas/; the library returns records
-and plain values. Output bodies are deterministic;
-timing lives only in the manifest. Exit codes: 0 success, 1 domain or
-usage error, 2 resource ceiling, 3 verification failure or internal
-inconsistency. The command line is read against one table, _COMMANDS.
+and plain values. _json writes each body and manifest in the bytes that
+json.dumps(..., indent=2, sort_keys=True) writes, and each simulate line as
+json.dumps(..., sort_keys=True) writes it, so no command imports json.
+Output bodies are deterministic; timing lives only in the manifest. Exit
+codes: 0 success, 1 domain or usage error, 2 resource ceiling, 3
+verification failure or internal inconsistency. The command line is read
+against one table, _COMMANDS.
 """
 
-import json
 import os
 import sys
 import time
@@ -63,16 +65,80 @@ def _write_text(path: str, body: str):
         fh.write(body)
 
 
+_ESCAPES = {'"': '\\"', "\\": "\\\\", "\b": "\\b", "\f": "\\f", "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _escaped(ch: str) -> str:
+    """One character of a string as json writes it with ensure_ascii."""
+    if ch in _ESCAPES:
+        return _ESCAPES[ch]
+    if " " <= ch <= "~":
+        return ch
+    n = ord(ch)
+    if n > 0xFFFF:  # an astral character is written as its surrogate pair
+        n -= 0x10000
+        return f"\\u{0xD800 | n >> 10:04x}\\u{0xDC00 | n & 0x3FF:04x}"
+    return f"\\u{n:04x}"
+
+
+def _text(s: str) -> str:
+    if not (s.isascii() and s.isprintable()) or '"' in s or "\\" in s:
+        s = "".join(map(_escaped, s))
+    return '"' + s + '"'
+
+
+def _json(value, nl) -> str:
+    """``value`` in the bytes json.dumps(value, sort_keys=True) writes: on one
+    line when ``nl`` is None, else with indent=2, ``nl`` being a newline and
+    the indent of the line ``value`` starts on. Dict keys are str; tuples are
+    written as lists. A container whose items (or values) are all of type int
+    is joined in one pass, without a call per item."""
+    if isinstance(value, str):
+        return _text(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return _NON_FINITE.get(text, text)
+    if isinstance(value, (list, tuple)):
+        keys, items, brackets = None, value, "[]"
+    elif isinstance(value, dict):
+        keys = sorted(value)
+        items, brackets = [value[k] for k in keys], "{}"
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    if not items:
+        return brackets
+    inner = None if nl is None else nl + "  "
+    if set(map(type, items)) == {int}:  # bool is its own type, so True stays true
+        parts = map(int.__repr__, items)
+    else:
+        parts = [_json(item, inner) for item in items]
+    if keys is not None:
+        parts = map("{}: {}".format, map(_text, keys), parts)
+    if nl is None:
+        return brackets[0] + ", ".join(parts) + brackets[1]
+    return brackets[0] + inner + ("," + inner).join(parts) + nl + brackets[1]
+
+
 def _json_body(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """``obj`` as a body or manifest file: json.dumps(obj, indent=2,
+    sort_keys=True) and a final newline, written by _json."""
+    return _json(obj, "\n") + "\n"
 
 
 def _cmd_simulate(args) -> tuple:
     graph = _load_graph(args.graph)
     config = graphs.config_from_string(args.config, graph)
     trace = engine.run_sequence(graph, config, args.steps)
-    lines = ({"step": t, "stacks": list(c)} for t, c in enumerate(trace))
-    body = "".join(json.dumps(line, sort_keys=True) + "\n" for line in lines)
+    body = "".join(_json({"step": t, "stacks": c}, None) + "\n" for t, c in enumerate(trace))
     parameters = {"graph": args.graph, "config": args.config, "steps": args.steps}
     return body, parameters, f"simulate: {len(trace)} configurations -> {args.out}", None, 0
 
@@ -95,7 +161,7 @@ def _cmd_period(args) -> tuple:
     body = {
         "preperiod": report.preperiod,
         "period": report.period,
-        "orbit": [list(c) for c in report.orbit],
+        "orbit": report.orbit,
     }
     summary = f"period: preperiod {report.preperiod}, period {report.period} -> {args.out}"
     # detect_period stops at the firing that closes the orbit
@@ -136,7 +202,7 @@ def _cmd_count(args) -> tuple:
                     f"the search lists {len(result.configurations)} configurations, "
                     f"the path automaton counts {count}"
                 )
-            payload["oracle_configurations"] = [list(c) for c in result.configurations]
+            payload["oracle_configurations"] = result.configurations
     if args.ledger:
         payload["ledger"] = counting.build_count_ledger(n)
     return _json_body(payload), parameters, f"count[{method}]: n={n} -> {count} ({args.out})", None, 0

@@ -11,10 +11,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from jsonschema import validate
 
 from pardiff import counting, engine, oracle, pathcount
-from pardiff.cli import main
+from pardiff.cli import _json, _json_body, main
 from pardiff.counting import alternating_count, count_T_recurrence
 from pardiff.orientations import count_p2_orientations_recurrence
 
@@ -335,6 +337,39 @@ def test_body_bytes_are_pinned(tmp_path, monkeypatch, argv, digest):
     out = tmp_path / "body"
     assert main(argv + ["--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# Every code point, lone surrogates included, and the characters json escapes by name.
+_TEXT = st.text(st.integers(0, 0x10FFFF).map(chr) | st.sampled_from('"\\\b\f\n\r\t\x00\x1f\x7f\x80\ud800\U0001f600'))
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(2**64 - 2, 2**200)
+    | st.floats()
+    | st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0])
+    | _TEXT
+)
+_INTS = st.integers() | st.integers(-(2**100), 2**100)
+# All-int lists and dicts take the writer's one-pass join; a True among ints must not.
+_FLAT = (
+    st.lists(_INTS)
+    | st.lists(_INTS).map(tuple)
+    | st.dictionaries(_TEXT, _INTS)
+    | st.lists(_INTS).flatmap(lambda xs: st.permutations([*xs, True]))
+    | st.dictionaries(_TEXT, _INTS).map(lambda d: {**d, "\x7f": True})
+)
+_VALUES = st.recursive(
+    _SCALARS | _FLAT,
+    lambda kids: st.lists(kids) | st.lists(kids).map(tuple) | st.dictionaries(_TEXT, kids),
+    max_leaves=24,
+)
+
+
+@given(_VALUES)
+def test_writer_matches_json_dumps(value):
+    assert _json_body(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+    assert _json(value, None) == json.dumps(value, sort_keys=True)
 
 
 SIMULATE_DEMO = {"graph": "path:5", "config": "0,2,0,4,1"}
@@ -816,10 +851,13 @@ def test_cli_import_skips_dataclasses_and_loads_every_module():
 # Prints, after running main on its arguments, which pardiff submodules were
 # executed: a module still waiting for its first attribute access is not yet
 # a plain module.
+# ``loaded`` holds every module in sys.modules before json is imported to print.
 _EXECUTED = (
-    "import json, sys, types\n"
+    "import sys, types\n"
     "from pardiff.cli import main\n"
     "code = main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+    "loaded = sorted(sys.modules)\n"
+    "import json\n"
     "print(json.dumps([code, sorted(name[8:] for name, m in sys.modules.items()\n"
     "    if name.startswith('pardiff.') and type(m) is types.ModuleType)]))\n"
 )
@@ -831,6 +869,14 @@ def _executed_modules(*argv) -> set[str]:
     code, executed = json.loads(proc.stdout.splitlines()[-1])
     assert code == 0
     return set(executed)
+
+
+def _loaded_modules(*argv) -> set[str]:
+    """Every module in the child's sys.modules after main ran ``argv``."""
+    proc = _run_child(["-c", _EXECUTED + "print(json.dumps(loaded))", *argv])
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-2])[0] == 0
+    return set(json.loads(proc.stdout.splitlines()[-1]))
 
 
 def test_package_import_runs_no_submodule():
@@ -858,9 +904,8 @@ def test_oracle_count_never_runs_the_theory_or_verify(tmp_path):
 )
 def test_command_line_parsing_imports_no_argparse(tmp_path, argv):
     # argparse would pull in gettext, and its help strings locale
-    proc = _run_child(["-c", _EXECUTED + "print(json.dumps(sorted(sys.modules)))", *argv, "--out", str(tmp_path / "o.json")])
-    assert proc.returncode == 0, proc.stderr
-    assert not {"argparse", "gettext", "locale"} & set(json.loads(proc.stdout.splitlines()[-1]))
+    loaded = _loaded_modules(*argv, "--out", str(tmp_path / "o.json"))
+    assert not {"argparse", "gettext", "locale"} & loaded
 
 
 def test_full_configurations_runs_the_search_and_the_automaton(tmp_path):
@@ -884,10 +929,29 @@ def test_theory_count_never_runs_the_oracle_or_verify(tmp_path, argv):
 @pytest.mark.parametrize("method", ["direct", "summation", "recurrence", "oracle"])
 def test_count_imports_no_future(tmp_path, method):
     # every annotation is evaluated eagerly, so no module imports __future__
-    argv = ["count", "--n", "9", "--method", method, "--out", str(tmp_path / "c.json")]
-    proc = _run_child(["-c", _EXECUTED + "print(json.dumps(sorted(sys.modules)))", *argv])
-    assert proc.returncode == 0, proc.stderr
-    assert "__future__" not in json.loads(proc.stdout.splitlines()[-1])
+    assert "__future__" not in _loaded_modules("count", "--n", "9", "--method", method, "--out", str(tmp_path / "c.json"))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *(["count", "--n", "9", "--method", method] for method in ("direct", "summation", "recurrence", "oracle")),
+        ["count", "--n", "9", "--method", "summation", "--ledger"],
+        ["count", "--n", "6", "--method", "oracle", "--full-configurations"],
+        ["verify", "--max-n-oracle", "2", "--max-n-witness", "2", "--max-n-routes", "2", "--max-n-structure", "4"],
+        ["simulate", "--graph", "path:5", "--config", "0,2,0,4,1", "--steps", "6"],
+        ["period", "--graph", "path:5", "--config", "0,2,0,4,1"],
+        ["conjecture", "--k-min", "1", "--k-max", "5"],
+    ],
+    ids=" ".join,
+)
+def test_no_command_imports_json(tmp_path, argv):
+    # cli writes every body and manifest itself, in json.dumps's bytes
+    if argv[0] == "conjecture":
+        g0 = tmp_path / "triangle.txt"
+        g0.write_text("1 2\n2 3\n3 1\n")
+        argv = [*argv, "--g0-file", str(g0)]
+    assert "json" not in _loaded_modules(*argv, "--out", str(tmp_path / "out"))
 
 
 def test_verify_runs_every_submodule(tmp_path):
