@@ -234,7 +234,7 @@ def _cmd_conjecture(args) -> tuple:
     g0 = _read_graph_file(args.g0_file)
     if args.k_min < 1 or args.k_max < args.k_min:
         raise DomainError("need 1 <= k-min <= k-max")
-    oracle.checked_bridge_graph(g0, args.base_vertex, args.k_max)  # fail before searching
+    oracle.build_bridge_graph(g0, args.base_vertex, args.k_max)  # fail before searching
     ks = range(args.k_min, args.k_max + 1)
     counts = [oracle.enumerate_p2_on_bridge_graph(g0, args.base_vertex, k) for k in ks]
     residuals = counting.conjecture_recurrence_check(counts) if len(counts) >= 5 else []

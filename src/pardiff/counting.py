@@ -86,7 +86,12 @@ def _vertex_factor(senses: str, k: int, n: int) -> int:
 
 
 def multiplier_vector(orient: str) -> tuple[int, ...]:
-    """Per-vertex multipliers, v_1 first; entry 1 is always 1."""
+    """Per-vertex multipliers, v_1 first; entry 1 is always 1.
+
+    No program calls it. It stays because acceptance criterion 5, the
+    paper's worked ten-vertex example, reads the multipliers vertex by
+    vertex from it.
+    """
     _require_senses(orient)
     return tuple(vertex_multiplier(orient, k) for k in range(1, len(orient) + 2))
 
@@ -231,10 +236,9 @@ _CHAR_POLY = (1, -3, -2, -1, 1)  # x^4 - 3x^3 - 2x^2 - x + 1, leading coefficien
 
 
 def conjecture_recurrence_check(counts: list[int]) -> list[int]:
-    """Residual of each count against the order-4 recurrence, for indices >= 4."""
+    """Residual of each count against the order-4 recurrence, for indices >= 4:
+    the sum of _CHAR_POLY[i] * counts[k - i], the quartic whose roots
+    lemmas.characteristic_roots finds."""
     if len(counts) < 5:
         raise DomainError("need at least five consecutive counts")
-    return [
-        counts[k] - (3 * counts[k - 1] + 2 * counts[k - 2] + counts[k - 3] - counts[k - 4])
-        for k in range(4, len(counts))
-    ]
+    return [sum(c * counts[k - i] for i, c in enumerate(_CHAR_POLY)) for k in range(4, len(counts))]

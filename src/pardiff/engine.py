@@ -139,9 +139,3 @@ def detect_period(graph: Graph, config: tuple[int, ...], max_steps: int) -> Peri
 def orientation_of_stacks(stacks: tuple[int, ...]) -> str:
     """Sense of e_i on the path from the stacks: Right if v_{i+1} is richer than v_i."""
     return "".join(["R" if b > a else "L" if b < a else "F" for a, b in zip(stacks, stacks[1:])])
-
-
-def is_inside_period(graph: Graph, config: tuple[int, ...]) -> bool:
-    """True iff two firings return the input exactly (covers periods 1 and 2)."""
-    once = fire_each(graph, (config,))[0]
-    return fire_each(graph, (once,))[0] == config

@@ -41,9 +41,10 @@ class OracleResult(Record):
         object.__setattr__(self, "count", count)
 
 
-def _bfs_plan(graph: Graph, root: int | None):
+def _bfs_plan(graph: Graph, root: int | None, cap: int | None = None):
     """BFS order plus per-prefix-length firing and checking schedules, and
-    the proven difference bound of each tree edge.
+    the window of each tree edge: its proven difference bound, capped at
+    ``cap`` unless that is None.
 
     The BFS starts at 0-based vertex ``root``, or at a vertex of maximum
     degree, the lowest-numbered on ties, if ``root`` is None.
@@ -55,7 +56,9 @@ def _bfs_plan(graph: Graph, root: int | None):
     reaches position p (bounds[0] = 0). In a configuration with fire^2 = id,
     one firing reverses the sign of every edge's difference and keeps a flat
     edge flat (README, "conjecture"); a firing moves s_u - s_v by at most
-    deg(u) + deg(v), so |s_u - s_v| <= deg(u) + deg(v) - 1.
+    deg(u) + deg(v), so |s_u - s_v| <= deg(u) + deg(v) - 1. A cap replaces
+    each bound b by min(cap, b), so ``bounds`` is exactly the window that
+    _window_search walks.
     """
     V = graph.vertex_count
     adj0 = [[] for _ in range(V)]
@@ -90,22 +93,21 @@ def _bfs_plan(graph: Graph, root: int | None):
     fires_at = [tuple(row) for row in fires_at]
     checks_at = [tuple(row) for row in checks_at]
     bounds = [0] + [len(adj_pos[p]) + len(adj_pos[parent_pos[p]]) - 1 for p in range(1, V)]
+    if cap is not None:
+        bounds = [min(cap, b) for b in bounds]
     return order, parent_pos, fires_at, checks_at, bounds
 
 
-def _window_search(graph, root0, collect, cap=None):
+def _window_search(plan, collect):
     """Count (and optionally collect) 2-periodic configurations with the root
-    (as _bfs_plan picks it from ``root0``) pinned at zero and the stack
-    difference along the tree edge into each BFS position p >= 1 within its
-    proven bound, itself capped at ``cap`` unless that is None.
+    of ``plan``, a _bfs_plan, pinned at zero and the stack difference along
+    the tree edge into each BFS position p >= 1 within the plan's bound.
 
     Differences are tried in increasing order, position 1 first, so the
     configurations come out ordered by their BFS difference vector.
     """
-    order, parent_pos, fires_at, checks_at, bounds = _bfs_plan(graph, root0)
-    if cap is not None:
-        bounds = [min(cap, b) for b in bounds]
-    V = graph.vertex_count
+    order, parent_pos, fires_at, checks_at, bounds = plan
+    V = len(order)
     if V == 1:
         return 0, []
     stacks = [0] * V
@@ -179,11 +181,11 @@ def enumerate_p2_configurations(
     deg(v) - 1), at most 2 on a leaf edge. No configuration lies outside
     deg(u) + deg(v) - 1 (the edge-reversal lemma, _bfs_plan), so this lists
     exactly what the plain window of diff_bound would, in the same order.
-    The candidate ceiling counts that capped window: the product of
-    2 min(diff_bound, bound) + 1 over the edges.
+    The candidate ceiling counts that capped window: the product of 2b + 1
+    over the plan's bounds b.
     ``workers`` is accepted and ignored. No program caller sets it; it stays
-    for perfbench/run.py's pool_probe, which times this function at
-    workers = 1 and 2 and, if the parameter is missing, records a failed
+    for perfbench/run.py::pool_probe, whose branch without ``workers`` would
+    compare this function's OracleResult with an int and record a failed
     operation in every traced run.
     """
     if n < 2:
@@ -196,31 +198,33 @@ def enumerate_p2_configurations(
     # exceeds the ceiling once k reaches its bit length).
     if 3 ** min(n - 1, ceiling.bit_length()) > ceiling:
         raise CeilingError(f"at least 3^{n - 1} raw candidates exceed the oracle ceiling {ceiling}")
-    bounds = _bfs_plan(PathGraph(n), 0)[-1][1:]
-    candidates = math.prod([2 * min(diff_bound, b) + 1 for b in bounds])
+    plan = _bfs_plan(PathGraph(n), 0, diff_bound)
+    candidates = math.prod([2 * b + 1 for b in plan[-1]])
     if candidates > ceiling:
         raise CeilingError(f"{candidates} raw candidates in the capped window exceed the oracle ceiling {ceiling}")
-    count, found = _window_search(PathGraph(n), 0, True, diff_bound)
+    count, found = _window_search(plan, True)
     return OracleResult(n=n, diff_bound=diff_bound, configurations=tuple(found), count=count)
 
 
-def _check_bridge_domain(g0: Graph, base_vertex: int, k: int):
-    """Raise DomainError unless base_vertex is a vertex of g0 and k >= 1."""
+def build_bridge_graph(g0: Graph, base_vertex: int, k: int) -> SimpleGraph:
+    """Attach a k-vertex path to base_vertex of g0 through a bridge edge,
+    after every check a bridge search makes.
+
+    In order: g0 is connected, the ceiling variable parses, the base vertex
+    and k are in range, and the vertex count is within the ceiling. Every
+    check runs before the edge set, which grows with k, is built. The
+    attachment vertices are numbered m+1..m+k beyond g0's m vertices, with
+    m+1 on the bridge and m+k the far-end leaf.
+    """
+    _bfs_plan(g0, 0)  # raises DomainError if g0 is not connected
+    ceiling = _bridge_ceiling()
     m = g0.vertex_count
     if not 1 <= base_vertex <= m:
         raise DomainError(f"base vertex {base_vertex} outside [1, {m}]")
     if k < 1:
         raise DomainError("path length k must be >= 1")
-
-
-def build_bridge_graph(g0: Graph, base_vertex: int, k: int) -> SimpleGraph:
-    """Attach a k-vertex path to base_vertex of g0 through a bridge edge.
-
-    The attachment vertices are numbered m+1..m+k beyond g0's m vertices,
-    with m+1 on the bridge and m+k the far-end leaf.
-    """
-    _check_bridge_domain(g0, base_vertex, k)
-    m = g0.vertex_count
+    if m + k > ceiling:
+        raise CeilingError(f"{m + k} vertices exceed the bridge-oracle ceiling {ceiling}")
     edges = set(g0.edges)
     edges.add((base_vertex, m + 1))
     for i in range(1, k):
@@ -228,29 +232,7 @@ def build_bridge_graph(g0: Graph, base_vertex: int, k: int) -> SimpleGraph:
     return SimpleGraph(vertex_count=m + k, edges=frozenset(edges))
 
 
-def checked_bridge_graph(g0: Graph, base_vertex: int, k: int) -> SimpleGraph:
-    """The bridge graph of build_bridge_graph, after every check a bridge search makes.
-
-    In order: g0's connectivity, the base vertex and k, and the vertex
-    ceiling. Callers run it before any search starts; the ceiling is checked
-    before the graph is built, whose edge set grows with k.
-    """
-    _bfs_plan(g0, 0)  # raises DomainError if g0 is not connected
-    ceiling = _bridge_ceiling()
-    _check_bridge_domain(g0, base_vertex, k)
-    vertex_count = g0.vertex_count + k
-    if vertex_count > ceiling:
-        raise CeilingError(f"{vertex_count} vertices exceed the bridge-oracle ceiling {ceiling}")
-    return build_bridge_graph(g0, base_vertex, k)
-
-
-def enumerate_p2_on_bridge_graph(
-    g0: Graph,
-    base_vertex: int,
-    k: int,
-    diff_bound: int = 3,
-    workers: int | None = None,
-) -> int:
+def enumerate_p2_on_bridge_graph(g0: Graph, base_vertex: int, k: int, diff_bound: int = 3) -> int:
     """Count of 2-periodic configurations on g0 plus a bridged path.
 
     A vertex of maximum degree (the lowest-numbered on ties) is pinned at
@@ -261,10 +243,9 @@ def enumerate_p2_on_bridge_graph(
     configuration has exactly one shift with that vertex at zero. Rooting at
     the widest vertex fixes the widest windows while few prefixes exist,
     which prunes early.
-    ``diff_bound`` and ``workers`` are accepted and ignored. No program
-    caller passes either; both stay for perfbench/run.py's pool_probe,
-    which passes them and would stop every traced run with a TypeError
-    without them.
+    ``diff_bound`` is accepted and ignored. No program caller passes it; it
+    stays for perfbench/run.py::pool_probe, which passes it and would stop
+    every traced run with a TypeError without it.
     """
-    graph = checked_bridge_graph(g0, base_vertex, k)
-    return _window_search(graph, None, False)[0]
+    graph = build_bridge_graph(g0, base_vertex, k)
+    return _window_search(_bfs_plan(graph, None), False)[0]

@@ -766,7 +766,7 @@ def test_conjecture_checks_bridge_ceiling_before_searching(tmp_path, monkeypatch
     def no_build(*args, **kwargs):
         raise AssertionError("built the bridge graph before checking the ceiling")
 
-    monkeypatch.setattr(oracle, "build_bridge_graph", no_build)
+    monkeypatch.setattr(oracle, "SimpleGraph", no_build)
     code = main(["conjecture", "--g0-file", str(g0), "--k-min", "2", "--k-max", "1000000000", "--out", str(out)])
     assert code == 2
     assert capsys.readouterr().err == (

@@ -18,7 +18,6 @@ from pardiff.engine import (
     default_max_steps,
     detect_period,
     fire_each,
-    is_inside_period,
     orientation_of_stacks,
     run_sequence,
 )
@@ -70,7 +69,7 @@ def test_fire_step_length_mismatch():
         _fire,
         lambda g, c: run_sequence(g, c, 3),
         lambda g, c: detect_period(g, c, 10),
-        is_inside_period,
+        lambda g, c: fire_each(g, fire_each(g, (c,))),
     )
     for call in calls:
         with pytest.raises(ConfigMismatchError, match="2 stacks for 5 vertices"):
@@ -100,7 +99,7 @@ def test_edges_built_once_per_graph(monkeypatch):
     for _ in range(50):
         c = _fire(g, c)
     detect_period(PathGraph(6), c, 100)
-    is_inside_period(g, c)
+    fire_each(g, fire_each(g, (c,)))
     assert builds == [g]
     assert graphs.frozen_edges(g) == ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5))
 
@@ -122,7 +121,7 @@ def test_stack_limit_guard():
         _fire(star, (low + 1, low, low, low))
     # the first of the two firings already leaves the range
     with pytest.raises(StackLimitError, match=str(big + 2)):
-        is_inside_period(star, (big - 1, big, big, big))
+        fire_each(star, fire_each(star, ((big - 1, big, big, big),)))
 
 
 def _reference_step(graph, stacks):
@@ -285,10 +284,11 @@ def test_induced_orientation_examples():
     assert orientation_of_stacks((0, 1, 2)) == "RR"
 
 
-def test_is_inside_period_examples():
-    assert is_inside_period(P5, (1, 0, 3, 1, 2))
-    assert is_inside_period(P5, (0, 0, 0, 0, 0))
-    assert not is_inside_period(PathGraph(2), (0, 3))
+def test_two_firings_return_examples():
+    # two firings return a configuration of period 1 or 2 exactly, and no other
+    assert fire_each(P5, fire_each(P5, ((1, 0, 3, 1, 2),))) == [(1, 0, 3, 1, 2)]
+    assert fire_each(P5, fire_each(P5, ((0, 0, 0, 0, 0),))) == [(0, 0, 0, 0, 0)]
+    assert fire_each(PathGraph(2), fire_each(PathGraph(2), ((0, 3),))) != [(0, 3)]
 
 
 @st.composite

@@ -76,12 +76,12 @@ def test_capped_windows_list_what_the_plain_window_lists(diff_bound, monkeypatch
     # the plain window: the same search with every proven bound replaced by diff_bound
     real_plan = oracle._bfs_plan
 
-    def plain_plan(graph, root):
-        return (*real_plan(graph, root)[:-1], [diff_bound] * graph.vertex_count)
+    def plain_plan(graph, root, cap=None):
+        return (*real_plan(graph, root, cap)[:-1], [diff_bound] * graph.vertex_count)
 
     monkeypatch.setattr(oracle, "_bfs_plan", plain_plan)
     for n, configurations in listed.items():
-        plain = oracle._window_search(PathGraph(n), 0, True, diff_bound)[1]
+        plain = oracle._window_search(oracle._bfs_plan(PathGraph(n), 0, diff_bound), True)[1]
         assert list(configurations) == plain, n
 
 
@@ -95,7 +95,7 @@ def test_search_off_a_path_lists_vertex_ordered_two_periods():
     # the search runs in breadth-first positions; each configuration it lists,
     # mapped back to vertex order, must fire to another one and back
     graph = build_bridge_graph(TRIANGLE, 1, 4)
-    count, found = oracle._window_search(graph, 6, True)
+    count, found = oracle._window_search(oracle._bfs_plan(graph, 6), True)
     assert count == len(found) == len(set(found)) > 0
     once = fire_each(graph, found)
     for stacks, fired, twice in zip(found, once, fire_each(graph, once)):
@@ -210,6 +210,37 @@ def test_bridge_graph_shape():
     assert (1, 4) in g.edges and (4, 5) in g.edges and (5, 6) in g.edges
 
 
+@pytest.mark.parametrize(
+    "g0,base_vertex,k,error",
+    [
+        (SimpleGraph.from_edge_list([(1, 2), (3, 4)]), 1, 3, DomainError),
+        (TRIANGLE, 4, 3, DomainError),
+        (TRIANGLE, 1, 10, CeilingError),
+    ],
+    ids=["disconnected", "base-vertex-4", "ceiling"],
+)
+def test_bridge_graph_checks_before_building(monkeypatch, g0, base_vertex, k, error):
+    # the one constructor makes every check a bridge search makes, and all of
+    # them before the graph, whose edge set grows with k, is built
+    monkeypatch.setattr(oracle, "SimpleGraph", _no_build)
+    with pytest.raises(error):
+        build_bridge_graph(g0, base_vertex, k)
+
+
+def test_path_search_plans_once(monkeypatch):
+    # the candidate ceiling and the search read one plan
+    plans = []
+    real = oracle._bfs_plan
+
+    def counted(*args, **kwargs):
+        plans.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "_bfs_plan", counted)
+    assert enumerate_p2_configurations(8).count == count_T_recurrence(8)
+    assert len(plans) == 1
+
+
 def test_bridge_degenerate_single_vertex():
     for k in (3, 4, 5):
         got = enumerate_p2_on_bridge_graph(PathGraph(1), 1, k)
@@ -264,8 +295,9 @@ def test_bridge_count_matches_naive_windowing():
 def _proven_bounds(g0, k):
     graph = build_bridge_graph(g0, 1, k)
     root0 = graph.vertex_count - 1
-    order, parent_pos, _, _, bounds = oracle._bfs_plan(graph, root0)
-    return graph, root0, order, parent_pos, bounds
+    plan = oracle._bfs_plan(graph, root0)
+    order, parent_pos, _, _, bounds = plan
+    return graph, plan, order, parent_pos, bounds
 
 
 @pytest.mark.parametrize(
@@ -277,8 +309,8 @@ def test_bridge_bounds_are_reached(g0, k, short):
     # some configuration meets the bound of every tree edge on the path, the
     # bridge and the star, so a smaller bound there would undercount; the
     # triangle's own edges stop one short of theirs
-    graph, root0, order, parent_pos, bounds = _proven_bounds(g0, k)
-    _, found = oracle._window_search(graph, root0, True)
+    graph, plan, order, parent_pos, bounds = _proven_bounds(g0, k)
+    _, found = oracle._window_search(plan, True)
     for p in range(1, graph.vertex_count):
         u, v = order[p], order[parent_pos[p]]
         edge = (min(u, v) + 1, max(u, v) + 1)
@@ -303,7 +335,7 @@ def test_bridge_count_is_the_same_from_every_root(g0, base_vertex, k):
     graph = build_bridge_graph(g0, base_vertex, k)
     got = enumerate_p2_on_bridge_graph(g0, base_vertex, k)
     for root0 in range(graph.vertex_count):
-        assert oracle._window_search(graph, root0, False)[0] == got, root0
+        assert oracle._window_search(oracle._bfs_plan(graph, root0), False)[0] == got, root0
 
 
 def test_bridge_requires_connected_g0(monkeypatch):
@@ -327,6 +359,10 @@ def test_bridge_base_vertex_range():
 
 def _no_search(*args, **kwargs):
     raise AssertionError("a search ran")
+
+
+def _no_build(*args, **kwargs):
+    raise AssertionError("a graph was built")
 
 
 def test_bridge_vertex_ceiling(monkeypatch):
