@@ -15,6 +15,7 @@ Stack sizes are plain Python integers at the interfaces; the firing engine
 promises signed 64-bit behaviour and rejects values outside that range.
 """
 
+import os
 import re
 from functools import lru_cache
 from typing import Union
@@ -132,6 +133,29 @@ def parse_graph(text: str) -> Graph:
             raise GraphFormatError(f"line {lineno}: non-integer endpoint in {line!r}") from None
         pairs.append((u, v))
     return SimpleGraph.from_edge_list(pairs)
+
+
+def _read_graph_file(path: str) -> Graph:
+    """Graph from the file at ``path``; a file that is not UTF-8 is a file error."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise OSError(f"{path}: {exc}") from None
+    return parse_graph(text)
+
+
+def _load_graph(text: str) -> Graph:
+    """Graph from a literal ``path:<n>``, a file path, or inline edge text.
+
+    Inline edge text always holds whitespace, so a value without any names a
+    file, and one that names no file ends in a file error, not a parse error.
+    """
+    if text.startswith("path:"):
+        return parse_graph(text)
+    if os.path.exists(text) or not any(ch.isspace() for ch in text):
+        return _read_graph_file(text)
+    return parse_graph(text.replace(",", "\n"))
 
 
 def render_graph(graph: Graph) -> str:

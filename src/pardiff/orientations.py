@@ -1,5 +1,8 @@
 """Orientation words, and the classification and enumeration of the path
-orientations realizable inside a 2-period.
+orientations realizable inside a 2-period. The enumeration lists the words
+of a pardiff.transfer automaton with listings and words, which live here
+rather than in transfer so that the oracle count, which lists no word,
+compiles none of them.
 
 On a path drawn with v_1 the RIGHTMOST vertex (see pardiff.graphs), a
 directed edge whose head is the lower-indexed endpoint points toward the
@@ -135,6 +138,56 @@ def _legal_arcs(tail: str) -> list[tuple[str, str, int]]:
 _LEGAL = Automaton("", _legal_arcs, lambda tail: int(_may_follow(tail, "F")))
 
 
+def listings(automaton: Automaton, length: int):
+    """Yield, for each length 0, 1, ..., ``length``, the words of ``automaton``
+    of that many letters and nonzero weight, once per path, and their
+    weights, as parallel lists in no set order, all from one growth pass.
+    Prefixes grow a letter at a time, grouped by the state they reach, so
+    each arc is taken once per group; the last letter takes only arcs into
+    nonzero final weights. Each length's lists are built as the pass reaches
+    it, so a caller that wants only the last length pays for the shorter ones
+    too: listing the multiplier automaton's 15-letter words took about 0.2 to
+    0.5 ms more than the 2.2 ms of a single-length lister (best of 41, 2-core
+    host), and the legality automaton's about the same."""
+    automaton._explore()
+    arcs, final = automaton.arcs, automaton.final
+    level: dict[int, tuple[list[str], list[int]]] = {0: ([""], [1])}
+    for m in range(length):
+        yield _listing(final, level)
+        grown: dict[int, tuple[list[str], list[int]]] = {}
+        while level:  # each group is dropped once it has grown
+            i, (prefixes, weights) = level.popitem()
+            for letter, t, w in arcs[i]:
+                if m < length - 1 or final[t]:
+                    grown_prefixes, grown_weights = grown.setdefault(t, ([], []))
+                    grown_prefixes.extend([q + letter for q in prefixes])
+                    grown_weights.extend(weights if w == 1 else [x * w for x in weights])
+        level = grown
+    yield _listing(final, level)
+
+
+def _listing(final: list[int], level: dict) -> tuple[list[str], list[int]]:
+    """The words, and weights, of the prefix groups in ``level`` that may end,
+    ``final`` being the automaton's final weights."""
+    words: list[str] = []
+    weights: list[int] = []
+    for i, (prefixes, group) in level.items():
+        f = final[i]
+        if f:
+            words += prefixes
+            weights += group if f == 1 else [x * f for x in group]
+    return words, weights
+
+
+def words(automaton: Automaton, length: int) -> tuple[list[str], list[int]]:
+    """The last entry of ``listings(automaton, length)``; each shorter one is
+    dropped as it comes, so that only one length's lists are held at a time."""
+    listed = listings(automaton, length)
+    for _ in range(length):
+        next(listed)
+    return next(listed)
+
+
 def _listed(automaton: Automaton, n: int) -> tuple[list[str], list[int]]:
     """The n-vertex path's words of ``automaton`` and weights, within the ceiling."""
     if n < 1:
@@ -142,7 +195,7 @@ def _listed(automaton: Automaton, n: int) -> tuple[list[str], list[int]]:
     limit = _enum_ceiling()
     if n > limit:
         raise CeilingError(f"orientation enumeration capped at n = {limit} (asked for {n})")
-    return automaton.words(n - 1)
+    return words(automaton, n - 1)
 
 
 def enumerate_p2_orientations(n: int) -> list[str]:

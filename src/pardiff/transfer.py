@@ -11,8 +11,10 @@ class Automaton:
     ``states`` holds their keys, and ``arcs`` and ``final`` the arcs (letter,
     target index, weight) and final weights ``arcs_of`` and ``final_of`` give.
 
-    ``totals``, ``completions`` and ``listings`` each yield every length from
-    one pass; ``words`` keeps the last of ``listings``."""
+    ``totals`` and ``completions`` each yield every length from one pass. The
+    word lister (``listings`` and ``words``), which only the orientation
+    enumeration and verify read, lives in pardiff.orientations, so an oracle
+    count, which runs this module and not that one, compiles none of it."""
 
     def __init__(self, start, arcs_of, final_of):
         self.states, self.arcs, self.final = [start], [], []
@@ -54,61 +56,3 @@ class Automaton:
         for _ in range(length):
             vec = [sum(w * vec[t] for _, t, w in row) for row in self.arcs]
             yield vec
-
-    def weight(self, word: str) -> int:
-        """The weight of one word; 0 if no path from the start reads it."""
-        self._explore()
-        vec = {0: 1}
-        for letter in word:
-            nxt: dict[int, int] = {}
-            for i, v in vec.items():
-                for a, t, w in self.arcs[i]:
-                    if a == letter:
-                        nxt[t] = nxt.get(t, 0) + v * w
-            vec = nxt
-        return sum(v * self.final[i] for i, v in vec.items())
-
-    def listings(self, length: int):
-        """Yield, for each length 0, 1, ..., ``length``, the words of that many
-        letters and nonzero weight, once per path, and their weights, as
-        parallel lists in no set order, all from one growth pass. Prefixes grow
-        a letter at a time, grouped by the state they reach, so each arc is
-        taken once per group; the last letter takes only arcs into nonzero
-        final weights. Each length's lists are built as the pass reaches it,
-        so a caller that wants only the last length pays for the shorter ones
-        too: listing the multiplier automaton's 15-letter words took about 0.2
-        to 0.5 ms more than the 2.2 ms of a single-length lister (best of 41,
-        2-core host), and the legality automaton's about the same."""
-        self._explore()
-        level: dict[int, tuple[list[str], list[int]]] = {0: ([""], [1])}
-        for m in range(length):
-            yield self._listing(level)
-            grown: dict[int, tuple[list[str], list[int]]] = {}
-            while level:  # each group is dropped once it has grown
-                i, (prefixes, weights) = level.popitem()
-                for letter, t, w in self.arcs[i]:
-                    if m < length - 1 or self.final[t]:
-                        grown_prefixes, grown_weights = grown.setdefault(t, ([], []))
-                        grown_prefixes.extend([q + letter for q in prefixes])
-                        grown_weights.extend(weights if w == 1 else [x * w for x in weights])
-            level = grown
-        yield self._listing(level)
-
-    def _listing(self, level: dict) -> tuple[list[str], list[int]]:
-        """The words, and weights, of the prefix groups in ``level`` that may end."""
-        words: list[str] = []
-        weights: list[int] = []
-        for i, (prefixes, group) in level.items():
-            f = self.final[i]
-            if f:
-                words += prefixes
-                weights += group if f == 1 else [x * f for x in group]
-        return words, weights
-
-    def words(self, length: int) -> tuple[list[str], list[int]]:
-        """The last entry of ``listings(length)``; each shorter one is dropped
-        as it comes, so that only one length's lists are held at a time."""
-        listings = self.listings(length)
-        for _ in range(length):
-            next(listings)
-        return next(listings)

@@ -323,7 +323,7 @@ def _chk_orientation_counts(cfg: VerifyConfig, inputs: _RunInputs):
     orientations of one listing pass, checked distinct, up to the enumeration
     ceiling."""
     listed = min(18, _enum_ceiling())
-    listings = orientations._LEGAL.listings(listed - 1)
+    listings = orientations.listings(orientations._LEGAL, listed - 1)
     for n, total in enumerate(orientations._LEGAL.totals(17), start=1):
         want = orientations.count_p2_orientations_recurrence(n)
         if total != want:

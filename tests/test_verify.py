@@ -202,35 +202,30 @@ def test_fault_after_clean_run_is_caught(monkeypatch):
 
 
 def test_duplicated_orientation_is_named(monkeypatch):
-    real = orientations._LEGAL
+    real = orientations.listings
 
-    class DuplicateAt9:
-        totals, words = real.totals, real.words
+    def duplicate_at_9(automaton, length):
+        for letters, (senses, weights) in enumerate(real(automaton, length)):
+            if letters == 8:
+                senses[-1] = senses[0]
+            yield senses, weights
 
-        def listings(self, length):
-            for letters, (senses, weights) in enumerate(real.listings(length)):
-                if letters == 8:
-                    senses[-1] = senses[0]
-                yield senses, weights
-
-    monkeypatch.setattr(orientations, "_LEGAL", DuplicateAt9())
+    monkeypatch.setattr(orientations, "listings", duplicate_at_9)
     results = verify.run_suites(SMALL, suites=["orientation"])
     details = {r.name: r.detail for r in results if not r.passed}
     assert details == {"count-matches-recurrence": "n=9: 1 orientations enumerated twice"}
 
 
 def test_wrong_transfer_count_past_the_ceiling_is_named(monkeypatch):
-    real = orientations._LEGAL
+    real = orientations._LEGAL.totals
 
-    class OneTooManyAt15:
-        words, listings = real.words, real.listings
-
-        def totals(self, length):
-            for letters, total in enumerate(real.totals(length)):
-                yield total + (letters == 14)
+    def one_too_many_at_15(length):
+        for letters, total in enumerate(real(length)):
+            yield total + (letters == 14)
 
     monkeypatch.setenv("PARDIFF_ENUM_CEILING", "9")
-    monkeypatch.setattr(orientations, "_LEGAL", OneTooManyAt15())
+    # an instance attribute over the method, deleted again on undo
+    monkeypatch.setitem(vars(orientations._LEGAL), "totals", one_too_many_at_15)
     results = verify.run_suites(SMALL, suites=["orientation"])
     details = {r.name: r.detail for r in results if not r.passed}
     r_15 = orientations.count_p2_orientations_recurrence(15)
